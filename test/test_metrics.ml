@@ -191,6 +191,25 @@ let test_report_sink () =
   check_bool "cleared" true (Dbsim.Report.metrics_records () = []);
   check_string "empty dump" "[]" (Dbsim.Report.metrics_to_json [])
 
+(* Labels are free text (the E8 ones carry a section sign); the dump must
+   stay valid JSON whatever they contain. *)
+let test_report_json_escape () =
+  let snap = M.snapshot (M.create ~nodes:1) in
+  let json =
+    Dbsim.Report.metrics_to_json
+      [
+        {
+          Dbsim.Report.experiment = "E8";
+          label = "+eager (§8) \"q\" a\\b\nc";
+          metrics = snap;
+        };
+      ]
+  in
+  let prefix =
+    "[{\"experiment\":\"E8\",\"label\":\"+eager (§8) \\\"q\\\" a\\\\b\\nc\",\"nodes\":"
+  in
+  check_string "escaped label" prefix (String.sub json 0 (String.length prefix))
+
 let () =
   Alcotest.run "metrics"
     [
@@ -211,5 +230,6 @@ let () =
         [
           Alcotest.test_case "node rendering" `Quick test_json;
           Alcotest.test_case "report sink" `Quick test_report_sink;
+          Alcotest.test_case "label escaping" `Quick test_report_json_escape;
         ] );
     ]
