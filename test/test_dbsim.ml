@@ -56,140 +56,161 @@ let test_figure1_durations_scale () =
   in
   check_bool "phase2 tracks query length" true (span f2 > span f1 +. 30.0)
 
-(* {1 Experiments} *)
+(* {1 Experiments}
+
+   Each test runs an experiment (often shrunk) and reads its table by
+   column header, exactly as the printed table shows it. *)
+
+module E = Dbsim.Experiment
+
+let value = E.value
+
+(* The row whose first column reads [name]. *)
+let row_named (tb : E.table) name =
+  let rec find i =
+    if i >= List.length tb.cells then Alcotest.failf "no row %s" name
+    else if E.text tb ~row:i (List.hd tb.header) = name then i
+    else find (i + 1)
+  in
+  find 0
 
 let test_invariants_clean () =
-  let r = Dbsim.Experiment.invariants ~nodes:3 ~duration:600.0 () in
-  check_int "no violations" 0 r.Dbsim.Experiment.violations;
+  let tb = E.run (E.invariants ~nodes:[ 3 ] ~duration:600.0 ()) in
+  check_int "no violations" 0 (int_of_float (value tb ~row:0 "violations"));
   check_bool "work happened" true
-    (r.Dbsim.Experiment.commits > 50 && r.Dbsim.Experiment.advancements > 3);
-  check_bool "three version bound" true (r.Dbsim.Experiment.max_versions_ever <= 3)
+    (value tb ~row:0 "commits" > 50.0 && value tb ~row:0 "advancements" > 3.0);
+  check_bool "three version bound" true (value tb ~row:0 "max-versions" <= 3.0)
 
 let test_staleness_monotone () =
-  let points =
-    Dbsim.Experiment.staleness_sweep ~periods:[ 50.0; 200.0 ] ~eager:false ()
-  in
-  match points with
-  | [ fast; slow ] ->
-      check_bool "staleness grows with period" true
-        (slow.Dbsim.Experiment.mean_staleness
-        > fast.Dbsim.Experiment.mean_staleness +. 10.0);
-      check_bool "staleness bounded by period + txn time" true
-        (fast.Dbsim.Experiment.max_staleness < 3.0 *. fast.Dbsim.Experiment.period)
-  | _ -> Alcotest.fail "unexpected sweep size"
+  let tb = E.run (E.staleness ~periods:[ 50.0; 200.0 ] ~eager:[ false ] ()) in
+  check_bool "staleness grows with period" true
+    (value tb ~row:1 "mean" > value tb ~row:0 "mean" +. 10.0);
+  check_bool "staleness bounded by period + txn time" true
+    (value tb ~row:0 "max" < 3.0 *. value tb ~row:0 "period")
 
 let test_staleness_bound_optimisation () =
-  let b = Dbsim.Experiment.staleness_bound ~long_txn_duration:80.0 () in
+  let tb = E.run (E.publish_lag ~long_txn_duration:80.0 ()) in
+  let plain = value tb ~row:0 "lag (base)" in
   check_bool "plain lag tracks the long transaction" true
-    (b.Dbsim.Experiment.publish_lag_plain > 0.6 *. b.Dbsim.Experiment.long_txn_duration);
+    (plain > 0.6 *. value tb ~row:0 "long txn");
   check_bool "eager hand-off cuts the lag" true
-    (b.Dbsim.Experiment.publish_lag_eager
-    < b.Dbsim.Experiment.publish_lag_plain /. 2.0)
+    (value tb ~row:0 "lag (eager hand-off)" < plain /. 2.0)
 
 let test_comparison_shapes () =
-  let rows = Dbsim.Experiment.comparison ~duration:800.0 () in
-  let find name =
-    List.find (fun r -> r.Dbsim.Experiment.protocol = name) rows
-  in
-  let ava3 = find "ava3" in
-  let s2pl = find "s2pl" in
-  let twov = find "two-version" in
-  let mvcc = find "mvcc-unbounded" in
-  let fourv = find "four-version-sync" in
+  let tb = E.run (E.comparison ~duration:800.0 ()) in
+  let get name column = value tb ~row:(row_named tb name) column in
   (* Who wins and why — the shape of the paper's §9 comparison table. *)
-  check_bool "ava3 caps versions at 3" true (ava3.Dbsim.Experiment.max_versions <= 3);
+  check_bool "ava3 caps versions at 3" true (get "ava3" "max-vers" <= 3.0);
   check_bool "fourv needs an extra version slot" true
-    (fourv.Dbsim.Experiment.max_versions <= 4);
+    (get "four-version-sync" "max-vers" <= 4.0);
   check_bool "mvcc grows beyond three versions" true
-    (mvcc.Dbsim.Experiment.max_versions > 3);
+    (get "mvcc-unbounded" "max-vers" > 3.0);
   check_bool "s2pl suffers query interference" true
-    (s2pl.Dbsim.Experiment.query_p95 > ava3.Dbsim.Experiment.query_p95);
+    (get "s2pl" "qry p95" > get "ava3" "qry p95");
   check_bool "s2pl interference is lock waiting" true
-    (s2pl.Dbsim.Experiment.interference_metric
-    > 10.0 *. Float.max 1.0 ava3.Dbsim.Experiment.interference_metric);
+    (get "s2pl" "interference"
+    > 10.0 *. Float.max 1.0 (get "ava3" "interference"));
   check_bool "two-version delays writer commits" true
-    (twov.Dbsim.Experiment.interference_metric > 0.0);
+    (get "two-version" "interference" > 0.0);
   check_bool "only ava3/fourv read stale data" true
-    (ava3.Dbsim.Experiment.staleness_mean > 0.0
-    && mvcc.Dbsim.Experiment.staleness_mean = 0.0)
+    (get "ava3" "staleness" > 0.0 && get "mvcc-unbounded" "staleness" = 0.0)
 
 let test_piggyback_targeted () =
-  let p = Dbsim.Experiment.piggyback_targeted () in
+  let tb = E.run (E.piggyback ()) in
   check_bool "plain straddlers need commit-time repair" true
-    (p.Dbsim.Experiment.commit_mtf_plain >= p.Dbsim.Experiment.staged / 2);
-  check_int "piggyback eliminates them" 0 p.Dbsim.Experiment.commit_mtf_piggyback
+    (value tb ~row:0 "commit-mtf (plain)"
+    >= value tb ~row:0 "staged straddlers" /. 2.0);
+  check_int "piggyback eliminates them" 0
+    (int_of_float (value tb ~row:0 "commit-mtf (piggyback)"))
 
 let test_centralized_trade () =
-  match Dbsim.Experiment.centralized () with
-  | [ ava3; fourv ] ->
-      check_bool "ava3 keeps fewer steady versions" true
-        (ava3.Dbsim.Experiment.steady_versions
-        < fourv.Dbsim.Experiment.steady_versions);
-      check_bool "fourv advances faster" true
-        (fourv.Dbsim.Experiment.advancement_mean_latency
-        < ava3.Dbsim.Experiment.advancement_mean_latency);
-      check_bool "both ran advancements" true
-        (ava3.Dbsim.Experiment.advancements >= 5
-        && fourv.Dbsim.Experiment.advancements >= 5)
-  | _ -> Alcotest.fail "expected two variants"
+  let tb = E.run (E.centralized ()) in
+  check_bool "ava3 keeps fewer steady versions" true
+    (value tb ~row:0 "steady versions" < value tb ~row:1 "steady versions");
+  check_bool "fourv advances faster" true
+    (value tb ~row:1 "adv latency (mean)"
+    < value tb ~row:0 "adv latency (mean)");
+  check_bool "both ran advancements" true
+    (value tb ~row:0 "advancements" >= 5.0
+    && value tb ~row:1 "advancements" >= 5.0)
 
 let test_sync_advancement_aborts () =
-  let s = Dbsim.Experiment.sync_advancement_aborts () in
-  check_int "ava3 advancement aborts nothing" 0
-    s.Dbsim.Experiment.ava3_aborts_from_advancement;
+  let tb = E.run (E.sync_aborts ()) in
+  let aborts name =
+    value tb ~row:(row_named tb name) "advancement-induced aborts"
+  in
+  check_int "ava3 advancement aborts nothing" 0 (int_of_float (aborts "ava3"));
   check_bool "synchronous scheme aborts straddlers" true
-    (s.Dbsim.Experiment.fourv_mismatch_aborts > 0)
-
-
+    (aborts "four-version-sync" > 0.0)
 
 let test_ablations_consistent () =
-  let rows = Dbsim.Experiment.ablations ~duration:500.0 () in
-  (match rows with
-  | base :: rest ->
-      List.iter
-        (fun r ->
-          check_int "same workload commits" base.Dbsim.Experiment.abl_commits
-            r.Dbsim.Experiment.abl_commits)
-        rest;
-      let root_only =
-        List.find
-          (fun r ->
-            String.length r.Dbsim.Experiment.ablation >= 5
-            && String.sub r.Dbsim.Experiment.ablation 0 5 = "+root")
-          rows
-      in
-      check_bool "root-only counters cut latch work" true
-        (root_only.Dbsim.Experiment.abl_latches < base.Dbsim.Experiment.abl_latches)
-  | [] -> Alcotest.fail "no ablation rows")
+  let tb = E.run (E.ablations ~duration:500.0 ()) in
+  List.iteri
+    (fun row _ ->
+      check_int "same workload commits"
+        (int_of_float (value tb ~row:0 "commits"))
+        (int_of_float (value tb ~row "commits")))
+    tb.cells;
+  check_bool "root-only counters cut latch work" true
+    (value tb ~row:(row_named tb "+root-only counters (§10)") "latches"
+    < value tb ~row:0 "latches")
 
 let test_gc_cost_rules () =
-  match Dbsim.Experiment.gc_cost () with
-  | [ renumber; in_place ] ->
-      check_bool "paper rule scans everything" true
-        (renumber.Dbsim.Experiment.items_visited
-        = renumber.Dbsim.Experiment.full_scan_equivalent);
-      check_bool "in-place rule visits far less" true
-        (in_place.Dbsim.Experiment.items_visited * 4
-        < in_place.Dbsim.Experiment.full_scan_equivalent)
-  | _ -> Alcotest.fail "expected two gc rules"
+  let tb = E.run (E.gc_cost ()) in
+  let renumber = row_named tb "renumber (paper)"
+  and in_place = row_named tb "in-place" in
+  check_bool "paper rule scans everything" true
+    (value tb ~row:renumber "items visited"
+    = value tb ~row:renumber "full-scan equivalent");
+  check_bool "in-place rule visits far less" true
+    (value tb ~row:in_place "items visited" *. 4.0
+    < value tb ~row:in_place "full-scan equivalent")
 
 let test_tree_vs_flat_latency () =
-  let rows = Dbsim.Experiment.tree_vs_flat () in
-  List.iter
-    (fun r ->
-      if r.Dbsim.Experiment.fanout >= 2 then
+  let tb = E.run (E.tree_vs_flat ()) in
+  let last = List.length tb.cells - 1 in
+  List.iteri
+    (fun row _ ->
+      if value tb ~row "remote nodes" >= 2.0 then
         check_bool "tree beats flat at fanout >= 2" true
-          (r.Dbsim.Experiment.tree_latency < r.Dbsim.Experiment.flat_latency))
-    rows;
+          (value tb ~row "tree latency" < value tb ~row "flat latency"))
+    tb.cells;
   (* Tree latency stays flat while flat grows linearly. *)
-  match (List.hd rows, List.nth rows (List.length rows - 1)) with
-  | first, last ->
-      check_bool "tree latency constant in fanout" true
-        (last.Dbsim.Experiment.tree_latency
-        < first.Dbsim.Experiment.tree_latency +. 2.0);
-      check_bool "flat latency grows" true
-        (last.Dbsim.Experiment.flat_latency
-        > 3.0 *. first.Dbsim.Experiment.flat_latency)
+  check_bool "tree latency constant in fanout" true
+    (value tb ~row:last "tree latency" < value tb ~row:0 "tree latency" +. 2.0);
+  check_bool "flat latency grows" true
+    (value tb ~row:last "flat latency" > 3.0 *. value tb ~row:0 "flat latency")
+
+(* The cross-row self-checks must still trip: a row list doctored so one
+   row's counter drifts fails the check that the real rows pass. *)
+let doctor (tb : E.table) column =
+  let bump row =
+    List.map2
+      (fun h cell ->
+        match cell with E.Int n when h = column -> E.Int (n + 1) | cell -> cell)
+      tb.header row
+  in
+  match tb.cells with
+  | first :: second :: rest -> { tb with cells = first :: bump second :: rest }
+  | _ -> Alcotest.fail "need two rows to doctor"
+
+let trips e tb column =
+  match E.check e (doctor tb column) with
+  | () -> Alcotest.failf "check passed a doctored %s column" column
+  | exception Failure _ -> ()
+
+let test_analytical_check_trips () =
+  let e = E.analytical ~horizon:300.0 () in
+  let tb = E.run e in
+  E.check e tb;
+  List.iter (trips e tb)
+    [ "commits"; "aborts"; "queries ok"; "scans"; "joins"; "violations" ]
+
+let test_session_check_trips () =
+  let e = E.session_retry ~horizon:300.0 () in
+  let tb = E.run e in
+  E.check e tb;
+  List.iter (trips e tb) [ "committed"; "failed"; "violations" ]
 
 (* {1 Serializability checking (Theorem 6.2, executable)} *)
 
@@ -247,5 +268,8 @@ let () =
             test_ablations_consistent;
           Alcotest.test_case "E8b gc cost rules" `Quick test_gc_cost_rules;
           Alcotest.test_case "E8c tree vs flat" `Quick test_tree_vs_flat_latency;
+          Alcotest.test_case "E14 check trips" `Quick
+            test_analytical_check_trips;
+          Alcotest.test_case "E15 check trips" `Quick test_session_check_trips;
         ] );
     ]

@@ -102,8 +102,8 @@ let test_sweep_deterministic () =
   (* The tentpole property: an experiment sweep yields identical rows at
      any domain count (each run owns its engine, rng, and store). *)
   let sweep domains =
-    Dbsim.Experiment.staleness_sweep ~periods:[ 25.0; 50.0 ] ~domains
-      ~eager:false ()
+    Dbsim.Experiment.run ~domains
+      (Dbsim.Experiment.staleness ~periods:[ 25.0; 50.0 ] ~eager:[ false ] ())
   in
   let rows1 = sweep 1 and rows4 = sweep 4 in
   Alcotest.(check bool) "1 domain = 4 domains" true (rows1 = rows4)
