@@ -219,3 +219,14 @@ let render result =
        "  short work during advancement: update max %.2f, query max %.2f\n"
        t.short_update_max_latency t.short_query_max_latency);
   Buffer.contents buf
+
+let report () =
+  print_endline
+    "\n== Figure 1: version-advancement time diagram (paper §8) ==";
+  let f = run () in
+  print_string (render f);
+  Report.verdict "figure 1" f.violations;
+  print_endline "\n-- with the §8 eager counter hand-off --";
+  let fe = run ~eager_handoff:true () in
+  print_string (render fe);
+  Report.verdict "figure 1 (eager hand-off)" fe.violations

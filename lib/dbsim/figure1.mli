@@ -39,3 +39,7 @@ val run :
 
 val render : result -> string
 (** ASCII time diagram plus the measured bounds. *)
+
+val report : unit -> unit
+(** Print and check the diagram without and with the §8 eager hand-off;
+    exits 1 on a violation. *)

@@ -67,3 +67,7 @@ val verify : history -> verdict
 
 val check : ?seed:int64 -> unit -> verdict
 (** [recording_run] + [verify] with defaults. *)
+
+val report : unit -> unit
+(** Check seeds 1–5 (fanned out over {!Sim.Pool.map}) and print one
+    verdict row per seed; exits 1 on an anomaly. *)

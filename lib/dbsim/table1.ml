@@ -282,3 +282,12 @@ let render result =
       result.events
   in
   Report.render ~header ~rows
+
+let report () =
+  print_endline "\n== Table 1: example execution (paper §5), replayed ==";
+  let r = run () in
+  print_string (render r);
+  Report.verdict "table 1" r.violations;
+  (* The same execution under the in-place recovery scheme. *)
+  Report.verdict "table 1 (undo-redo scheme)"
+    (run ~scheme:Wal.Scheme.Undo_redo ()).violations

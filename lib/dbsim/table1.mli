@@ -31,3 +31,7 @@ val run : ?scheme:Wal.Scheme.kind -> unit -> result
 
 val render : result -> string
 (** The paper-style table: TIME | SITE i | SITE j | SITE k. *)
+
+val report : unit -> unit
+(** Replay, print and check the table under both recovery schemes; exits
+    1 on a violation. *)
