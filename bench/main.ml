@@ -680,13 +680,7 @@ let run_check () =
           string_of_int s.Explorer.max_depth;
           string_of_bool s.Explorer.exhausted;
         ])
-      [
-        Scenarios.race2; Scenarios.mtf_race; Scenarios.crash_advance;
-        Scenarios.group_commit_crash; Scenarios.table1_3site;
-        Scenarios.relay_crash; Scenarios.backup_promotion;
-        Scenarios.index_mtf_race; Scenarios.savepoint_rollback;
-        Scenarios.session_dsl; Scenarios.toy_safe;
-      ]
+      Scenarios.must_clear
   in
   print_endline
     (Dbsim.Report.render
@@ -696,13 +690,11 @@ let run_check () =
            "max-depth"; "exhausted";
          ]
        ~rows);
-  (* Conviction self-tests: the deliberately broken twins must be caught
-     within budget — if the explorer stops finding these bugs, the
-     oracles have gone blind. *)
+  (* Conviction self-tests: every deliberately broken twin in the
+     registry must be caught within its budget — if the explorer stops
+     finding these bugs, the oracles have gone blind. *)
   List.iter
-    (fun (buggy, budget) ->
-      (* The defect windows are a few events wide, so conviction needs a
-         deeper sweep than the clean scenarios' coverage passes. *)
+    (fun { Scenarios.buggy; budget; _ } ->
       let r = Explorer.explore ~budget buggy in
       check_stats := !check_stats @ [ (r.Explorer.scenario, r.Explorer.stats) ];
       match r.Explorer.violation with
@@ -714,11 +706,7 @@ let run_check () =
           Printf.eprintf "check %s: NO violation found but one was expected\n"
             buggy.Scenario.name;
           exit 1)
-    [
-      (Scenarios.replica_ack_early_buggy, 5_000);
-      (Scenarios.index_skip_mtf_buggy, 2_000);
-      (Scenarios.savepoint_leak_buggy, 2_000);
-    ]
+    Scenarios.registry
 
 (* The deterministic suites come from Dbsim.Experiment.suites; the
    explorer coverage and the wall-clock benchmarks live here. *)

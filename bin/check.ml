@@ -1,12 +1,12 @@
 (* check.exe — systematic schedule exploration over the built-in
    scenarios (lib/check).
 
-   Default: explore every scenario that is expected to be clean and exit
-   1 on the first violation, writing a replayable counterexample file.
-   [--scenario NAME] restricts to one scenario; [--replay FILE] re-runs a
-   counterexample file instead of exploring; [--expect-violation] inverts
-   the exit sense (for exercising the deliberately buggy toy scenarios:
-   finding their bug is the passing outcome). *)
+   Default: explore every must-clear scenario, writing a replayable
+   counterexample file for each violation, then convict every entry of
+   the mutant registry within its budget; exit 1 if anything failed.
+   [--scenario NAME] explores one scenario instead; [--replay FILE]
+   re-runs a counterexample file; with either, [--expect-violation]
+   inverts the exit sense (finding the bug is the passing outcome). *)
 
 let budget = ref 10_000
 let max_depth = ref 400
@@ -40,7 +40,7 @@ let specs =
       " report the raw violating schedule without minimizing" );
     ( "--expect-violation",
       Arg.Set expect_violation,
-      " exit 0 iff a violation IS found (buggy-scenario self-test)" );
+      " with --scenario or --replay: exit 0 iff a violation IS found" );
     ( "--min-schedules",
       Arg.Set_int min_schedules,
       "N  fail unless at least N schedules were explored (CI gate)" );
@@ -48,13 +48,6 @@ let specs =
   ]
 
 let usage = "check.exe [options]\nSystematic schedule explorer for AVA3."
-
-(* The buggy toy scenarios are self-tests of the explorer: they are only
-   run when named explicitly or under --expect-violation. *)
-let expected_clean =
-  [ "race2"; "table1-3site"; "mtf-race"; "crash-advance";
-    "group-commit-crash"; "relay-crash"; "backup-promotion";
-    "savepoint-rollback"; "session-dsl"; "toy-safe"; "toy-rmw-safe" ]
 
 let say fmt = Printf.ksprintf (fun s -> if not !quiet then print_endline s) fmt
 
@@ -102,6 +95,22 @@ let explore_one (sc : Scenario.t) =
   | Some v ->
       report_violation sc v;
       true
+
+(* A registry entry passes when its buggy scenario is convicted within
+   the entry's own budget. *)
+let convict { Scenarios.buggy; budget; _ } =
+  let result =
+    Explorer.explore ~budget ~max_depth:!max_depth ~prune:(not !no_prune)
+      ~minimize_violation:false buggy
+  in
+  match result.violation with
+  | Some v ->
+      say "convicted %s: %s" buggy.name (String.concat "; " v.v_messages);
+      true
+  | None ->
+      Printf.printf "FAIL %s: not convicted within %d schedules\n" buggy.name
+        budget;
+      false
 
 let run_replay path =
   let ce = Counterexample.load ~path in
@@ -158,12 +167,13 @@ let () =
           Printf.eprintf "unknown scenario %S (try --list)\n" !scenario;
           exit 2
     end
-    else
-      List.filter
-        (fun (sc : Scenario.t) -> List.mem sc.name expected_clean)
-        Scenarios.all
+    else Scenarios.must_clear
   in
   let violations = List.length (List.filter explore_one scenarios) in
+  let missed =
+    if !scenario <> "" then 0
+    else List.length (List.filter (fun e -> not (convict e)) Scenarios.registry)
+  in
   if !expect_violation then
     if violations > 0 then begin
       Printf.printf "expected violation found\n";
@@ -173,5 +183,5 @@ let () =
       Printf.printf "FAIL: no violation found but one was expected\n";
       exit 1
     end
-  else if violations > 0 then exit 1
+  else if violations + missed > 0 then exit 1
   else say "all scenarios clean"

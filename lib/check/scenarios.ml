@@ -392,10 +392,10 @@ let crash_advance =
    must survive the crash (its records were forced before the ack), and
    an update whose records died with the volatile log tail must have
    reported Aborted.  The [-buggy] twin acknowledges waiters at enqueue,
-   before the force (Config.gc_ack_early): some schedule crashes the node
+   before the force ([Gc_ack_early]): some schedule crashes the node
    inside the window and loses an acknowledged commit, which the
    final-state replay convicts. *)
-let group_commit_crash_variant ~ack_early ~name ~descr =
+let group_commit_crash_variant ~mutant ~name ~descr =
   {
     Scenario.name;
     descr;
@@ -412,7 +412,7 @@ let group_commit_crash_variant ~ack_early ~name ~descr =
             advancement_retry = 25.0;
             disk_force_latency = 1.0;
             group_commit_window = 3.0;
-            gc_ack_early = ack_early;
+            mutant;
           }
         in
         let db : int Ava3.Cluster.t =
@@ -446,13 +446,14 @@ let group_commit_crash_variant ~ack_early ~name ~descr =
   }
 
 let group_commit_crash =
-  group_commit_crash_variant ~ack_early:false ~name:"group-commit-crash"
+  group_commit_crash_variant ~mutant:None ~name:"group-commit-crash"
     ~descr:
       "group commit vs crash: acks only after the disk force, so no \
        schedule loses an acknowledged commit"
 
 let group_commit_crash_buggy =
-  group_commit_crash_variant ~ack_early:true ~name:"group-commit-crash-buggy"
+  group_commit_crash_variant ~mutant:(Some Gc_ack_early)
+    ~name:"group-commit-crash-buggy"
     ~descr:
       "group commit acking at enqueue, before the force: some crash \
        schedule loses an acknowledged commit"
@@ -465,14 +466,14 @@ let group_commit_crash_buggy =
    mid-round — including the relay, whose frame state dies with it — and
    requires coordinator retransmission plus the stalled-round rule to
    rebuild the tree and finish the round with the usual oracles clean.
-   The [-buggy] twin runs fault-free with [Config.relay_ack_early]: the
+   The [-buggy] twin runs fault-free with [Relay_ack_early]: the
    relay acknowledges upward as soon as its own share is durable,
    before its subtree is covered, so the coordinator can freeze a
    version the leaf is still allowed to write.  A paused update rooted
    at the leaf keeps an old-version write in flight across the round;
    some schedule commits it into the frozen version after a query has
    already read that version, and the final-state replay convicts. *)
-let relay_round_variant ~ack_early ~crash ~name ~descr =
+let relay_round_variant ~mutant ~crash ~name ~descr =
   {
     Scenario.name;
     descr;
@@ -488,7 +489,7 @@ let relay_round_variant ~ack_early ~crash ~name ~descr =
             rpc_timeout = 10.0;
             advancement_retry = 25.0;
             tree_arity = 1;
-            relay_ack_early = ack_early;
+            mutant;
           }
         in
         let db : int Ava3.Cluster.t =
@@ -531,13 +532,13 @@ let relay_round_variant ~ack_early ~crash ~name ~descr =
   }
 
 let relay_crash =
-  relay_round_variant ~ack_early:false ~crash:true ~name:"relay-crash"
+  relay_round_variant ~mutant:None ~crash:true ~name:"relay-crash"
     ~descr:
       "hierarchical round vs relay crash: retransmission rebuilds the \
        volatile tree state on every schedule"
 
 let relay_ack_early_buggy =
-  relay_round_variant ~ack_early:true ~crash:false
+  relay_round_variant ~mutant:(Some Relay_ack_early) ~crash:false
     ~name:"relay-ack-early-buggy"
     ~descr:
       "relay acking before its subtree is covered: some schedule commits \
@@ -553,7 +554,7 @@ let relay_ack_early_buggy =
    must be clean on every schedule: the catch-up gate means no
    acknowledged commit can be lost by promotion, and version-pinned
    routing means a backup read is indistinguishable from a primary read.
-   The [-buggy] twin sets {!Ava3.Config.t.replica_ack_early}: the backup
+   The [-buggy] twin runs the [Replica_ack_early] mutant: the backup
    acknowledges a shipped batch on receipt and applies it only after a
    delay, so its ack no longer certifies possession.  Some schedule then
    crashes the primary inside that window and promotes a backup that
@@ -561,7 +562,7 @@ let relay_ack_early_buggy =
    or routes a pinned read to a backup whose advertised query version has
    outrun its applied data (a stale or torn read); either way the oracles
    convict. *)
-let replica_variant ~ack_early ~name ~descr =
+let replica_variant ~mutant ~name ~descr =
   {
     Scenario.name;
     descr;
@@ -578,7 +579,7 @@ let replica_variant ~ack_early ~name ~descr =
             advancement_retry = 25.0;
             replicas = 1;
             replica_catchup_timeout = 8.0;
-            replica_ack_early = ack_early;
+            mutant;
           }
         in
         let db : int Ava3.Cluster.t =
@@ -618,13 +619,14 @@ let replica_variant ~ack_early ~name ~descr =
   }
 
 let backup_promotion =
-  replica_variant ~ack_early:false ~name:"backup-promotion"
+  replica_variant ~mutant:None ~name:"backup-promotion"
     ~descr:
       "primary-backup replication vs mid-round primary crash: promotion, \
        rejoin and pinned backup reads clean on every schedule"
 
 let replica_ack_early_buggy =
-  replica_variant ~ack_early:true ~name:"replica-ack-early-buggy"
+  replica_variant ~mutant:(Some Replica_ack_early)
+    ~name:"replica-ack-early-buggy"
     ~descr:
       "backup acking a shipped batch before applying it: some schedule \
        loses an acknowledged commit at promotion or serves a stale \
@@ -634,15 +636,15 @@ let replica_ack_early_buggy =
    runs with [`Both_check]: the index probe and the full scan execute
    back to back at the serving node with no yield between them, both at
    the select's pinned version, so on a correct index they can never
-   disagree — on any schedule.  The [-buggy] twin sets
-   {!Ava3.Config.t.index_skip_visibility}: probes skip the visibility
+   disagree — on any schedule.  The [-buggy] twin runs the
+   [Index_skip_visibility] mutant: probes skip the visibility
    filter and serve each candidate's newest slot instead of the version
    at the pin.  At quiescence the two coincide (nothing newer than q
    exists), so the quiescent index↔base invariant stays clean; only a
    racing write — an update's in-place slot install or an advancement's
    moveToFuture landing mid-scan — separates them, and some schedule
    puts one inside the select's window. *)
-let index_mtf_variant ~skip ~name ~descr =
+let index_mtf_variant ~mutant ~name ~descr =
   {
     Scenario.name;
     descr;
@@ -655,7 +657,7 @@ let index_mtf_variant ~skip ~name ~descr =
             Ava3.Config.default with
             read_service_time = 1.0;
             write_service_time = 1.0;
-            index_skip_visibility = skip;
+            mutant;
           }
         in
         let extract v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000) in
@@ -717,13 +719,14 @@ let index_mtf_variant ~skip ~name ~descr =
   }
 
 let index_mtf_race =
-  index_mtf_variant ~skip:false ~name:"index-mtf-race"
+  index_mtf_variant ~mutant:None ~name:"index-mtf-race"
     ~descr:
       "secondary-index selects racing updates, moveToFuture and \
        advancement: probe == full scan on every schedule"
 
 let index_skip_mtf_buggy =
-  index_mtf_variant ~skip:true ~name:"index-skip-mtf-buggy"
+  index_mtf_variant ~mutant:(Some Index_skip_visibility)
+    ~name:"index-skip-mtf-buggy"
     ~descr:
       "index probes skipping the visibility filter: some schedule catches \
        a racing write mid-scan and the probe diverges from its pin"
@@ -735,15 +738,15 @@ let index_skip_mtf_buggy =
    lock on x is released before it requests y), so no wait cycle can
    form and every schedule must commit all three — that is the clean
    scenario's extra oracle, on top of the standard invariant and
-   serializability set.  The [-buggy] twin sets
-   {!Ava3.Config.t.savepoint_leak}: rollback erases the scope's writes
+   serializability set.  The [-buggy] twin runs the [Savepoint_leak]
+   mutant: rollback erases the scope's writes
    but forgets to release its locks.  Serializability survives (2PL only
    over-locks) and a transaction's end still releases everything, so the
    leak is invisible to the other oracles — but now A waits for y while
    still holding x, and the schedule where B took y first closes the
    B->x->A->y->B cycle: the deadlock victim stays aborted (retries are
    off) and the all-committed oracle convicts. *)
-let savepoint_variant ~leak ~name ~descr =
+let savepoint_variant ~mutant ~name ~descr =
   {
     Scenario.name;
     descr;
@@ -757,7 +760,7 @@ let savepoint_variant ~leak ~name ~descr =
             read_service_time = 1.0;
             write_service_time = 1.0;
             max_retries = 0 (* a deadlock abort must stay visible *);
-            savepoint_leak = leak;
+            mutant;
           }
         in
         let db : int Ava3.Cluster.t =
@@ -865,13 +868,14 @@ let savepoint_variant ~leak ~name ~descr =
   }
 
 let savepoint_rollback =
-  savepoint_variant ~leak:false ~name:"savepoint-rollback"
+  savepoint_variant ~mutant:None ~name:"savepoint-rollback"
     ~descr:
       "session savepoint scopes rolling back under contention: scope locks \
        release, so the deadlock-free workload commits on every schedule"
 
 let savepoint_leak_buggy =
-  savepoint_variant ~leak:true ~name:"savepoint-leak-buggy"
+  savepoint_variant ~mutant:(Some Savepoint_leak)
+    ~name:"savepoint-leak-buggy"
     ~descr:
       "savepoint rollback forgetting to release the scope's locks: some \
        schedule closes a wait cycle and a deadlock-free workload aborts"
@@ -1093,27 +1097,29 @@ let toy_rmw_safe =
       "toy store, atomic increments: the counter reaches 2 on every \
        schedule"
 
-let all =
+(* Table order of the bench [check] suite, whose rows are in the golden
+   file. *)
+let must_clear =
+  [ race2; mtf_race; crash_advance; group_commit_crash; table1_3site;
+    relay_crash; backup_promotion; index_mtf_race; savepoint_rollback;
+    session_dsl; toy_safe; toy_rmw_safe ]
+
+type entry = { buggy : Scenario.t; clean : Scenario.t; budget : int }
+
+(* The defect windows are a few events wide, so a conviction can need a
+   deeper sweep than a clean scenario's coverage pass:
+   replica-ack-early-buggy takes about 2,000 schedules. *)
+let registry =
+  let entry buggy clean budget = { buggy; clean; budget } in
   [
-    race2;
-    table1_3site;
-    mtf_race;
-    crash_advance;
-    group_commit_crash;
-    group_commit_crash_buggy;
-    relay_crash;
-    relay_ack_early_buggy;
-    backup_promotion;
-    replica_ack_early_buggy;
-    index_mtf_race;
-    index_skip_mtf_buggy;
-    savepoint_rollback;
-    savepoint_leak_buggy;
-    session_dsl;
-    toy_torn;
-    toy_safe;
-    toy_lost_update;
-    toy_rmw_safe;
+    entry group_commit_crash_buggy group_commit_crash 300;
+    entry relay_ack_early_buggy relay_crash 2_000;
+    entry replica_ack_early_buggy backup_promotion 5_000;
+    entry index_skip_mtf_buggy index_mtf_race 2_000;
+    entry savepoint_leak_buggy savepoint_rollback 2_000;
+    entry toy_torn toy_safe 500;
+    entry toy_lost_update toy_rmw_safe 500;
   ]
 
+let all = must_clear @ List.map (fun e -> e.buggy) registry
 let find name = List.find_opt (fun s -> s.Scenario.name = name) all

@@ -16,26 +16,26 @@
       (must convict) — commits through the group-commit daemon racing a
       node crash placed by the nemesis, including between a commit's
       enqueue and the batch's disk force.  The buggy twin acknowledges
-      before the force ({!Ava3.Config.t.gc_ack_early}), so some schedule
+      before the force ({!Ava3.Config.Gc_ack_early}), so some schedule
       loses an acknowledged commit;
     - [relay-crash] (must clear) / [relay-ack-early-buggy] (must convict)
       — a hierarchical round on an arity-1 chain (coordinator, relay,
       leaf).  The clean one lets the nemesis crash any site mid-round
       and requires retransmission to rebuild the volatile relay state;
-      the buggy twin sets {!Ava3.Config.t.relay_ack_early} so the relay
+      the buggy twin runs {!Ava3.Config.Relay_ack_early} so the relay
       acknowledges before its subtree is covered, and some schedule
       commits a leaf update into a version already frozen and read;
     - [backup-promotion] (must clear) / [replica-ack-early-buggy] (must
       convict) — per-partition primary-backup replication with a nemesis
       crash placed by choice points, including each primary mid-round
-      (promotion, rejoin, pinned backup reads).  The buggy twin sets
-      {!Ava3.Config.t.replica_ack_early} so a backup acknowledges shipped
+      (promotion, rejoin, pinned backup reads).  The buggy twin runs
+      {!Ava3.Config.Replica_ack_early} so a backup acknowledges shipped
       records before applying them, and some schedule loses an
       acknowledged commit at promotion or serves a stale pinned read;
     - [index-mtf-race] (must clear) / [index-skip-mtf-buggy] (must
       convict) — secondary-index selects under [`Both_check] racing
-      updates, moveToFuture and advancement.  The buggy twin sets
-      {!Ava3.Config.t.index_skip_visibility} so probes serve each
+      updates, moveToFuture and advancement.  The buggy twin runs
+      {!Ava3.Config.Index_skip_visibility} so probes serve each
       candidate's newest slot instead of the pinned version; at
       quiescence the two coincide, but some schedule catches a racing
       write mid-scan and the probe diverges from the back-to-back full
@@ -44,7 +44,7 @@
       convict) — session-layer savepoint scopes ({!Session.nested})
       rolling back under lock contention, arranged so the workload is
       deadlock-free exactly when rollback releases the scope's locks.
-      The buggy twin sets {!Ava3.Config.t.savepoint_leak} (rollback
+      The buggy twin runs {!Ava3.Config.Savepoint_leak} (rollback
       keeps the locks): serializability survives — 2PL only over-locks —
       but some schedule closes a wait cycle and the
       all-transactions-committed oracle convicts;
@@ -64,24 +64,30 @@
       split observe/think/install increments vs atomic ones. *)
 
 val race2 : Scenario.t
-val table1_3site : Scenario.t
-val mtf_race : Scenario.t
-val crash_advance : Scenario.t
 val group_commit_crash : Scenario.t
-val group_commit_crash_buggy : Scenario.t
-val relay_crash : Scenario.t
-val relay_ack_early_buggy : Scenario.t
-val backup_promotion : Scenario.t
-val replica_ack_early_buggy : Scenario.t
-val index_mtf_race : Scenario.t
-val index_skip_mtf_buggy : Scenario.t
 val savepoint_rollback : Scenario.t
-val savepoint_leak_buggy : Scenario.t
 val session_dsl : Scenario.t
 val toy_torn : Scenario.t
 val toy_safe : Scenario.t
 val toy_lost_update : Scenario.t
 val toy_rmw_safe : Scenario.t
 
+val must_clear : Scenario.t list
+(** Every scenario that must explore without a violation: the AVA3
+    scenarios and the clean toys, in the row order of the bench [check]
+    table.  Includes every registry entry's [clean] twin. *)
+
+(** One deliberately broken twin: [buggy] must be convicted within
+    [budget] schedules, and [clean], the same scenario without the bug,
+    must explore without a violation. *)
+type entry = { buggy : Scenario.t; clean : Scenario.t; budget : int }
+
+val registry : entry list
+(** One entry per {!Ava3.Config.mutant} constructor plus the two toy
+    pairs.  Adding a mutant means adding its entry here (see
+    CHECKING.md, "Mutants"). *)
+
 val all : Scenario.t list
+(** {!must_clear} followed by every registry entry's [buggy] scenario. *)
+
 val find : string -> Scenario.t option

@@ -180,10 +180,14 @@ let relay_ack_up cs i r =
   Net.Network.send cs.net ~src:i ~dst:parent
     (Messages.Relay_ack { root = r.r_root; inner })
 
+(* The [Config.Relay_ack_early] mutant acks without waiting for the
+   subtree. *)
 let relay_maybe_complete cs i r =
   if
     (not r.r_acked) && r.r_self_done
-    && (cs.config.Config.relay_ack_early || all_acked r.r_child_acks)
+    && (match cs.config.Config.mutant with
+       | Some Relay_ack_early -> true
+       | _ -> all_acked r.r_child_acks)
   then relay_ack_up cs i r
 
 (* Launch one phase of a hierarchical round: the coordinator takes its own

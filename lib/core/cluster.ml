@@ -199,34 +199,7 @@ let recover cs ~node:i =
   else begin
   let old = Cluster_state.node cs i in
   if Node_state.alive old then invalid_arg "Cluster.recover: node is not down";
-  let log = Node_state.log old in
-  let bound =
-    if cs.Cluster_state.config.Config.overlap_gc then None
-    else if cs.Cluster_state.config.Config.retain_extra_version then Some 4
-    else Some 3
-  in
-  let gc_renumber = cs.Cluster_state.config.Config.gc_renumber in
-  let store, versions =
-    match bound with
-    | Some b -> Wal.Recovery.replay log ~bound:b ~gc_renumber ()
-    | None -> Wal.Recovery.replay log ~gc_renumber ()
-  in
-  let fresh =
-    Node_state.create_recovered ~engine:cs.Cluster_state.engine ~node_id:i
-      ~scheme:cs.Cluster_state.config.Config.scheme
-      ~lock_group:cs.Cluster_state.lock_group
-      ~shared_counters:cs.Cluster_state.config.Config.shared_transaction_counters
-      ~disk_force_latency:cs.Cluster_state.config.Config.disk_force_latency
-      ~group_commit_window:cs.Cluster_state.config.Config.group_commit_window
-      ~group_commit_batch:cs.Cluster_state.config.Config.group_commit_batch
-      ~gc_ack_early:cs.Cluster_state.config.Config.gc_ack_early
-      ~metrics:cs.Cluster_state.metrics ~bound ~log ~store
-      ~u:versions.Wal.Recovery.update_version
-      ~q:versions.Wal.Recovery.query_version
-      ~g:versions.Wal.Recovery.collected_version ()
-  in
-  Cluster_state.attach_index_if_configured cs fresh;
-  cs.Cluster_state.nodes.(i) <- fresh;
+  let versions = Replication.recover_from_log cs ~site:i (Node_state.log old) in
   Net.Network.set_down cs.Cluster_state.net ~node:i false;
   Cluster_state.emit cs ~tag:"crash"
     (Printf.sprintf "node%d: recovered (u=%d q=%d g=%d)" i

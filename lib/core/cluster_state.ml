@@ -72,23 +72,12 @@ let create ~engine ~config ~nodes ?(latency = Net.Latency.Constant 1.0)
      [nodes + p * replicas + j].  With replicas = 0 this is exactly the
      old single-copy topology. *)
   let sites = nodes * (1 + replicas) in
-  let bound =
-    if config.Config.overlap_gc then None
-    else if config.Config.retain_extra_version then Some 4
-    else Some 3
-  in
   (* One shared deadlock-detection group: transactions hold locks on several
      nodes, so cycles span lock tables. *)
   let lock_group = Lockmgr.Lock_table.new_group () in
   let metrics = Sim.Metrics.create ~nodes:sites in
   let make_node i =
-    Node_state.create ~engine ~node_id:i ~scheme:config.Config.scheme
-      ~lock_group ~bound ~gc_renumber:config.Config.gc_renumber
-      ~shared_counters:config.Config.shared_transaction_counters
-      ~disk_force_latency:config.Config.disk_force_latency
-      ~group_commit_window:config.Config.group_commit_window
-      ~group_commit_batch:config.Config.group_commit_batch
-      ~gc_ack_early:config.Config.gc_ack_early ~metrics ()
+    Node_state.create ~engine ~node_id:i ~config ~lock_group ~metrics ()
   in
   let repl =
     {

@@ -1,3 +1,10 @@
+type mutant =
+  | Gc_ack_early
+  | Relay_ack_early
+  | Replica_ack_early
+  | Index_skip_visibility
+  | Savepoint_leak
+
 type t = {
   scheme : Wal.Scheme.kind;
   eager_counter_handoff : bool;
@@ -16,22 +23,18 @@ type t = {
   disk_force_latency : float;
   group_commit_window : float;
   group_commit_batch : int;
-  gc_ack_early : bool;
   rpc_batch_window : float;
   send_occupancy : float;
   tree_arity : int;
   partition_aware : bool;
-  relay_ack_early : bool;
   replicas : int;
   replica_catchup_timeout : float;
   replica_ship_window : float;
-  replica_ack_early : bool;
   join_partitions : int;
-  index_skip_visibility : bool;
   max_retries : int;
   retry_backoff_base : float;
   session_pool_size : int;
-  savepoint_leak : bool;
+  mutant : mutant option;
 }
 
 let default =
@@ -53,23 +56,31 @@ let default =
     disk_force_latency = 0.0;
     group_commit_window = 0.0;
     group_commit_batch = 64;
-    gc_ack_early = false;
     rpc_batch_window = 0.0;
     send_occupancy = 0.0;
     tree_arity = 0;
     partition_aware = false;
-    relay_ack_early = false;
     replicas = 0;
     replica_catchup_timeout = 25.0;
     replica_ship_window = 0.0;
-    replica_ack_early = false;
     join_partitions = 8;
-    index_skip_visibility = false;
     max_retries = 5;
     retry_backoff_base = 5.0;
     session_pool_size = 4;
-    savepoint_leak = false;
+    mutant = None;
   }
+
+let mutant_name = function
+  | Gc_ack_early -> "Gc_ack_early"
+  | Relay_ack_early -> "Relay_ack_early"
+  | Replica_ack_early -> "Replica_ack_early"
+  | Index_skip_visibility -> "Index_skip_visibility"
+  | Savepoint_leak -> "Savepoint_leak"
+
+let store_bound t =
+  if t.overlap_gc then None
+  else if t.retain_extra_version then Some 4
+  else Some 3
 
 exception Invalid of string
 
@@ -129,9 +140,6 @@ let validate t =
        backup"
       t.replica_catchup_timeout;
   check_time "replica_ship_window" t.replica_ship_window;
-  if t.replica_ack_early && t.replicas <= 0 then
-    invalid "replica_ack_early requires replicas > 0 (there is no backup \
-             whose acknowledgment could run early)";
   if t.join_partitions < 1 then
     invalid "join_partitions must be >= 1 (got %d)" t.join_partitions;
   if t.max_retries < 0 then
@@ -142,7 +150,20 @@ let validate t =
      backoff unschedulable. *)
   check_time "retry_backoff_base" t.retry_backoff_base;
   if t.session_pool_size < 1 then
-    invalid "session_pool_size must be >= 1 (got %d)" t.session_pool_size
+    invalid "session_pool_size must be >= 1 (got %d)" t.session_pool_size;
+  (* A mutant whose bug site never runs would pass its clean twin
+     vacuously. *)
+  let requires m why = invalid "mutant %s requires %s" (mutant_name m) why in
+  match t.mutant with
+  | Some (Gc_ack_early as m) when t.group_commit_window <= 0.0 ->
+      requires m
+        "group_commit_window > 0 (without a window every commit forces \
+         directly)"
+  | Some (Relay_ack_early as m) when t.tree_arity <= 0 ->
+      requires m "tree_arity > 0 (flat rounds have no relays)"
+  | Some (Replica_ack_early as m) when t.replicas <= 0 ->
+      requires m "replicas > 0 (there is no backup to acknowledge early)"
+  | _ -> ()
 
 let durability_active t =
   t.disk_force_latency > 0.0 || t.group_commit_window > 0.0
@@ -160,4 +181,6 @@ let pp ppf t =
     t.group_commit_window t.group_commit_batch t.rpc_batch_window t.tree_arity
     (if t.partition_aware then "/pa" else "")
     t.replicas t.max_retries t.retry_backoff_base t.session_pool_size
-    (if t.savepoint_leak then "/leak" else "")
+    (match t.mutant with
+    | None -> ""
+    | Some m -> "; mutant=" ^ mutant_name m)

@@ -4,6 +4,34 @@
     the defaults give the base protocol of §3, so ablation experiments can
     toggle one flag at a time. *)
 
+(** Deliberately broken twins of the protocol, one known bug each, that
+    the schedule explorer must convict ([Scenarios.registry] in
+    [lib/check]). *)
+type mutant =
+  | Gc_ack_early
+      (** Group commit acks waiters at enqueue, {e before} the force
+          ({!Wal.Group_commit.create}'s [ack_early]): a crash in between
+          loses an acked commit.  Requires [group_commit_window > 0]. *)
+  | Relay_ack_early
+      (** A relay acks upward once its {e own} work is durable, before its
+          subtree has: the coordinator can freeze a version a descendant
+          still updates.  Requires [tree_arity > 0]. *)
+  | Replica_ack_early
+      (** A backup acks a shipped batch, and bumps its visible versions, on
+          receipt, {e before} applying it: pinned reads routed there miss
+          committed writes.  Requires [replicas > 0]. *)
+  | Index_skip_visibility
+      (** Index probes serve each candidate's {e newest} entry instead of
+          the pinned one: right at quiescence, wrong when a commit or
+          moveToFuture lands between pin and probe. *)
+  | Savepoint_leak
+      (** Savepoint rollback keeps the locks first acquired inside the
+          scope ({!Subtxn.rollback_to}): still serializable, but a
+          deadlock-free workload now deadlocks. *)
+
+val mutant_name : mutant -> string
+(** The constructor's name, e.g. ["Gc_ack_early"]. *)
+
 type t = {
   scheme : Wal.Scheme.kind;
       (** Recovery scheme, which determines the moveToFuture implementation
@@ -75,14 +103,6 @@ type t = {
   group_commit_batch : int;
       (** Force early once this many committers are queued (only
           meaningful with a nonzero window).  Default [64]. *)
-  gc_ack_early : bool;
-      (** Fault injection for the model checker: acknowledge group-commit
-          waiters as soon as their records are queued, {e before} the
-          force ({!Wal.Group_commit.create}'s [ack_early]).  A crash
-          between the ack and the force then loses an acknowledged
-          commit — the bug the [group-commit-crash-buggy] scenario exists
-          to catch.  Never enable outside the checker.  Default
-          [false]. *)
   rpc_batch_window : float;
       (** Per-destination message-coalescing window for the network
           ({!Net.Network.create}'s [batch_window]).  Default [0.] — every
@@ -109,13 +129,6 @@ type t = {
           writes, transaction roots, and query roots never run at data-empty
           sites — excluding a site that can start transactions or queries
           would break the freeze barrier.  Default [false]. *)
-  relay_ack_early : bool;
-      (** Fault injection for the model checker: a relay acknowledges
-          upward as soon as its {e own} local work is durable, before its
-          subtree has acknowledged — the coordinator can then freeze a
-          version while a descendant still runs updates in it, the bug the
-          [relay-ack-early-buggy] scenario convicts.  Never enable outside
-          the checker.  Default [false]. *)
   replicas : int;
       (** Per-partition primary–backup replication: each partition (the
           [~nodes] of [Cluster.create]) gets this many backup sites that
@@ -136,27 +149,11 @@ type t = {
           to [rpc_batch_window], but at the replication layer, so one
           window covers many commits).  [0.] (default) ships on every
           commit/advancement poke. *)
-  replica_ack_early : bool;
-      (** Fault injection for the model checker: a backup acknowledges a
-          shipped batch — and bumps its visible version counters — on
-          receipt, {e before} applying the data records.  Version-pinned
-          routing then believes it is caught up and reads miss committed
-          writes, the bug the [replica-ack-early-buggy] scenario convicts.
-          Never enable outside the checker.  Default [false]. *)
   join_partitions : int;
       (** Bucket count of the grace hash join operator
           ({!Query_exec.run_join}).  Purely an execution-shape knob: the
           join output is sorted, so any partition count produces identical
           results.  Must be [>= 1]; default [8]. *)
-  index_skip_visibility : bool;
-      (** Fault injection for the model checker: secondary-index probes
-          skip the pinned-version visibility check and serve each
-          candidate's {e newest} entry instead.  Indistinguishable at
-          quiescence — the newest entry is the pinned one once the system
-          drains — but a commit or moveToFuture landing between pin and
-          probe makes the probe disagree with the full-scan plan at the
-          same pinned version, the bug the [index-skip-mtf-buggy] scenario
-          convicts.  Never enable outside the checker.  Default [false]. *)
   max_retries : int;
       (** Session layer ({!Session}): how many times [Session.txn] re-runs
           a client function after a retryable failure ([Aborted],
@@ -172,14 +169,9 @@ type t = {
           pinned coordinator node, and [Session.txn] checks one out per
           attempt (round-robin over the cluster, skipping sites that
           rejected with [Root_down]).  Must be [>= 1]; default [4]. *)
-  savepoint_leak : bool;
-      (** Fault injection for the model checker: a savepoint rollback
-          restores the write-set but {e forgets to release} the locks first
-          acquired inside the rolled-back scope ({!Subtxn.rollback_to}).
-          Serializability survives (2PL only over-locks) but workloads that
-          are deadlock-free under clean rollback now deadlock and abort —
-          the bug the [savepoint-leak-buggy] scenario convicts.  Never
-          enable outside the checker.  Default [false]. *)
+  mutant : mutant option;
+      (** Fault injection for the schedule explorer: the one known bug to
+          switch on.  Never set outside the checker.  Default [None]. *)
 }
 
 val default : t
@@ -195,7 +187,8 @@ val validate : t -> unit
     non-finite [send_occupancy] / [disk_force_latency] /
     [group_commit_window] / [rpc_batch_window] / service and GC times,
     [group_commit_batch < 1], a non-positive or infinite
-    [advancement_retry], and [partition_aware] without a relay tree.
+    [advancement_retry], [partition_aware] without a relay tree, and a
+    [mutant] without its precondition (each message names the mutant).
     Raises {!Invalid}; returns unit on a sane config.  Called by
     [Cluster.create], so every simulator entry point inherits the
     check; CLI frontends call it early to fail before any setup. *)
@@ -206,4 +199,11 @@ val durability_active : t -> bool
     records — the whole log is treated as synchronously durable, exactly
     the semantics every experiment had before the durability model. *)
 
+val store_bound : t -> int option
+(** The per-item live-version cap every node's store enforces: [None]
+    under [overlap_gc], [Some 4] under [retain_extra_version], else
+    [Some 3]. *)
+
 val pp : Format.formatter -> t -> unit
+(** One-line summary of the main knobs, ending with the mutant's name
+    when one is set. *)

@@ -24,24 +24,27 @@ type 'v t = {
   mutable idx_extract : ('v -> string) option;
 }
 
-let make ~engine ~node_id ~scheme ~lock_group ~shared_counters
-    ~disk_force_latency ~group_commit_window ~group_commit_batch ~gc_ack_early
-    ~metrics ~st ~wal ~u ~q ~g =
+let create_recovered ~engine ~node_id ~(config : Config.t) ?lock_group
+    ?metrics ~log:wal ~store:st ~u ~q ~g () =
   let update_counts = Hashtbl.create 8 in
   (* §10: reads of a version only begin after its updates finished, so one
      counter table can serve both populations. *)
   let query_counts =
-    if shared_counters then update_counts else Hashtbl.create 8
+    if config.shared_transaction_counters then update_counts
+    else Hashtbl.create 8
   in
-  let disk = Wal.Disk.create ~force_latency:disk_force_latency () in
+  let disk = Wal.Disk.create ~force_latency:config.disk_force_latency () in
   let on_force =
     Option.map
       (fun m ~records -> Sim.Metrics.record_disk_force m ~node:node_id ~records)
       metrics
   in
   let gcd =
-    Wal.Group_commit.create ~engine ~disk ~log:wal ~window:group_commit_window
-      ~max_batch:group_commit_batch ~ack_early:gc_ack_early ?on_force ()
+    Wal.Group_commit.create ~engine ~disk ~log:wal
+      ~window:config.group_commit_window ~max_batch:config.group_commit_batch
+      ~ack_early:
+        (match config.mutant with Some Gc_ack_early -> true | _ -> false)
+      ?on_force ()
   in
   let t =
     {
@@ -49,7 +52,7 @@ let make ~engine ~node_id ~scheme ~lock_group ~shared_counters
       eng = engine;
       st;
       lk = Lockmgr.Lock_table.create ?group:lock_group ();
-      sch = Wal.Scheme.create scheme ~store:st ~log:wal;
+      sch = Wal.Scheme.create config.scheme ~store:st ~log:wal;
       wal;
       gcd;
       latch = Lockmgr.Latch.create (Printf.sprintf "node%d.counters" node_id);
@@ -73,28 +76,17 @@ let make ~engine ~node_id ~scheme ~lock_group ~shared_counters
   t
 
 (* Start-up state (paper §3.1): all data at version 0, q = 0, u = 1. *)
-let create ~engine ~node_id ~scheme ?lock_group ?(bound = Some 3)
-    ?(gc_renumber = true) ?(shared_counters = false)
-    ?(disk_force_latency = 0.0) ?(group_commit_window = 0.0)
-    ?(group_commit_batch = 64) ?(gc_ack_early = false) ?metrics () =
-  let st = Vstore.Store.create ?bound ~gc_renumber () in
-  let wal = Wal.Log.create () in
+let create ~engine ~node_id ~(config : Config.t) ?lock_group ?metrics () =
+  let store =
+    Vstore.Store.create ?bound:(Config.store_bound config)
+      ~gc_renumber:config.gc_renumber ()
+  in
   let t =
-    make ~engine ~node_id ~scheme ~lock_group ~shared_counters
-      ~disk_force_latency ~group_commit_window ~group_commit_batch
-      ~gc_ack_early ~metrics ~st ~wal ~u:1 ~q:0 ~g:(-1)
+    create_recovered ~engine ~node_id ~config ?lock_group ?metrics
+      ~log:(Wal.Log.create ()) ~store ~u:1 ~q:0 ~g:(-1) ()
   in
   Hashtbl.replace t.update_counts 0 (ref 0);
   t
-
-let create_recovered ~engine ~node_id ~scheme ?lock_group
-    ?(shared_counters = false) ?(disk_force_latency = 0.0)
-    ?(group_commit_window = 0.0) ?(group_commit_batch = 64)
-    ?(gc_ack_early = false) ?metrics ~bound ~log ~store ~u ~q ~g () =
-  ignore bound;
-  make ~engine ~node_id ~scheme ~lock_group ~shared_counters
-    ~disk_force_latency ~group_commit_window ~group_commit_batch ~gc_ack_early
-    ~metrics ~st:store ~wal:log ~u ~q ~g
 
 let alive t = t.is_alive
 

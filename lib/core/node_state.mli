@@ -14,29 +14,20 @@ type 'v t
 val create :
   engine:Sim.Engine.t ->
   node_id:int ->
-  scheme:Wal.Scheme.kind ->
+  config:Config.t ->
   ?lock_group:Lockmgr.Lock_table.group ->
-  ?bound:int option ->
-  ?gc_renumber:bool ->
-  ?shared_counters:bool ->
-  ?disk_force_latency:float ->
-  ?group_commit_window:float ->
-  ?group_commit_batch:int ->
-  ?gc_ack_early:bool ->
   ?metrics:Sim.Metrics.t ->
   unit ->
   'v t
 (** A fresh node in the paper's start-up state: all data at version 0,
-    [q = 0], [u = 1], [g = -1], all counters zero.  [bound] is the store's
-    live-version cap ([Some 3] by default — pass [None] to disable the
-    runtime check).
-
-    [disk_force_latency], [group_commit_window] and [group_commit_batch]
-    (defaults [0.], [0.], [64]) configure the node's {!Wal.Disk} and
-    {!Wal.Group_commit}; with the defaults, {!commit_durable} is free and
-    a crash loses no log records.  [gc_ack_early] (default [false]) is the
-    checker's deliberately broken ack-before-force mode (see
-    {!Config.t.gc_ack_early}).  Completed forces are recorded into
+    [q = 0], [u = 1], [g = -1], all counters zero.  The node takes from
+    [config] its recovery scheme, its store's live-version cap
+    ({!Config.store_bound}) and GC rule, its counter layout
+    ([shared_transaction_counters]), and its {!Wal.Disk} and
+    {!Wal.Group_commit} knobs; with a free disk and no window,
+    {!commit_durable} is free and a crash loses no log records.  The
+    {!Config.Gc_ack_early} mutant builds the group commit that
+    acknowledges before the force.  Completed forces are recorded into
     [metrics] when given. *)
 
 val id : _ t -> int
@@ -139,15 +130,9 @@ val kill : _ t -> unit
 val create_recovered :
   engine:Sim.Engine.t ->
   node_id:int ->
-  scheme:Wal.Scheme.kind ->
+  config:Config.t ->
   ?lock_group:Lockmgr.Lock_table.group ->
-  ?shared_counters:bool ->
-  ?disk_force_latency:float ->
-  ?group_commit_window:float ->
-  ?group_commit_batch:int ->
-  ?gc_ack_early:bool ->
   ?metrics:Sim.Metrics.t ->
-  bound:int option ->
   log:'v Wal.Log.t ->
   store:'v Vstore.Store.t ->
   u:int ->

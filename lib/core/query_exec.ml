@@ -85,12 +85,18 @@ let require_index nd =
    is oracle overhead, not workload. *)
 let select_local cs ~(plan : select_plan) nd ~lo ~hi v =
   let read_service = cs.config.Config.read_service_time in
-  let skip = cs.config.Config.index_skip_visibility in
+  (* The [Config.Index_skip_visibility] mutant probes the newest entries
+     instead of the pin; the [`Both_check] reference scan keeps the pin. *)
+  let probe_at =
+    match cs.config.Config.mutant with
+    | Some Index_skip_visibility -> max_int
+    | _ -> v
+  in
   Sim.Engine.sleep read_service;
   let ix = require_index nd in
   match plan with
   | `Index ->
-      let rows = Vindex.Index.probe ~skip_visibility:skip ix ~lo ~hi v in
+      let rows = Vindex.Index.probe ix ~lo ~hi probe_at in
       Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
       (rows, None)
   | `Full_scan ->
@@ -105,7 +111,7 @@ let select_local cs ~(plan : select_plan) nd ~lo ~hi v =
       in
       (rows, None)
   | `Both_check ->
-      let rows = Vindex.Index.probe ~skip_visibility:skip ix ~lo ~hi v in
+      let rows = Vindex.Index.probe ix ~lo ~hi probe_at in
       let reference = Vindex.Index.full_scan ix ~lo ~hi v in
       Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
       (rows, Some reference)

@@ -3,44 +3,27 @@ open Cluster_state
 let tag = "repl"
 let active cs = replicated cs
 
-let store_bound cs =
-  if cs.config.Config.overlap_gc then None
-  else if cs.config.Config.retain_extra_version then Some 4
-  else Some 3
-
-let replay cs log =
-  let gc_renumber = cs.config.Config.gc_renumber in
-  match store_bound cs with
-  | Some b -> Wal.Recovery.replay log ~bound:b ~gc_renumber ()
-  | None -> Wal.Recovery.replay log ~gc_renumber ()
-
-let recovered_node cs ~site ~log ~store ~(versions : Wal.Recovery.versions) =
+let recover_from_log cs ~site log =
+  let store, versions =
+    Wal.Recovery.replay log
+      ?bound:(Config.store_bound cs.config)
+      ~gc_renumber:cs.config.Config.gc_renumber ()
+  in
   let nd =
     Node_state.create_recovered ~engine:cs.engine ~node_id:site
-      ~scheme:cs.config.Config.scheme ~lock_group:cs.lock_group
-      ~shared_counters:cs.config.Config.shared_transaction_counters
-      ~disk_force_latency:cs.config.Config.disk_force_latency
-      ~group_commit_window:cs.config.Config.group_commit_window
-      ~group_commit_batch:cs.config.Config.group_commit_batch
-      ~gc_ack_early:cs.config.Config.gc_ack_early ~metrics:cs.metrics
-      ~bound:(store_bound cs) ~log ~store
-      ~u:versions.Wal.Recovery.update_version
+      ~config:cs.config ~lock_group:cs.lock_group ~metrics:cs.metrics ~log
+      ~store ~u:versions.Wal.Recovery.update_version
       ~q:versions.Wal.Recovery.query_version
       ~g:versions.Wal.Recovery.collected_version ()
   in
   attach_index_if_configured cs nd;
-  nd
+  cs.nodes.(site) <- nd;
+  versions
 
 let fresh_node cs ~site =
   let nd =
-    Node_state.create ~engine:cs.engine ~node_id:site
-      ~scheme:cs.config.Config.scheme ~lock_group:cs.lock_group
-      ~bound:(store_bound cs) ~gc_renumber:cs.config.Config.gc_renumber
-      ~shared_counters:cs.config.Config.shared_transaction_counters
-      ~disk_force_latency:cs.config.Config.disk_force_latency
-      ~group_commit_window:cs.config.Config.group_commit_window
-      ~group_commit_batch:cs.config.Config.group_commit_batch
-      ~gc_ack_early:cs.config.Config.gc_ack_early ~metrics:cs.metrics ()
+    Node_state.create ~engine:cs.engine ~node_id:site ~config:cs.config
+      ~lock_group:cs.lock_group ~metrics:cs.metrics ()
   in
   attach_index_if_configured cs nd;
   nd
@@ -92,13 +75,10 @@ let apply_record cs b nd r =
       note_version_change cs
   | Wal.Record.Checkpoint { items; u; q; g } ->
       let store =
-        match store_bound cs with
-        | Some bound ->
-            Vstore.Store.restore ~bound ~gc_renumber:cs.config.Config.gc_renumber
-              (Vstore.Store.snapshot_of_items items)
-        | None ->
-            Vstore.Store.restore ~gc_renumber:cs.config.Config.gc_renumber
-              (Vstore.Store.snapshot_of_items items)
+        Vstore.Store.restore
+          ?bound:(Config.store_bound cs.config)
+          ~gc_renumber:cs.config.Config.gc_renumber
+          (Vstore.Store.snapshot_of_items items)
       in
       Node_state.replace_store nd store ~u ~q ~g;
       Hashtbl.reset b.b_pending;
@@ -125,7 +105,7 @@ let apply_batch cs b nd records =
      (the primary already paid the force before shipping them). *)
   Wal.Log.mark_all_durable (Node_state.log nd)
 
-(* The deliberately broken twin ([Config.replica_ack_early]): acknowledge
+(* The [Config.Replica_ack_early] mutant: acknowledge
    — and bump the visible version counters that version-pinned routing
    trusts — on receipt, then apply the data records only after a delay.
    Reads routed here during the window miss committed writes. *)
@@ -146,12 +126,11 @@ let receive_ack_early cs b nd fresh =
   if Node_state.alive nd && node cs b.b_site == nd then apply_batch cs b nd fresh
 
 let receive cs b nd fresh =
-  if fresh <> [] && cs.config.Config.replica_ack_early then
-    receive_ack_early cs b nd fresh
-  else begin
-    apply_batch cs b nd fresh;
-    send_ack cs b
-  end
+  match cs.config.Config.mutant with
+  | Some Replica_ack_early when fresh <> [] -> receive_ack_early cs b nd fresh
+  | _ ->
+      apply_batch cs b nd fresh;
+      send_ack cs b
 
 let handle_ship cs site ~part ~epoch ~from_ ~records =
   let nd = node cs site in
@@ -516,9 +495,9 @@ let promote cs ~part ~old_site =
           first rest
       in
       let new_site = best.b_site in
-      let log = Node_state.log (node cs new_site) in
-      let store, versions = replay cs log in
-      cs.nodes.(new_site) <- recovered_node cs ~site:new_site ~log ~store ~versions;
+      let versions =
+        recover_from_log cs ~site:new_site (Node_state.log (node cs new_site))
+      in
       cs.repl.primary_of.(part) <- new_site;
       cs.repl.backups_of.(part) <-
         Array.of_list
@@ -589,8 +568,7 @@ let recover_as_backup cs ~site =
          log holds, so it is a prefix of that primary's log and safe to
          rebuild from directly. *)
       let log = Node_state.log old in
-      let store, versions = replay cs log in
-      cs.nodes.(site) <- recovered_node cs ~site ~log ~store ~versions;
+      ignore (recover_from_log cs ~site log : Wal.Recovery.versions);
       rebuild_pending b log;
       b.b_insync <- false;
       Wal.Ship.rewind b.b_cursor ~upto:(Wal.Log.length log)

@@ -103,6 +103,14 @@ val route_read : _ Cluster_state.t -> src:int -> part:int -> pin:int -> int
 
 (** {1 Failover and recovery hooks} *)
 
+val recover_from_log :
+  'v Cluster_state.t -> site:int -> 'v Wal.Log.t -> Wal.Recovery.versions
+(** WAL-replay recovery, shared by a crashed primary ({!Cluster.recover}),
+    a promoted backup and a same-epoch backup: rebuild the store from
+    [log], install a node built from the cluster's config at [site]
+    (counters at zero, index re-attached) and return the recovered
+    version numbers. *)
+
 val on_crash : _ Cluster_state.t -> site:int -> unit
 (** Called by {!Cluster.crash} after the site is killed and marked down.
     Backup: demoted out of the read set.  Primary: the best backup (live,

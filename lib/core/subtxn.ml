@@ -204,15 +204,17 @@ let rollback_to cs t sp =
   (* Locks first acquired inside the rolled-back scope are released so the
      items become re-acquirable (pre-scope locks — including those upgraded
      inside the scope — are conservatively kept: a pre-scope read stays
-     protected).  The [savepoint_leak] twin forgets this release: the
-     rolled-back scope's items stay locked, manufacturing deadlocks the
-     clean rollback makes impossible. *)
-  if not cs.config.Config.savepoint_leak then
-    List.iter
-      (fun key ->
-        Lockmgr.Lock_table.release_one (Node_state.locks t.sub_node)
-          ~owner:t.txn_id ~key)
-      (scope_keys t sp);
+     protected).  The [Config.Savepoint_leak] mutant forgets this release:
+     the rolled-back scope's items stay locked, manufacturing deadlocks
+     the clean rollback makes impossible. *)
+  (match cs.config.Config.mutant with
+  | Some Savepoint_leak -> ()
+  | _ ->
+      List.iter
+        (fun key ->
+          Lockmgr.Lock_table.release_one (Node_state.locks t.sub_node)
+            ~owner:t.txn_id ~key)
+        (scope_keys t sp));
   t.acq_order <- sp.sv_acq;
   if tracing cs then
     emit cs ~tag:"txn"

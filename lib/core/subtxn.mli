@@ -78,8 +78,8 @@ val rollback_to : 'v Cluster_state.t -> 'v t -> 'v savepoint -> unit
     strict 2PL still covers everything the surviving write-set and
     pre-scope reads depend on.  Reads made inside the rolled-back scope are
     void (the session layer discards the scope's results with it).  With
-    {!Config.savepoint_leak} the lock release is skipped — the deliberately
-    broken twin the explorer convicts. *)
+    the {!Config.Savepoint_leak} mutant the lock release is skipped — the
+    deliberately broken twin the explorer convicts. *)
 
 val prepare : 'v Cluster_state.t -> 'v t -> int
 (** Reach the prepared state: release shared locks, report [V(T_i)] (the

@@ -60,10 +60,13 @@ let run cs ~plan =
                     "Tree_query: plan has selects but the cluster has no \
                      secondary index (pass ~index to Cluster.create)"
             in
+            (* The [Config.Index_skip_visibility] mutant probes the newest
+               entries instead of the pin. *)
             let rows =
-              Vindex.Index.probe
-                ~skip_visibility:cs.config.Config.index_skip_visibility ix ~lo
-                ~hi v
+              Vindex.Index.probe ix ~lo ~hi
+                (match cs.config.Config.mutant with
+                | Some Index_skip_visibility -> max_int
+                | _ -> v)
             in
             Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
             List.map (fun (key, value) -> (p.at, key, Some value)) rows)

@@ -110,21 +110,11 @@ let candidates_in t ~lo ~hi =
     | _ -> acc
   end
 
-let probe_impl ~skip_visibility t ~lo ~hi version =
+let probe_impl t ~lo ~hi version =
   let cands = candidates_in t ~lo ~hi in
   Sset.fold
     (fun pkey acc ->
-      let value =
-        (* The deliberately broken twin ([Config.index_skip_visibility])
-           skips the pinned-version visibility check and serves the newest
-           entry instead.  Indistinguishable at quiescence (newest = pinned
-           once u = q+1 and the round drained), convicted by the explorer
-           the moment a commit or moveToFuture lands between pin and
-           probe. *)
-        if skip_visibility then Store.read_le t.base pkey max_int
-        else Store.read_le t.base pkey version
-      in
-      match value with
+      match Store.read_le t.base pkey version with
       | Some v ->
           let a = t.extract v in
           if lo <= a && a <= hi then (pkey, v) :: acc else acc
@@ -132,10 +122,10 @@ let probe_impl ~skip_visibility t ~lo ~hi version =
     cands []
   |> List.rev
 
-let probe ?(skip_visibility = false) t ~lo ~hi version =
+let probe t ~lo ~hi version =
   t.probes <- t.probes + 1;
   t.candidates <- t.candidates + Sset.cardinal (candidates_in t ~lo ~hi);
-  probe_impl ~skip_visibility t ~lo ~hi version
+  probe_impl t ~lo ~hi version
 
 let full_scan t ~lo ~hi version =
   List.filter
@@ -211,7 +201,7 @@ let check t ~version =
   let indexed =
     match (Smap.min_binding_opt t.postings, Smap.max_binding_opt t.postings) with
     | Some (lo, _), Some (hi, _) ->
-        probe_impl ~skip_visibility:false t ~lo ~hi version
+        probe_impl t ~lo ~hi version
     | _ -> []
   in
   let full = Store.scan_all t.base version in

@@ -29,20 +29,12 @@ val detach : 'v t -> unit
 val base : 'v t -> 'v Vstore.Store.t
 val extract : 'v t -> 'v -> string
 
-val probe :
-  ?skip_visibility:bool ->
-  'v t ->
-  lo:string ->
-  hi:string ->
-  int ->
-  (string * 'v) list
+val probe : 'v t -> lo:string -> hi:string -> int -> (string * 'v) list
 (** [probe t ~lo ~hi v]: every (key, value) visible at version [v] whose
-    extracted attribute is in [\[lo, hi\]], ascending by key.
-    [skip_visibility] (default [false]) is the deliberately broken twin
-    behind {!Config.t.index_skip_visibility}: it serves the newest entry
-    instead of the pinned version — indistinguishable at quiescence,
-    convicted by the schedule explorer under a racing commit or
-    moveToFuture ([index-skip-mtf-buggy]). *)
+    extracted attribute is in [\[lo, hi\]], ascending by key.  Probing
+    at [max_int] serves each candidate's newest entry, which is how the
+    [Index_skip_visibility] mutant of the protocol config skips the
+    pinned-version visibility check. *)
 
 val full_scan : 'v t -> lo:string -> hi:string -> int -> (string * 'v) list
 (** The reference plan: [Store.scan_all] at the version, filtered by the

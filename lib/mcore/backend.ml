@@ -53,7 +53,7 @@ type 'v t = {
   registry_latch : Latch.t;
   mutable registries : Sim.Metrics.t list;
   (* Fault injection for the conformance harness (the mcore analogue of
-     Config.gc_ack_early): query begin reads q and bumps the counter
+     a Config.mutant): query begin reads q and bumps the counter
      WITHOUT the latch, with a widened read-modify-write window.  The
      divergence harness must convict this twin.  Never enable outside
      tests. *)

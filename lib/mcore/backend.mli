@@ -39,7 +39,7 @@ val create :
     item-lock striping grain per site.
 
     [skip_query_latch] is fault injection for the divergence harness
-    (the mcore analogue of [Config.gc_ack_early]): the query-begin
+    (the mcore analogue of a [Config.mutant]): the query-begin
     counter bump becomes a naked read-modify-write widened by
     [race_window] spins.  Correct on any single-domain schedule;
     convictable only by concurrent execution.  Never enable outside

@@ -7,6 +7,11 @@ module C = Ava3.Config
 
 let check_bool = Alcotest.(check bool)
 
+let contains hay needle =
+  let n = String.length needle and len = String.length hay in
+  let rec go i = i + n <= len && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let rejected config =
   match C.validate config with
   | () -> false
@@ -115,9 +120,10 @@ let test_replication_knobs () =
   check_bool "coalesced shipping fine" false
     (rejected { C.default with replicas = 1; replica_ship_window = 2.0 });
   check_bool "ack-early without replicas rejected" true
-    (rejected { C.default with replica_ack_early = true });
+    (rejected { C.default with mutant = Some Replica_ack_early });
   check_bool "ack-early twin with replicas fine" false
-    (rejected { C.default with replicas = 1; replica_ack_early = true })
+    (rejected
+       { C.default with replicas = 1; mutant = Some Replica_ack_early })
 
 let test_session_knobs () =
   check_bool "negative max_retries rejected" true
@@ -137,7 +143,20 @@ let test_session_knobs () =
   check_bool "negative pool rejected" true
     (rejected { C.default with session_pool_size = -3 });
   check_bool "leak twin knob is a valid (deliberately broken) config" false
-    (rejected { C.default with savepoint_leak = true })
+    (rejected { C.default with mutant = Some Savepoint_leak })
+
+let test_mutant_preconditions () =
+  let gc = { C.default with mutant = Some Gc_ack_early } in
+  let relay = { C.default with mutant = Some Relay_ack_early } in
+  check_bool "group-commit ack-early without a window rejected" true
+    (rejected gc);
+  check_bool "group-commit ack-early with a window fine" false
+    (rejected { gc with group_commit_window = 3.0 });
+  check_bool "relay ack-early on flat rounds rejected" true (rejected relay);
+  check_bool "relay ack-early with a relay tree fine" false
+    (rejected { relay with tree_arity = 1 });
+  check_bool "index twin needs nothing" false
+    (rejected { C.default with mutant = Some Index_skip_visibility })
 
 let test_message_names_knob () =
   (* The error text must name the offending knob so a CLI user can act
@@ -146,11 +165,6 @@ let test_message_names_knob () =
     match C.validate config with
     | () -> ""
     | exception C.Invalid m -> m
-  in
-  let contains hay needle =
-    let n = String.length needle and len = String.length hay in
-    let rec go i = i + n <= len && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
   in
   check_bool "names tree_arity" true
     (contains (msg { C.default with tree_arity = -2 }) "tree_arity");
@@ -170,8 +184,12 @@ let test_message_names_knob () =
     (contains
        (msg { C.default with replica_ship_window = -2.0 })
        "replica_ship_window");
-  check_bool "names replica_ack_early" true
-    (contains (msg { C.default with replica_ack_early = true }) "replica_ack_early");
+  List.iter
+    (fun m ->
+      let name = C.mutant_name m in
+      check_bool ("names " ^ name) true
+        (contains (msg { C.default with mutant = Some m }) name))
+    [ Replica_ack_early; Gc_ack_early; Relay_ack_early ];
   check_bool "names max_retries" true
     (contains (msg { C.default with max_retries = -1 }) "max_retries");
   check_bool "names retry_backoff_base" true
@@ -182,6 +200,18 @@ let test_message_names_knob () =
     (contains
        (msg { C.default with session_pool_size = 0 })
        "session_pool_size")
+
+let test_pp_names_mutant () =
+  let pp c = Format.asprintf "%a" C.pp c in
+  List.iter
+    (fun m ->
+      let name = C.mutant_name m in
+      check_bool ("pp shows " ^ name) true
+        (contains (pp { C.default with mutant = Some m }) ("mutant=" ^ name)))
+    [ Gc_ack_early; Relay_ack_early; Replica_ack_early; Index_skip_visibility;
+      Savepoint_leak ];
+  check_bool "pp shows no mutant by default" false
+    (contains (pp C.default) "mutant")
 
 let test_cluster_create_validates () =
   (* The wiring, not just the function: Cluster.create must refuse a bad
@@ -214,8 +244,11 @@ let () =
             test_partition_aware_needs_tree;
           Alcotest.test_case "replication knobs" `Quick test_replication_knobs;
           Alcotest.test_case "session knobs" `Quick test_session_knobs;
+          Alcotest.test_case "mutant preconditions" `Quick
+            test_mutant_preconditions;
           Alcotest.test_case "errors name the knob" `Quick
             test_message_names_knob;
+          Alcotest.test_case "pp names the mutant" `Quick test_pp_names_mutant;
         ] );
       ( "wiring",
         [
