@@ -579,7 +579,7 @@ let run_mcore_bench () =
 let index_rows : (string * float) list ref = ref []
 
 let index_bench_keys = 4096
-let index_extract v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000)
+let index_extract = Baseline.Ava3_db.default_extract
 
 let timed_ns name ~iters f =
   let t0 = Unix.gettimeofday () in

@@ -44,9 +44,10 @@ let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
      setup; Cluster.create validates again, but by then a bad CLI value
      has already cost the run's setup work. *)
   Ava3.Config.validate config;
-  let extract v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000) in
   let db : int Cluster.t =
-    if with_index then Cluster.create ~engine ~config ~index:extract ~nodes ()
+    if with_index then
+      Cluster.create ~engine ~config ~index:Baseline.Ava3_db.default_extract
+        ~nodes ()
     else Cluster.create ~engine ~config ~nodes ()
   in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in

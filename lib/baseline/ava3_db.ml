@@ -10,8 +10,16 @@ let name = "ava3"
 
 (* Standard secondary attribute for int-valued stores: the value modulo
    1000, zero-padded so lexicographic order matches numeric order, which
-   lets normalized [0,1] ranges map onto contiguous attribute intervals. *)
-let default_extract v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000)
+   lets normalized [0,1] ranges map onto contiguous attribute intervals.
+   The thousand strings are built once: index maintenance and every probe
+   candidate call the extractor, so it allocates nothing. *)
+let attributes =
+  Array.init 1000 (fun r ->
+      String.init 4 (fun i ->
+          if i = 0 then 'a'
+          else Char.chr (Char.code '0' + (r / [| 100; 10; 1 |].(i - 1) mod 10))))
+
+let default_extract v = attributes.(((v mod 1000) + 1000) mod 1000)
 
 let default_attr_of f =
   let f = Float.min 1.0 (Float.max 0.0 f) in

@@ -660,9 +660,9 @@ let index_mtf_variant ~mutant ~name ~descr =
             mutant;
           }
         in
-        let extract v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000) in
         let db : int Ava3.Cluster.t =
-          Ava3.Cluster.create ~engine ~config ~index:extract ~nodes:2 ()
+          Ava3.Cluster.create ~engine ~config
+            ~index:Baseline.Ava3_db.default_extract ~nodes:2 ()
         in
         Ava3.Cluster.load db ~node:0 [ ("x", 100) ];
         Ava3.Cluster.load db ~node:1 [ ("y", 200) ];

@@ -94,38 +94,35 @@ let detach t = Store.set_listener t.base None
 let base t = t.base
 let extract t value = t.extract value
 
-(* Candidate primary keys: union of the postings for attributes in
-   [lo, hi].  Complete by construction — any key visible at any version
-   with an attribute in range has a live entry carrying it, hence a
-   posting. *)
+(* Candidate primary keys, ascending and distinct: the postings for
+   attributes in [lo, hi].  Complete by construction — any key visible at
+   any version with an attribute in range has a live entry carrying it,
+   hence a posting.  A key with live entries in several buckets of the
+   range appears in each of them, hence the final [sort_uniq]. *)
 let candidates_in t ~lo ~hi =
-  if hi < lo then Sset.empty
-  else begin
-    let _, lo_set, above = Smap.split lo t.postings in
-    let mid, hi_set, _ = Smap.split hi above in
-    let acc = match lo_set with Some s -> s | None -> Sset.empty in
-    let acc = Smap.fold (fun _ s acc -> Sset.union s acc) mid acc in
-    match hi_set with
-    | Some s when hi <> lo -> Sset.union s acc
+  let rec gather acc seq =
+    match seq () with
+    | Seq.Cons ((attr, keys), rest) when attr <= hi ->
+        gather (Sset.fold List.cons keys acc) rest
     | _ -> acc
-  end
+  in
+  List.sort_uniq String.compare (gather [] (Smap.to_seq_from lo t.postings))
 
-let probe_impl t ~lo ~hi version =
-  let cands = candidates_in t ~lo ~hi in
-  Sset.fold
-    (fun pkey acc ->
+let resolve t ~lo ~hi version cands =
+  List.filter_map
+    (fun pkey ->
       match Store.read_le t.base pkey version with
       | Some v ->
           let a = t.extract v in
-          if lo <= a && a <= hi then (pkey, v) :: acc else acc
-      | None -> acc)
-    cands []
-  |> List.rev
+          if lo <= a && a <= hi then Some (pkey, v) else None
+      | None -> None)
+    cands
 
 let probe t ~lo ~hi version =
+  let cands = candidates_in t ~lo ~hi in
   t.probes <- t.probes + 1;
-  t.candidates <- t.candidates + Sset.cardinal (candidates_in t ~lo ~hi);
-  probe_impl t ~lo ~hi version
+  t.candidates <- t.candidates + List.length cands;
+  resolve t ~lo ~hi version cands
 
 let full_scan t ~lo ~hi version =
   List.filter
@@ -201,7 +198,7 @@ let check t ~version =
   let indexed =
     match (Smap.min_binding_opt t.postings, Smap.max_binding_opt t.postings) with
     | Some (lo, _), Some (hi, _) ->
-        probe_impl t ~lo ~hi version
+        resolve t ~lo ~hi version (candidates_in t ~lo ~hi)
     | _ -> []
   in
   let full = Store.scan_all t.base version in

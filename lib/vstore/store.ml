@@ -392,45 +392,78 @@ let remove_version t key v =
       drop_item_if_empty t key item;
       notify t key
 
+(* {2 Change detection — decided from the slots before any list is built} *)
+
+let rec spill_count_le spill v acc =
+  match spill with
+  | [] -> acc
+  | e :: rest -> spill_count_le rest v (if e.version <= v then acc + 1 else acc)
+
+(* Number of live entries with version <= [v]. *)
+let count_le item v =
+  (if item.n > 0 && item.v0 <= v then 1 else 0)
+  + (if item.n > 1 && item.v1 <= v then 1 else 0)
+  + (if item.n > 2 && item.v2 <= v then 1 else 0)
+  + spill_count_le item.spill v 0
+
+(* Items that [drop_lone_tombstone] removes even when the rewrite keeps
+   their entries as they are. *)
+let removable item =
+  match (item.n, item.spill, item.b0) with
+  | 0, _, _ | 1, [], Tombstone -> true
+  | _ -> false
+
+(* Rewrite the item's entries with [f] (a list function on descending
+   entries), then re-derive its version-index membership, remove it if it
+   is now empty or a lone tombstone, and notify the listener.  Callers only
+   come here when the live entries change. *)
+let rewrite t key item f =
+  let entries = entries_desc item in
+  let before = List.map (fun e -> e.version) entries in
+  (match f entries with Some desc -> set_entries item desc | None -> ());
+  reindex t key ~before ~after:(versions_desc item);
+  drop_lone_tombstone t key item;
+  notify t key
+
 let gc t ~collect ~query =
   let process key item =
     t.gc_items_visited <- t.gc_items_visited + 1;
-    let entries = entries_desc item in
-    let before = List.map (fun e -> e.version) entries in
     (* A reader at [query] resolves to the newest entry at or below it; the
        entries at or below [collect] are garbage iff such an entry exists
        strictly above [collect].  Checking for an incarnation at exactly
        [query] is not enough: when [query] has skipped versions (a lagging
        collector catching up), an entry strictly between [collect] and
        [query] protects the item, and renumbering a stale entry up to
-       [query] would shadow it. *)
-    (if List.exists (fun e -> e.version > collect && e.version <= query) entries
-     then set_entries item (List.filter (fun e -> e.version > collect) entries)
-     else if t.gc_renumber then begin
-       (* Paper rule: no incarnation at [query] — renumber the newest entry
-          at or below [collect] so readers of [query] still find the item. *)
-       match List.find_opt (fun e -> e.version <= collect) entries with
-       | None -> ()
-       | Some e ->
-           set_entries item
-             (List.sort desc_compare
-                ({ e with version = query }
-                :: List.filter (fun x -> x.version > collect) entries))
-     end
-     else begin
-       (* In-place rule: keep the newest entry <= collect (still the one
-          readers of [query] resolve to) and drop any older ones. *)
-       match List.find_opt (fun e -> e.version <= collect) entries with
-       | None -> ()
-       | Some newest ->
-           set_entries item
-             (List.filter
-                (fun x -> x.version > collect || x.version = newest.version)
-                entries)
-     end);
-    reindex t key ~before ~after:(versions_desc item);
-    drop_lone_tombstone t key item;
-    notify t key
+       [query] would shadow it.  Protected items and the renumbering rule
+       drop or move every entry at or below [collect]; the in-place rule
+       keeps the newest one, so it changes the item only when there are
+       two or more. *)
+    let below = count_le item collect in
+    let protected = count_le item query > below in
+    let keeps = if protected || t.gc_renumber then 0 else 1 in
+    if below > keeps || removable item then
+      rewrite t key item (fun entries ->
+          if protected then
+            Some (List.filter (fun e -> e.version > collect) entries)
+          else
+            match List.find_opt (fun e -> e.version <= collect) entries with
+            | None -> None
+            | Some e when t.gc_renumber ->
+                (* Paper rule: no incarnation at [query] — renumber the
+                   newest entry at or below [collect] so readers of [query]
+                   still find the item. *)
+                Some
+                  (List.sort desc_compare
+                     ({ e with version = query }
+                     :: List.filter (fun x -> x.version > collect) entries))
+            | Some newest ->
+                (* In-place rule: keep the newest entry <= collect (still
+                   the one readers of [query] resolve to) and drop any
+                   older ones. *)
+                Some
+                  (List.filter
+                     (fun x -> x.version > collect || x.version = newest.version)
+                     entries))
   in
   (* The version index bounds the scan.  Under the paper's renumbering rule
      every item with an entry at or below [collect] is a candidate (each
@@ -459,25 +492,29 @@ let gc t ~collect ~query =
       match find_item t k with None -> () | Some item -> process k item)
     keys
 
+(* Keeping the newest entry at or below [keep] and everything newer changes
+   the item only when two or more entries lie at or below [keep]; the first
+   pass only reads, so the items it picks can then be rewritten freely. *)
 let prune_below t ~keep =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.items [] in
+  let keys =
+    Hashtbl.fold
+      (fun k item acc ->
+        if count_le item keep > 1 || removable item then k :: acc else acc)
+      t.items []
+  in
   List.iter
     (fun key ->
       match find_item t key with
       | None -> ()
       | Some item ->
-          let entries = entries_desc item in
-          let before = List.map (fun e -> e.version) entries in
-          (match List.find_opt (fun e -> e.version <= keep) entries with
-          | None -> ()
-          | Some newest_visible ->
-              set_entries item
-                (List.filter
-                   (fun e -> e.version >= newest_visible.version)
-                   entries));
-          reindex t key ~before ~after:(versions_desc item);
-          drop_lone_tombstone t key item;
-          notify t key)
+          rewrite t key item (fun entries ->
+              match List.find_opt (fun e -> e.version <= keep) entries with
+              | None -> None
+              | Some newest_visible ->
+                  Some
+                    (List.filter
+                       (fun e -> e.version >= newest_visible.version)
+                       entries)))
     keys
 
 type 'v snapshot = (string * (version * 'v option) list) list

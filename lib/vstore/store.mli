@@ -90,9 +90,10 @@ val remove_version : _ t -> string -> version -> unit
 
 val set_listener : 'v t -> (string -> unit) option -> unit
 (** Install (or clear) the store's single mutation listener: it is called
-    with the affected key after every mutation that may change that key's
-    live entries — {!write}, {!delete}, {!copy_forward}, {!remove_version},
-    and each item processed by {!gc} or {!prune_below}.  Because every
+    with the affected key after every {!write}, {!delete}, {!copy_forward}
+    and {!remove_version}, and once for each item whose live entries {!gc}
+    or {!prune_below} changed (removing the item counts as a change); items
+    those two visit but leave as they were are not reported.  Because every
     mutation path (update execution, moveToFuture, WAL replay, replication
     apply, checkpoint restore) funnels through those operations, a derived
     structure that re-derives the key's state on each call stays exactly
@@ -121,13 +122,16 @@ val gc : _ t -> collect:version -> query:version -> unit
     (version in [(collect, query]]), drop every entry with version
     [<= collect]; otherwise renumber its newest entry [<= collect] to
     [query] (and drop older ones).  Items left with only a tombstone and no
-    earlier version are removed. *)
+    earlier version are removed.  Whether an item changes is decided from
+    its slots before any entry list is built; the listener fires for each
+    item whose live entries changed, not for every item visited. *)
 
 val prune_below : _ t -> keep:version -> unit
 (** MVCC-style garbage collection: for every item, keep the newest entry
     with version [<= keep] (the one a reader at snapshot [keep] needs) and
     everything newer; drop all older entries.  Items reduced to a lone
-    tombstone are removed. *)
+    tombstone are removed.  The listener fires for each item whose live
+    entries changed. *)
 
 (** {1 Iteration and statistics} *)
 
@@ -145,9 +149,10 @@ val high_water_versions : _ t -> int
     that verifies "at most three versions" (paper §6.2 property 2a). *)
 
 val gc_items_visited : _ t -> int
-(** Cumulative count of items {!gc} has processed.  Garbage collection uses
-    the store's version index, so this is proportional to the items that
-    actually had entries in collected versions, not to the store size. *)
+(** Cumulative count of items {!gc} has checked, changed or not.  Garbage
+    collection uses the store's version index, so this is proportional to
+    the items that actually had entries in collected versions, not to the
+    store size. *)
 
 val items_in_version : _ t -> version -> int
 (** Number of items with an entry at exactly this version (from the version

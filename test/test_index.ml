@@ -94,6 +94,70 @@ let test_listener_paths () =
   check_bool "detached index is frozen" true
     (Index.probe ix ~lo:"a001" ~hi:"a001" 2 = [])
 
+(* The store notifies only for items whose live entries change.  [n] items
+   preloaded at version 0: the first collection leaves every one of them
+   as it is under the in-place rule but renumbers each one under the
+   paper's rule, and a lone tombstone's removal is a change under both. *)
+let test_listener_counts () =
+  let n = 300 in
+  let preloaded = List.init n (Printf.sprintf "k%03d") in
+  let preload gc_renumber =
+    let st : int Store.t = Store.create ~bound:3 ~gc_renumber () in
+    List.iteri (fun i k -> Store.write st k 0 i) preloaded;
+    st
+  in
+  (* The keys one call notifies, with multiplicity, ascending. *)
+  let notified st f =
+    let keys = ref [] in
+    Store.set_listener st (Some (fun k -> keys := k :: !keys));
+    f ();
+    Store.set_listener st None;
+    List.sort compare !keys
+  in
+  let keys = Alcotest.(check (list string)) in
+  List.iter
+    (fun gc_renumber ->
+      let label s =
+        Printf.sprintf "%s (%s)" s
+          (if gc_renumber then "renumber" else "in-place")
+      in
+      let renumbered = if gc_renumber then preloaded else [] in
+      let st = preload gc_renumber in
+      let visited = Store.gc_items_visited st in
+      let first = notified st (fun () -> Store.gc st ~collect:0 ~query:1) in
+      check_int (label "first gc visits every item") n
+        (Store.gc_items_visited st - visited);
+      keys (label "first gc notifies each renumbered item once") renumbered
+        first;
+      (* Deleting a key nothing else holds leaves a lone tombstone. *)
+      Store.delete st "gone" 1;
+      let second = notified st (fun () -> Store.gc st ~collect:1 ~query:2) in
+      keys (label "lone tombstone removal notifies") ("gone" :: renumbered)
+        second;
+      check_int (label "lone tombstone removed") n (Store.item_count st);
+      (* The same history with an index attached: one refresh per
+         notification, and the audit stays clean. *)
+      let st = preload gc_renumber in
+      let ix = Index.attach st ~extract in
+      Store.gc st ~collect:0 ~query:1;
+      Store.delete st "gone" 1;
+      Store.gc st ~collect:1 ~query:2;
+      check_int (label "one refresh per notification")
+        (List.length first + 1 + List.length second)
+        (Index.stats ix).Index.updates;
+      no_msgs (label "index audit") (Index.check ix ~version:2))
+    [ false; true ]
+
+(* The shared attribute extractor equals its Printf reference. *)
+let test_default_extract () =
+  let reference v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000) in
+  List.iter
+    (fun v ->
+      Alcotest.(check string)
+        (string_of_int v) (reference v)
+        (Baseline.Ava3_db.default_extract v))
+    (List.init 6001 (fun i -> i - 3000) @ [ min_int; max_int; max_int - 1 ])
+
 let test_probe_edges () =
   let st : int Store.t = Store.create () in
   let ix = Index.attach st ~extract in
@@ -414,6 +478,8 @@ let () =
         [
           Alcotest.test_case "attach bootstrap" `Quick test_attach_bootstrap;
           Alcotest.test_case "listener paths" `Quick test_listener_paths;
+          Alcotest.test_case "listener counts" `Quick test_listener_counts;
+          Alcotest.test_case "default extract" `Quick test_default_extract;
           Alcotest.test_case "probe edges" `Quick test_probe_edges;
           Alcotest.test_case "join agreement" `Quick test_join_agreement;
         ] );

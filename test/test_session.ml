@@ -302,8 +302,6 @@ let test_idempotence_guard () =
 
 (* {1 The oracle suite} *)
 
-let extract v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000)
-
 (* Mirror of the recording harness in lib/check/scenarios.ml, driven
    through the session layer: committed transactions record what each
    tracked RMW observed and wrote; queries record their snapshots; the
@@ -329,7 +327,8 @@ let oracle_run ~seed ~gc_renumber =
   (* The index rides along so every invariant probe audits index<->base
      through the session layer's retries and savepoint rollbacks. *)
   let db : int Cluster.t =
-    Cluster.create ~engine ~config ~index:extract ~nodes ()
+    Cluster.create ~engine ~config ~index:Baseline.Ava3_db.default_extract
+      ~nodes ()
   in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   (* Two disjoint key populations: "n<i>-k<j>" carries the recorded

@@ -504,6 +504,109 @@ let prop_store_matches_reference =
         ops;
       !ok)
 
+(* Reference models of gc and prune_below over one item's entries,
+   (version, value-or-tombstone) pairs ascending, straight from the
+   documented rules; [None] means the item is removed.  An item left with
+   no entries or a lone tombstone is removed. *)
+let settle = function [] | [ (_, None) ] -> None | entries -> Some entries
+
+let gc_model ~renumber ~collect ~query entries =
+  let newer = List.filter (fun (v, _) -> v > collect) entries in
+  let below = List.filter (fun (v, _) -> v <= collect) entries in
+  settle
+    (if List.exists (fun (v, _) -> v <= query) newer then newer
+     else
+       match List.rev below with
+       | [] -> entries
+       | (_, body) :: _ when renumber -> List.sort compare ((query, body) :: newer)
+       | newest :: _ -> newest :: newer)
+
+let prune_model ~keep entries =
+  match List.rev (List.filter (fun (v, _) -> v <= keep) entries) with
+  | [] -> settle entries
+  | (newest, _) :: _ -> settle (List.filter (fun (v, _) -> v >= newest) entries)
+
+(* gc and prune_below against the models, and their listener contract:
+   under a protocol-shaped history, each call notifies exactly once for
+   every item whose live entries it changed — removal included — and never
+   for an item it left as it was.  Each history runs three times:
+   collected by gc under either rule, and pruned MVCC-style at every
+   advancement instead.  gc visits only the items its rule selects (an
+   entry at or below [collect] for renumbering, at [collect] or [query] in
+   place); the model leaves the rest as they are. *)
+let prop_collectors_match_models =
+  let op_gen =
+    QCheck.Gen.(
+      list_size (int_bound 200)
+        (triple key_gen (int_bound 2)
+           (frequency [ (5, return `W); (2, return `D); (2, return `A) ])))
+  in
+  QCheck.Test.make ~name:"gc and prune match their models, notify changes"
+    ~count:100 (QCheck.make op_gen) (fun ops ->
+      List.for_all
+        (fun collector ->
+          let renumber = collector = `Gc_renumber in
+          let s : int Store.t = Store.create ~gc_renumber:renumber () in
+          let contents () = Store.snapshot_items (Store.snapshot s) in
+          let collects model f =
+            let before = contents () in
+            let fired = ref [] in
+            Store.set_listener s (Some (fun k -> fired := k :: !fired));
+            f ();
+            Store.set_listener s None;
+            let after = contents () in
+            let changed =
+              List.filter
+                (fun (k, entries) -> List.assoc_opt k after <> Some entries)
+                before
+              |> List.map fst
+            in
+            after = List.filter_map
+                      (fun (k, entries) ->
+                        Option.map (fun e -> (k, e)) (model entries))
+                      before
+            && List.sort compare !fired = changed
+          in
+          let u = ref 1 and q = ref 0 and g = ref (-1) and next = ref 0 in
+          List.for_all
+            (fun (k, skip, op) ->
+              match op with
+              | `W ->
+                  incr next;
+                  Store.write s k !u !next;
+                  true
+              | `D ->
+                  Store.delete s k !u;
+                  true
+              | `A when collector = `Prune ->
+                  u := !u + 1 + skip;
+                  q := !u - 1;
+                  let keep = !q in
+                  collects (prune_model ~keep) (fun () ->
+                      Store.prune_below s ~keep)
+              | `A ->
+                  u := !u + 1 + skip;
+                  q := !u - 1;
+                  !q - 1 <= !g
+                  ||
+                  (incr g;
+                   let collect = !g and query = !q in
+                   let selected entries =
+                     List.exists
+                       (fun (v, _) ->
+                         if renumber then v <= collect
+                         else v = collect || v = query)
+                       entries
+                   in
+                   collects
+                     (fun entries ->
+                       if selected entries then
+                         gc_model ~renumber ~collect ~query entries
+                       else Some entries)
+                     (fun () -> Store.gc s ~collect ~query)))
+            ops)
+        [ `Gc_renumber; `Gc_in_place; `Prune ])
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vstore"
@@ -561,6 +664,7 @@ let () =
             prop_version_index_consistent;
             prop_gc_rules_read_equivalent;
             prop_store_matches_reference;
+            prop_collectors_match_models;
           ] );
     ]
 
