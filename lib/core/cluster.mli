@@ -118,7 +118,16 @@ val run_update_with_retry :
   'v Update_exec.outcome * int
 (** Retry deadlock-aborted transactions (fresh transaction id, current
     update version — the paper's restart rule).  Returns the final outcome
-    and the number of attempts made.  Default 10 attempts, backoff 5.0. *)
+    and the number of attempts made.  Default 10 attempts, backoff 5.0.
+
+    {b Double-apply hazard.}  [`Rpc_timeout] aborts are retried too, and
+    one may come from the commit round: {!Txn_core.protect} maps a
+    timed-out commit call to [Aborted (`Rpc_timeout _)], but
+    {!Subtxn.abort} leaves alone a participant that had already applied
+    its commit.  The retry then applies the same writes a second time.
+    Callers that need at-most-once commits should use [Session], whose
+    redrive finishes a decided commit round instead of rerunning the
+    transaction. *)
 
 (** {1 Version advancement} *)
 
