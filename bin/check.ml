@@ -143,11 +143,16 @@ let run_replay path =
       end
 
 let () =
-  Arg.parse specs
-    (fun anon ->
-      Printf.eprintf "unexpected argument %S\n" anon;
-      exit 2)
-    usage;
+  let reject fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        Arg.usage specs usage;
+        exit 2)
+      fmt
+  in
+  Arg.parse specs (reject "unexpected argument %S") usage;
+  if !budget < 1 then reject "--budget must be >= 1 (got %d)" !budget;
   if !list_only then begin
     List.iter
       (fun (sc : Scenario.t) ->

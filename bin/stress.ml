@@ -293,9 +293,19 @@ let () =
       ("-v", Arg.Set verbose, "print each seed");
     ]
   in
-  Arg.parse spec
-    (fun _ -> ())
-    "stress [--seeds N] [--from S] [--hot-theta T] [--index] [--sessions]";
+  let usage =
+    "stress [--seeds N] [--from S] [--hot-theta T] [--index] [--sessions]"
+  in
+  let reject fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        Arg.usage spec usage;
+        exit 2)
+      fmt
+  in
+  Arg.parse spec (reject "unexpected argument %S") usage;
+  if !seeds < 1 then reject "--seeds must be >= 1 (got %d)" !seeds;
   let hot_theta = !hot_theta and with_index = !with_index in
   let with_sessions = !with_sessions in
   (* Seeds fan out over domains (AVA3_DOMAINS, see Sim.Pool); each run is a

@@ -2,7 +2,6 @@ type t = {
   db : int Ava3.Cluster.t;
   use_tree : bool;
   indexed : bool;
-  attr_of : float -> string;
   scan_plan : Ava3.Query_exec.select_plan;
 }
 
@@ -21,18 +20,19 @@ let attributes =
 
 let default_extract v = attributes.(((v mod 1000) + 1000) mod 1000)
 
-let default_attr_of f =
+(* A normalized range endpoint in the {!default_extract} encoding. *)
+let attr_of f =
   let f = Float.min 1.0 (Float.max 0.0 f) in
   Printf.sprintf "a%03d" (min 999 (int_of_float (f *. 1000.0)))
 
 let create ~engine ?config ?latency ?(advancement_period = 100.0)
     ?(advancement_until = 10_000.0) ?(use_tree = false) ?index
-    ?(attr_of = default_attr_of) ?(scan_plan = `Index) ~nodes () =
+    ?(scan_plan = `Index) ~nodes () =
   let db = Ava3.Cluster.create ~engine ?config ?latency ?index ~nodes () in
   if advancement_period > 0.0 then
     Ava3.Cluster.start_periodic_advancement db ~coordinator:0
       ~period:advancement_period ~until:advancement_until;
-  { db; use_tree; indexed = Option.is_some index; attr_of; scan_plan }
+  { db; use_tree; indexed = Option.is_some index; scan_plan }
 
 let cluster t = t.db
 let load t ~node items = Ava3.Cluster.load t.db ~node items
@@ -120,7 +120,7 @@ let query_outcome (result : int Ava3.Query_exec.result) =
 let submit_scan t ~root ~range:(fl, fh) =
   if not t.indexed then None
   else begin
-    let lo = t.attr_of (Float.min fl fh) and hi = t.attr_of (Float.max fl fh) in
+    let lo = attr_of (Float.min fl fh) and hi = attr_of (Float.max fl fh) in
     let ranges =
       List.init (Ava3.Cluster.partitions t.db) (fun n -> (n, lo, hi))
     in
@@ -135,7 +135,7 @@ let submit_join t ~root ~build:(bl, bh) ~probe:(pl, ph) =
   else begin
     let parts = List.init (Ava3.Cluster.partitions t.db) Fun.id in
     let side (fl, fh) =
-      (parts, t.attr_of (Float.min fl fh), t.attr_of (Float.max fl fh))
+      (parts, attr_of (Float.min fl fh), attr_of (Float.max fl fh))
     in
     match
       Ava3.Cluster.run_join t.db ~root ~plan:t.scan_plan ~build:(side (bl, bh))

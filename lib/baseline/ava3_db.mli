@@ -10,11 +10,8 @@ type t
 val default_extract : int -> string
 (** Standard secondary attribute for int-valued stores — the value modulo
     1000, zero-padded ("a042") so lexicographic order matches numeric
-    order.  Pair it with {!default_attr_of} when enabling [?index]. *)
-
-val default_attr_of : float -> string
-(** Maps a normalized range endpoint onto the {!default_extract} attribute
-    encoding. *)
+    order.  The adapter maps the driver's normalized range endpoints onto
+    this encoding, so pass it as [?index] to enable scans and joins. *)
 
 val create :
   engine:Sim.Engine.t ->
@@ -24,7 +21,6 @@ val create :
   ?advancement_until:float ->
   ?use_tree:bool ->
   ?index:(int -> string) ->
-  ?attr_of:(float -> string) ->
   ?scan_plan:Ava3.Query_exec.select_plan ->
   nodes:int ->
   unit ->
@@ -40,12 +36,11 @@ val create :
 
     [index] attaches a secondary index on the extracted attribute at every
     site (see {!Ava3.Cluster.create}) and enables [submit_scan] /
-    [submit_join]; without it both return [None].  [attr_of] (default
-    {!default_attr_of}) maps the driver's normalized range endpoints onto
-    the attribute encoding and must agree with [index]'s output order.
-    [scan_plan] (default [`Index]) picks the execution plan for scans and
-    joins — [`Full_scan] for the unindexed reference plan, [`Both_check]
-    to run both and raise on any divergence. *)
+    [submit_join]; without it both return [None].  Range endpoints map
+    onto the {!default_extract} encoding, so [index] must agree with its
+    order.  [scan_plan] (default [`Index]) picks the execution plan for
+    scans and joins — [`Full_scan] for the unindexed reference plan,
+    [`Both_check] to run both and raise on any divergence. *)
 
 val cluster : t -> int Ava3.Cluster.t
 val load : t -> node:int -> (string * int) list -> unit

@@ -1,3 +1,6 @@
+let read_time = 0.1
+let write_time = 0.2
+
 (* Domain-local: parallel sweep workers each allocate from their own
    counter, so concurrent engine runs never contend and a run observes
    the same strictly increasing id sequence regardless of how many other

@@ -4,11 +4,8 @@ type t = {
   engine : Sim.Engine.t;
   net : unit Net.Network.t;
   nodes : node array;
-  read_time : float;
-  write_time : float;
   mutable clock : int;  (** commit-timestamp oracle *)
   active_snapshots : (int, int) Hashtbl.t;  (** query id -> snapshot ts *)
-  gc_every : int;  (** prune after this many commits *)
   mutable commits_since_gc : int;
   mutable commits : int;
   mutable aborts : int;
@@ -17,8 +14,10 @@ type t = {
 
 let name = "mvcc-unbounded"
 
-let create ~engine ?latency ?(read_service_time = 0.1)
-    ?(write_service_time = 0.2) ?(gc_every = 20) ~nodes () =
+(* Prune after this many commits. *)
+let gc_every = 20
+
+let create ~engine ?latency ~nodes () =
   let group = Lockmgr.Lock_table.new_group () in
   {
       engine;
@@ -29,11 +28,8 @@ let create ~engine ?latency ?(read_service_time = 0.1)
               store = Vstore.Store.create ();
               locks = Lockmgr.Lock_table.create ~group ();
             });
-      read_time = read_service_time;
-      write_time = write_service_time;
       clock = 0;
       active_snapshots = Hashtbl.create 32;
-      gc_every;
       commits_since_gc = 0;
       commits = 0;
       aborts = 0;
@@ -81,7 +77,7 @@ let attempt_update t ~root ~ops =
         at_node t ~root ~node (fun () ->
             Hashtbl.replace touched node ();
             acquire ~node ~key Lockmgr.Lock_table.Shared;
-            Sim.Engine.sleep t.read_time;
+            Sim.Engine.sleep Common.read_time;
             ignore
               (match Hashtbl.find_opt buffered (node, key) with
               | Some v -> Some v
@@ -90,7 +86,7 @@ let attempt_update t ~root ~ops =
         at_node t ~root ~node (fun () ->
             Hashtbl.replace touched node ();
             acquire ~node ~key Lockmgr.Lock_table.Exclusive;
-            Sim.Engine.sleep t.write_time;
+            Sim.Engine.sleep Common.write_time;
             Hashtbl.replace buffered (node, key) value)
   in
   match List.iter run_op ops with
@@ -109,7 +105,7 @@ let attempt_update t ~root ~ops =
         touched;
       t.commits <- t.commits + 1;
       t.commits_since_gc <- t.commits_since_gc + 1;
-      if t.commits_since_gc >= t.gc_every then begin
+      if t.commits_since_gc >= gc_every then begin
         t.commits_since_gc <- 0;
         prune t
       end;
@@ -132,7 +128,7 @@ let submit_query t ~root ~reads =
   let t0 = Sim.Engine.now t.engine in
   let read_one (node, key) =
     at_node t ~root ~node (fun () ->
-        Sim.Engine.sleep t.read_time;
+        Sim.Engine.sleep Common.read_time;
         ignore (Vstore.Store.read_le t.nodes.(node).store key snapshot))
   in
   List.iter read_one reads;

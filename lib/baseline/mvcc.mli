@@ -16,14 +16,11 @@ type t
 val create :
   engine:Sim.Engine.t ->
   ?latency:Net.Latency.t ->
-  ?read_service_time:float ->
-  ?write_service_time:float ->
-  ?gc_every:int ->
   nodes:int ->
   unit ->
   t
 (** Versions older than the oldest active snapshot are pruned whenever a
-    snapshot retires and after every [gc_every] commits (default 20). *)
+    snapshot retires and after every 20 commits. *)
 
 val load : t -> node:int -> (string * int) list -> unit
 

@@ -7,8 +7,6 @@ type t = {
   engine : Sim.Engine.t;
   net : unit Net.Network.t;
   nodes : node array;
-  read_time : float;
-  write_time : float;
   mutable commits : int;
   mutable aborts : int;
   mutable query_count : int;
@@ -16,8 +14,7 @@ type t = {
 
 let name = "s2pl"
 
-let create ~engine ?latency ?(read_service_time = 0.1)
-    ?(write_service_time = 0.2) ~nodes () =
+let create ~engine ?latency ~nodes () =
   let group = Lockmgr.Lock_table.new_group () in
   {
     engine;
@@ -28,8 +25,6 @@ let create ~engine ?latency ?(read_service_time = 0.1)
             store = Hashtbl.create 256;
             locks = Lockmgr.Lock_table.create ~group ();
           });
-    read_time = read_service_time;
-    write_time = write_service_time;
     commits = 0;
     aborts = 0;
     query_count = 0;
@@ -68,7 +63,7 @@ let attempt_update t ~root ~ops =
         at_node t ~root ~node (fun () ->
             Hashtbl.replace touched node ();
             acquire t ~txn ~node ~key Lockmgr.Lock_table.Shared;
-            Sim.Engine.sleep t.read_time;
+            Sim.Engine.sleep Common.read_time;
             ignore
               (match Hashtbl.find_opt buffered (node, key) with
               | Some v -> Some v
@@ -77,7 +72,7 @@ let attempt_update t ~root ~ops =
         at_node t ~root ~node (fun () ->
             Hashtbl.replace touched node ();
             acquire t ~txn ~node ~key Lockmgr.Lock_table.Exclusive;
-            Sim.Engine.sleep t.write_time;
+            Sim.Engine.sleep Common.write_time;
             Hashtbl.replace buffered (node, key) value)
   in
   match List.iter run_op ops with
@@ -118,7 +113,7 @@ let submit_query t ~root ~reads =
     at_node t ~root ~node (fun () ->
         Hashtbl.replace touched node ();
         acquire t ~txn ~node ~key Lockmgr.Lock_table.Shared;
-        Sim.Engine.sleep t.read_time;
+        Sim.Engine.sleep Common.read_time;
         ignore (Hashtbl.find_opt t.nodes.(node).store key))
   in
   match List.iter read_one reads with

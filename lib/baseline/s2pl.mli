@@ -10,8 +10,6 @@ type t
 val create :
   engine:Sim.Engine.t ->
   ?latency:Net.Latency.t ->
-  ?read_service_time:float ->
-  ?write_service_time:float ->
   nodes:int ->
   unit ->
   t

@@ -9,8 +9,6 @@ type t = {
   engine : Sim.Engine.t;
   net : unit Net.Network.t;
   nodes : node array;
-  read_time : float;
-  write_time : float;
   mutable commits : int;
   mutable aborts : int;
   mutable queries : int;
@@ -19,8 +17,7 @@ type t = {
 
 let name = "two-version"
 
-let create ~engine ?latency ?(read_service_time = 0.1)
-    ?(write_service_time = 0.2) ~nodes () =
+let create ~engine ?latency ~nodes () =
   let group = Lockmgr.Lock_table.new_group () in
   {
     engine;
@@ -33,8 +30,6 @@ let create ~engine ?latency ?(read_service_time = 0.1)
             pins = Hashtbl.create 64;
             pins_zero = Sim.Condition.create ();
           });
-    read_time = read_service_time;
-    write_time = write_service_time;
     commits = 0;
     aborts = 0;
     queries = 0;
@@ -98,7 +93,7 @@ let attempt_update t ~root ~ops =
         at_node t ~root ~node (fun () ->
             Hashtbl.replace touched node ();
             acquire ~node ~key Lockmgr.Lock_table.Shared;
-            Sim.Engine.sleep t.read_time;
+            Sim.Engine.sleep Common.read_time;
             ignore
               (match Hashtbl.find_opt buffered (node, key) with
               | Some v -> Some v
@@ -107,7 +102,7 @@ let attempt_update t ~root ~ops =
         at_node t ~root ~node (fun () ->
             Hashtbl.replace touched node ();
             acquire ~node ~key Lockmgr.Lock_table.Exclusive;
-            Sim.Engine.sleep t.write_time;
+            Sim.Engine.sleep Common.write_time;
             (* The before-value stays in [store]; the new value is the
                second, uncommitted version. *)
             Hashtbl.replace buffered (node, key) value)
@@ -150,7 +145,7 @@ let submit_query t ~root ~reads =
     at_node t ~root ~node (fun () ->
         pin t.nodes.(node) key;
         pinned := (node, key) :: !pinned;
-        Sim.Engine.sleep t.read_time;
+        Sim.Engine.sleep Common.read_time;
         ignore (Hashtbl.find_opt t.nodes.(node).store key))
   in
   List.iter read_one reads;
@@ -162,7 +157,6 @@ let submit_query t ~root ~reads =
       q_staleness = Some 0.0;
     }
 
-let commit_delay_total t = t.commit_delay
 
 let max_versions_ever _ = 2
 

@@ -12,16 +12,10 @@ type t
 val create :
   engine:Sim.Engine.t ->
   ?latency:Net.Latency.t ->
-  ?read_service_time:float ->
-  ?write_service_time:float ->
   nodes:int ->
   unit ->
   t
 
 val load : t -> node:int -> (string * int) list -> unit
-
-val commit_delay_total : t -> float
-(** Virtual time writers spent waiting for query pins at commit — the
-    direct measure of reader-induced interference. *)
 
 include Workload.Db_intf.DB with type t := t

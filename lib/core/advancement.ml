@@ -2,14 +2,11 @@ open Cluster_state
 
 let tag = "advance"
 
-(* Catch the node's garbage version up to [target], simulating the scan cost
-   of each collection round.  Also the Phase-1 inference rule: a node seeing
-   advance-u(newu) with g < newu - 3 may collect everything up to newu - 3. *)
+(* Catch the node's garbage version up to [target], one collection round at
+   a time.  Also the Phase-1 inference rule: a node seeing advance-u(newu)
+   with g < newu - 3 may collect everything up to newu - 3. *)
 let catch_up_gc cs node ~target =
   while Node_state.alive node && Node_state.g node < target do
-    let items = Vstore.Store.item_count (Node_state.store node) in
-    if cs.config.Config.gc_item_time > 0.0 && items > 0 then
-      Sim.Engine.sleep (float_of_int items *. cs.config.Config.gc_item_time);
     Node_state.collect_garbage node ~newg:(Node_state.g node + 1);
     note_version_change cs
   done

@@ -39,7 +39,6 @@ type 'v repl = {
   site_epoch : int array;
   mutable rr : int;
   repl_changed : Sim.Condition.t;
-  ship_timer : bool array;
   mutable demotions : int;
   mutable promotions : int;
   mutable backup_reads : int;
@@ -100,7 +99,6 @@ let create ~engine ~config ~nodes ?(latency = Net.Latency.Constant 1.0)
       site_epoch = Array.make sites 0;
       rr = 0;
       repl_changed = Sim.Condition.create ();
-      ship_timer = Array.make nodes false;
       demotions = 0;
       promotions = 0;
       backup_reads = 0;

@@ -78,8 +78,6 @@ type 'v repl = {
   repl_changed : Sim.Condition.t;
       (** broadcast on every ship ack, demotion, promotion — what
           catch-up gates wait on *)
-  ship_timer : bool array;
-      (** per-partition: a coalescing ship flush is already scheduled *)
   mutable demotions : int;
   mutable promotions : int;
   mutable backup_reads : int;

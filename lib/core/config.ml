@@ -17,7 +17,6 @@ type t = {
   read_service_time : float;
   write_service_time : float;
   gc_renumber : bool;
-  gc_item_time : float;
   advancement_retry : float;
   rpc_timeout : float;
   disk_force_latency : float;
@@ -29,11 +28,8 @@ type t = {
   partition_aware : bool;
   replicas : int;
   replica_catchup_timeout : float;
-  replica_ship_window : float;
-  join_partitions : int;
   max_retries : int;
   retry_backoff_base : float;
-  session_pool_size : int;
   mutant : mutant option;
 }
 
@@ -50,7 +46,6 @@ let default =
     read_service_time = 0.1;
     write_service_time = 0.2;
     gc_renumber = true;
-    gc_item_time = 0.0;
     advancement_retry = 100.0;
     rpc_timeout = infinity;
     disk_force_latency = 0.0;
@@ -62,11 +57,8 @@ let default =
     partition_aware = false;
     replicas = 0;
     replica_catchup_timeout = 25.0;
-    replica_ship_window = 0.0;
-    join_partitions = 8;
     max_retries = 5;
     retry_backoff_base = 5.0;
-    session_pool_size = 4;
     mutant = None;
   }
 
@@ -111,7 +103,6 @@ let validate t =
   check_time "rpc_batch_window" t.rpc_batch_window;
   check_time "read_service_time" t.read_service_time;
   check_time "write_service_time" t.write_service_time;
-  check_time "gc_item_time" t.gc_item_time;
   if
     Float.is_nan t.advancement_retry
     || t.advancement_retry <= 0.0
@@ -139,9 +130,6 @@ let validate t =
        bounds how long a round or commit waits before demoting a lagging \
        backup"
       t.replica_catchup_timeout;
-  check_time "replica_ship_window" t.replica_ship_window;
-  if t.join_partitions < 1 then
-    invalid "join_partitions must be >= 1 (got %d)" t.join_partitions;
   if t.max_retries < 0 then
     invalid "max_retries must be >= 0 (got %d); 0 means no automatic retry"
       t.max_retries;
@@ -149,8 +137,6 @@ let validate t =
      through the seeded jitter); infinity or NaN would make the first
      backoff unschedulable. *)
   check_time "retry_backoff_base" t.retry_backoff_base;
-  if t.session_pool_size < 1 then
-    invalid "session_pool_size must be >= 1 (got %d)" t.session_pool_size;
   (* A mutant whose bug site never runs would pass its clean twin
      vacuously. *)
   let requires m why = invalid "mutant %s requires %s" (mutant_name m) why in
@@ -171,16 +157,16 @@ let durability_active t =
 let pp ppf t =
   Format.fprintf ppf
     "{scheme=%s; eager_handoff=%b; piggyback=%b; root_only_qc=%b; \
-     overlap_gc=%b; read=%g; write=%g; gc_item=%g; retry=%g; rpc_timeout=%g; \
-     force=%g; gc_window=%g/%d; rpc_window=%g; tree=%d%s; replicas=%d; \
-     session=%d@%g/%d%s}"
+     overlap_gc=%b; read=%g; write=%g; retry=%g; rpc_timeout=%g; force=%g; \
+     gc_window=%g/%d; rpc_window=%g; tree=%d%s; replicas=%d; \
+     session=%d@%g%s}"
     (Wal.Scheme.kind_name t.scheme)
     t.eager_counter_handoff t.piggyback_version t.root_only_query_counters
-    t.overlap_gc t.read_service_time t.write_service_time t.gc_item_time
-    t.advancement_retry t.rpc_timeout t.disk_force_latency
-    t.group_commit_window t.group_commit_batch t.rpc_batch_window t.tree_arity
+    t.overlap_gc t.read_service_time t.write_service_time t.advancement_retry
+    t.rpc_timeout t.disk_force_latency t.group_commit_window
+    t.group_commit_batch t.rpc_batch_window t.tree_arity
     (if t.partition_aware then "/pa" else "")
-    t.replicas t.max_retries t.retry_backoff_base t.session_pool_size
+    t.replicas t.max_retries t.retry_backoff_base
     (match t.mutant with
     | None -> ""
     | Some m -> "; mutant=" ^ mutant_name m)

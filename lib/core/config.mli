@@ -80,8 +80,6 @@ type t = {
           visiting every live item each round; [false] keeps the entry in
           place, bounding GC work by the items actually written (see
           {!Vstore.Store.create} and experiment E8b). *)
-  gc_item_time : float;
-      (** Virtual time Phase-3 garbage collection spends per stored item. *)
   advancement_retry : float;
       (** Coordinator retransmission period for unacknowledged advancement
           messages (covers participant crashes; the paper only assumes
@@ -143,17 +141,6 @@ type t = {
           partition-tolerance escape hatch.  Also the re-ship period for
           repairing batches lost to a partition.  Finite positive;
           default [25.]. *)
-  replica_ship_window : float;
-      (** Log-ship batching window: how long a primary pools fresh durable
-          records before shipping them as one batch per backup (analogous
-          to [rpc_batch_window], but at the replication layer, so one
-          window covers many commits).  [0.] (default) ships on every
-          commit/advancement poke. *)
-  join_partitions : int;
-      (** Bucket count of the grace hash join operator
-          ({!Query_exec.run_join}).  Purely an execution-shape knob: the
-          join output is sorted, so any partition count produces identical
-          results.  Must be [>= 1]; default [8]. *)
   max_retries : int;
       (** Session layer ({!Session}): how many times [Session.txn] re-runs
           a client function after a retryable failure ([Aborted],
@@ -164,11 +151,6 @@ type t = {
           [k] sleeps [retry_backoff_base * 2^k * jitter] virtual seconds
           with jitter drawn from the session's own [Rng] stream in
           [0.5, 1.5).  [0.] retries immediately.  Default [5.]. *)
-  session_pool_size : int;
-      (** Session layer: logical connections a session pools; each holds a
-          pinned coordinator node, and [Session.txn] checks one out per
-          attempt (round-robin over the cluster, skipping sites that
-          rejected with [Root_down]).  Must be [>= 1]; default [4]. *)
   mutant : mutant option;
       (** Fault injection for the schedule explorer: the one known bug to
           switch on.  Never set outside the checker.  Default [None]. *)
@@ -185,7 +167,7 @@ val validate : t -> unit
     misbehavior deep in a run: negative [tree_arity], [rpc_timeout <= 0]
     (or NaN — [infinity] is the documented "no timeout"), negative or
     non-finite [send_occupancy] / [disk_force_latency] /
-    [group_commit_window] / [rpc_batch_window] / service and GC times,
+    [group_commit_window] / [rpc_batch_window] / service times,
     [group_commit_batch < 1], a non-positive or infinite
     [advancement_retry], [partition_aware] without a relay tree, and a
     [mutant] without its precondition (each message names the mutant).

@@ -113,7 +113,6 @@ let locks t = t.lk
 let scheme t = t.sch
 let log t = t.wal
 let engine t = t.eng
-let group_commit t = t.gcd
 let commit_durable t = Wal.Group_commit.sync t.gcd
 let u t = t.uv
 let q t = t.qv
@@ -260,18 +259,7 @@ let try_checkpoint t =
     true
   end
 
-let reset_volatile t =
-  Hashtbl.iter (fun _ c -> c := 0) t.update_counts;
-  Hashtbl.iter (fun _ c -> c := 0) t.query_counts;
-  Sim.Condition.broadcast t.upd_zero;
-  Sim.Condition.broadcast t.qry_zero
-
 let fresh_txn_id t =
   t.txn_seq <- t.txn_seq + 1;
   (* Globally unique, node-recoverable, and ordered per node. *)
   (t.txn_seq * 1024) + t.node_id
-
-let pp_summary ppf t =
-  Format.fprintf ppf "node%d{u=%d q=%d g=%d items=%d}" t.node_id t.uv t.qv
-    t.gv
-    (Vstore.Store.item_count t.st)

@@ -46,7 +46,6 @@ val locks : _ t -> Lockmgr.Lock_table.t
 val scheme : 'v t -> 'v Wal.Scheme.t
 val log : 'v t -> 'v Wal.Log.t
 val engine : _ t -> Sim.Engine.t
-val group_commit : 'v t -> 'v Wal.Group_commit.t
 
 val commit_durable : _ t -> unit
 (** Block (inside a process) until every record currently in this node's
@@ -144,10 +143,6 @@ val create_recovered :
     and version numbers survive, the counters restart at zero (the paper's
     rule — all in-flight transactions died with the crash). *)
 
-val reset_volatile : _ t -> unit
-(** Simulate loss of main memory: zero every counter (in-flight transactions
-    are aborted separately by the caller). *)
-
 val active_update_transactions : _ t -> int
 (** Update subtransactions currently counted at this node (any version). *)
 
@@ -160,5 +155,3 @@ val try_checkpoint : _ t -> bool
 val fresh_txn_id : _ t -> int
 (** Node-local transaction id allocator (ids are globally unique across a
     cluster because they embed the node id). *)
-
-val pp_summary : Format.formatter -> _ t -> unit

@@ -177,8 +177,10 @@ let pair_compare (a, b) (c, d) =
    pin (the paper's motivating decision-support query), then joined at the
    root on the indexed attribute.  The join operator itself charges one
    read-service per input row; its sorted output makes the result
-   independent of [join_partitions] and of the access-path plan whenever
+   independent of the bucket count and of the access-path plan whenever
    the inputs match. *)
+let join_buckets = 8
+
 let run_join cs ~root ~(plan : select_plan) ~build:(bparts, blo, bhi)
     ~probe:(pparts, plo, phi) =
   let q = Query_core.start cs ~root ~kind:`Join in
@@ -199,7 +201,7 @@ let run_join cs ~root ~(plan : select_plan) ~build:(bparts, blo, bhi)
       *. float_of_int (List.length build_rows + List.length probe_rows));
     let ix = require_index (Query_core.root_node q) in
     let key_of (_, _, value) = Vindex.Index.extract ix value in
-    Vindex.Join.hash_join ~partitions:cs.config.Config.join_partitions
+    Vindex.Join.hash_join ~partitions:join_buckets
       ~compare:pair_compare ~build:build_rows ~probe:probe_rows
       ~build_key:key_of ~probe_key:key_of
     |> fun pairs -> (build_rows, probe_rows, pairs)

@@ -93,6 +93,6 @@ val run_join :
 (** Grace hash join of two attribute ranges — each side a (partitions,
     attr-lo, attr-hi) fan-out — executed as one long read-only transaction
     under a single pinned version and joined at the root on the indexed
-    attribute.  The sorted output is independent of
-    {!Config.t.join_partitions} and, whenever the per-side inputs match, of
-    the access-path [plan]. *)
+    attribute, over 8 hash buckets.  The sorted output is independent of
+    the bucket count and, whenever the per-side inputs match, of the
+    access-path [plan]. *)

@@ -213,16 +213,7 @@ let flush cs p =
    partition after appending (and forcing) records — there is no daemon,
    so a quiescent cluster stays quiescent and [Engine.run] terminates. *)
 let poke cs p =
-  if active cs && Array.length (backups cs p) > 0 then begin
-    let w = cs.config.Config.replica_ship_window in
-    if w <= 0.0 then flush cs p
-    else if not cs.repl.ship_timer.(p) then begin
-      cs.repl.ship_timer.(p) <- true;
-      Sim.Engine.schedule cs.engine ~name:"ship-flush" ~delay:w (fun () ->
-          cs.repl.ship_timer.(p) <- false;
-          flush cs p)
-    end
-  end
+  if active cs && Array.length (backups cs p) > 0 then flush cs p
 
 let maybe_resync cs p b =
   if not b.b_insync then begin

@@ -3,11 +3,11 @@
     With [Config.replicas = r > 0] every partition has a primary plus [r]
     backup sites.  All updates run at primaries; each primary ships its
     WAL to its backups in [Ship] batches (event-driven — commits,
-    advancement phases and GC poke the shipper; [replica_ship_window]
-    coalesces pokes).  A backup appends the shipped records to its own log
-    and applies them incrementally with exactly {!Wal.Recovery.replay}'s
-    rules, so its store tracks the primary's committed state and its log
-    is always a prefix of the primary's (per epoch).
+    advancement phases and GC poke the shipper, which ships at once).  A
+    backup appends the shipped records to its own log and applies them
+    incrementally with exactly {!Wal.Recovery.replay}'s rules, so its
+    store tracks the primary's committed state and its log is always a
+    prefix of the primary's (per epoch).
 
     {b Version-pinned reads}: a backup serves a read pinned at version [v]
     only once its applied query version has reached [v]
@@ -34,9 +34,8 @@ val flush : _ Cluster_state.t -> int -> unit
     unacknowledged for a full [replica_catchup_timeout]). *)
 
 val poke : _ Cluster_state.t -> int -> unit
-(** Request a ship for partition [p]: immediate with
-    [replica_ship_window = 0], else coalesced into one flush per
-    window. *)
+(** Ship partition [p]'s fresh records now: {!flush} when the partition
+    has backups, else nothing. *)
 
 val handle_ship :
   'v Cluster_state.t ->

@@ -8,13 +8,6 @@ type 'v op =
   | Begin_at of int
   | Pause of float
 
-let op_node = function
-  | Read { node; _ } | Write { node; _ } | Read_modify_write { node; _ }
-  | Delete { node; _ } ->
-      Some node
-  | Begin_at node -> Some node
-  | Pause _ -> None
-
 type abort_reason = Subtxn.abort_reason
 
 type 'v commit_info = {

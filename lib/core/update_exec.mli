@@ -20,8 +20,6 @@ type 'v op =
           node j well before its first data access there). *)
   | Pause of float  (** Local computation time at the root. *)
 
-val op_node : _ op -> int option
-
 type abort_reason = Subtxn.abort_reason
 
 type 'v commit_info = {

@@ -15,8 +15,7 @@ type timings = {
 
 type result = { timings : timings; violations : string list }
 
-let run ?(eager_handoff = false) ?(long_update_duration = 50.0)
-    ?(long_query_duration = 100.0) () =
+let run ?(eager_handoff = false) ?(long_query_duration = 100.0) () =
   let read_service = 0.5 in
   let config =
     {
@@ -38,19 +37,19 @@ let run ?(eager_handoff = false) ?(long_update_duration = 50.0)
   let long_update_done = ref infinity in
   let long_query_done = ref infinity in
   let short_update_max = ref 0.0 and short_query_max = ref 0.0 in
-  (* The long version-(v+1) update transaction, active when advancement
-     starts.  Halfway through it touches an item a version-(v+2)
-     transaction has committed, forcing its moveToFuture — with the eager
-     hand-off this releases its hold on Phase 1. *)
+  (* The long version-(v+1) update transaction (50 vt of pauses), active
+     when advancement starts.  Halfway through it touches an item a
+     version-(v+2) transaction has committed, forcing its moveToFuture —
+     with the eager hand-off this releases its hold on Phase 1. *)
   Sim.Engine.schedule engine ~delay:5.0 (fun () ->
       (match
          Ava3.Cluster.run_update db ~root:0
            ~ops:
              [
                Update.Write { node = 0; key = "n0-k0"; value = 1 };
-               Update.Pause (long_update_duration /. 2.0);
+               Update.Pause 25.0;
                Update.Write { node = 0; key = "n0-k1"; value = 1 };
-               Update.Pause (long_update_duration /. 2.0);
+               Update.Pause 25.0;
              ]
        with
       | Update.Committed _ -> ()

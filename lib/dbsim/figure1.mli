@@ -32,7 +32,6 @@ type result = { timings : timings; violations : string list }
 
 val run :
   ?eager_handoff:bool ->
-  ?long_update_duration:float ->
   ?long_query_duration:float ->
   unit ->
   result

@@ -29,8 +29,14 @@ let key_name (n, k) = Printf.sprintf "n%d-%s" n k
    ops produce different values. *)
 let transform ~salt old = ((Option.value old ~default:0 * 31) + salt) mod 100_003
 
-let recording_run ?(seed = 101L) ?(nodes = 3) ?(transactions = 60)
-    ?(queries = 25) ?(advancements = 4) () =
+(* Workload shape: 3 nodes, 60 update transactions, 25 queries and 4
+   advancement rounds. *)
+let nodes = 3
+let transactions = 60
+let queries = 25
+let advancements = 4
+
+let recording_run ?(seed = 101L) () =
   let engine = Sim.Engine.create ~seed ~trace:false () in
   let config =
     { Ava3.Config.default with read_service_time = 0.3; write_service_time = 0.5 }

@@ -54,14 +54,9 @@ type verdict = {
   errors : string list;  (** empty iff the history is serializable *)
 }
 
-val recording_run :
-  ?seed:int64 ->
-  ?nodes:int ->
-  ?transactions:int ->
-  ?queries:int ->
-  ?advancements:int ->
-  unit ->
-  history
+val recording_run : ?seed:int64 -> unit -> history
+(** 60 update transactions and 25 queries over 3 nodes, interleaved with 4
+    advancement rounds. *)
 
 val verify : history -> verdict
 

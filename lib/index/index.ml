@@ -209,5 +209,3 @@ let check t ~version =
 
 let stats t : stats =
   { updates = t.updates; probes = t.probes; candidates = t.candidates }
-let distinct_attributes t = Smap.cardinal t.postings
-let indexed_keys t = Hashtbl.length t.live

@@ -51,6 +51,3 @@ type stats = { updates : int; probes : int; candidates : int }
 val stats : 'v t -> stats
 (** [updates] = listener firings since {!attach}; [probes] = calls to
     {!probe}; [candidates] = total candidate keys those probes resolved. *)
-
-val distinct_attributes : 'v t -> int
-val indexed_keys : 'v t -> int

@@ -274,19 +274,6 @@ let waiting_requests t =
       acc + List.length (List.filter (fun w -> w.w_live) lock.queue))
     t.table 0
 
-let holders_of t ~key =
-  match Hashtbl.find_opt t.table key with
-  | None -> []
-  | Some lock -> lock.holders
-
-let waiters_of t ~key =
-  match Hashtbl.find_opt t.table key with
-  | None -> []
-  | Some lock ->
-      List.filter_map
-        (fun w -> if w.w_live then Some (w.w_owner, w.w_mode) else None)
-        lock.queue
-
 let iter_locked t f =
   Hashtbl.iter
     (fun key lock ->
@@ -300,4 +287,3 @@ let iter_locked t f =
 let waits t = t.waits
 let deadlocks t = t.deadlocks
 let total_wait_time t = t.total_wait_time
-let locked_keys t = Hashtbl.length t.table

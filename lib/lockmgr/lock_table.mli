@@ -55,9 +55,6 @@ val release_shared : t -> owner:int -> unit
 val waiting_requests : t -> int
 (** Live queued requests right now. *)
 
-val holders_of : t -> key:string -> (int * mode) list
-val waiters_of : t -> key:string -> (int * mode) list
-
 val iter_locked : t -> (string -> (int * mode) list -> (int * mode) list -> unit) -> unit
 (** [f key holders waiters] for every key with any holder or live waiter. *)
 
@@ -67,6 +64,3 @@ val waits : t -> int
 val deadlocks : t -> int
 val total_wait_time : t -> float
 (** Summed virtual time spent blocked in {!acquire}. *)
-
-val locked_keys : t -> int
-(** Number of keys with at least one holder or waiter. *)

@@ -58,15 +58,21 @@ type 'v t = {
      divergence harness must convict this twin.  Never enable outside
      tests. *)
   skip_query_latch : bool;
-  race_window : int;
 }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
+(* Store buckets and item-lock stripes per site; the stripe count is a
+   power of two so a key's stripe is its hash masked. *)
+let buckets = 64
+let lock_stripes = 1024
 
-let create ?(buckets = 64) ?(lock_stripes = 1024) ?(gc_renumber = true)
-    ?(skip_query_latch = false) ?(race_window = 2000) ~sites () =
+(* Spins that widen the buggy twin's read-modify-write window. *)
+let race_window = 2000
+
+(* Whole-transaction retries on item-lock contention before aborting. *)
+let max_retries = 64
+
+let create ?(gc_renumber = true) ?(skip_query_latch = false) ~sites () =
   if sites < 1 then invalid_arg "Backend.create: need at least one site";
-  let stripes = pow2_at_least (max 1 lock_stripes) 1 in
   let mk_site site_id =
     let update_counts = Hashtbl.create 8 in
     let query_counts = Hashtbl.create 8 in
@@ -85,8 +91,8 @@ let create ?(buckets = 64) ?(lock_stripes = 1024) ?(gc_renumber = true)
       g = -1;
       update_counts;
       query_counts;
-      item_locks = Array.init stripes (fun _ -> Atomic.make 0);
-      lock_mask = stripes - 1;
+      item_locks = Array.init lock_stripes (fun _ -> Atomic.make 0);
+      lock_mask = lock_stripes - 1;
     }
   in
   {
@@ -96,10 +102,8 @@ let create ?(buckets = 64) ?(lock_stripes = 1024) ?(gc_renumber = true)
     registry_latch = Latch.create ();
     registries = [];
     skip_query_latch;
-    race_window;
   }
 
-let site_count t = Array.length t.sites
 let site t i = t.sites.(i)
 let store s = s.store
 
@@ -376,7 +380,7 @@ let attempt w ~root ~ops ~marker =
       cleanup ();
       raise e
 
-let run_update ?(max_retries = 64) w ~root ~ops =
+let run_update w ~root ~ops =
   let b = w.b in
   let txn_id = Atomic.fetch_and_add b.txn_seq 1 in
   let marker = txn_id in
@@ -418,7 +422,7 @@ let query_begin b s =
       Latch.with_latch s.counters (fun () -> (s.q, counter s.query_counts s.q))
     in
     let cur = !c in
-    for _ = 1 to b.race_window do
+    for _ = 1 to race_window do
       Domain.cpu_relax ()
     done;
     c := cur + 1;

@@ -25,27 +25,21 @@ type 'v t
 type 'v site
 
 val create :
-  ?buckets:int ->
-  ?lock_stripes:int ->
   ?gc_renumber:bool ->
   ?skip_query_latch:bool ->
-  ?race_window:int ->
   sites:int ->
   unit ->
   'v t
 (** A backend of [sites] sites, each starting in the paper's §3.1 state
     (all data loadable at version 0, q = 0, u = 1, g = -1) with a
-    [bound = 3] store.  [buckets] and [lock_stripes] set the store and
-    item-lock striping grain per site.
+    [bound = 3] store of 64 latch buckets and 1024 item-lock stripes.
 
     [skip_query_latch] is fault injection for the divergence harness
     (the mcore analogue of a [Config.mutant]): the query-begin
-    counter bump becomes a naked read-modify-write widened by
-    [race_window] spins.  Correct on any single-domain schedule;
-    convictable only by concurrent execution.  Never enable outside
-    tests. *)
+    counter bump becomes a naked read-modify-write widened by 2000
+    spins.  Correct on any single-domain schedule; convictable only by
+    concurrent execution.  Never enable outside tests. *)
 
-val site_count : _ t -> int
 val site : 'v t -> int -> 'v site
 val store : 'v site -> 'v Mstore.t
 
@@ -93,10 +87,11 @@ type 'v outcome =
       (** item-lock contention persisted past the retry budget *)
 
 val run_update :
-  ?max_retries:int -> 'v worker -> root:int -> ops:(int * 'v op) list -> 'v outcome
+  'v worker -> root:int -> ops:(int * 'v op) list -> 'v outcome
 (** Execute one update transaction: [ops] are (site, op) pairs in
     program order; the root's subtransaction is registered first and
-    participates in the version decision even without ops. *)
+    participates in the version decision even without ops.  Item-lock
+    contention retries the whole transaction up to 64 times. *)
 
 (** {1 Queries} *)
 

@@ -33,7 +33,7 @@ type workload = {
 
 (* Everything flows from Sim.Rng, so a workload is a pure function of its
    seed — the two backends are fed literally the same value. *)
-let generate ?(events = 40) ~seed () =
+let generate ~seed =
   let rng = Sim.Rng.create (Int64.of_int seed) in
   let sites = Sim.Rng.int_in rng 3 5 in
   let keys_per_site = 6 in
@@ -78,7 +78,7 @@ let generate ?(events = 40) ~seed () =
     end
     else Advance { coordinator = random_site () }
   in
-  { seed; sites; preload; events = List.init events event }
+  { seed; sites; preload; events = List.init 40 event }
 
 (* ---- Observations ------------------------------------------------------ *)
 
@@ -269,8 +269,8 @@ let stats_of_run r =
     }
     r.observations
 
-let check ?(gc_renumber = true) ?(skip_query_latch = false) ?events ~seed () =
-  let w = generate ?events ~seed () in
+let check ?(gc_renumber = true) ?(skip_query_latch = false) ~seed () =
+  let w = generate ~seed in
   let des = run_des ~gc_renumber w in
   let mc = run_mcore ~gc_renumber ~skip_query_latch w in
   match diff ~des ~mcore:mc with
@@ -291,22 +291,21 @@ let check ?(gc_renumber = true) ?(skip_query_latch = false) ?events ~seed () =
    race window dominating each iteration so that even on a single
    hardware core the OS preempting a domain mid-window (with another
    domain then completing whole queries inside it) loses increments. *)
-let convict_racy_twin ?(domains = 4) ?(iters_per_domain = 50_000)
-    ?(time_budget = 10.0) () =
+let convict_racy_twin ?(domains = 4) () =
   let b : int Backend.t =
-    Backend.create ~sites:1 ~skip_query_latch:true ~race_window:2000 ()
+    Backend.create ~sites:1 ~skip_query_latch:true ()
   in
   Backend.load b ~site:0 [ ("x", 1) ];
   let convicted = Atomic.make 0 in
   let stop = Atomic.make false in
-  let deadline = Unix.gettimeofday () +. time_budget in
+  let deadline = Unix.gettimeofday () +. 10.0 in
   let body () =
     let wk = Backend.worker b in
     (try
        let i = ref 0 in
        while
          (not (Atomic.get stop))
-         && !i < iters_per_domain
+         && !i < 50_000
          && Unix.gettimeofday () < deadline
        do
          incr i;

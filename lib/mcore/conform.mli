@@ -28,11 +28,10 @@ type workload = {
   events : event list;
 }
 
-val generate : ?events:int -> seed:int -> unit -> workload
+val generate : seed:int -> workload
 (** Pure function of [seed] (all randomness from [Sim.Rng]): 3-5 sites,
-    6 keys per site preloaded at version 0, then [events] (default 40)
-    drawn roughly 60% multi-site updates / 25% queries / 15%
-    advancement initiations. *)
+    6 keys per site preloaded at version 0, then 40 events drawn roughly
+    60% multi-site updates / 25% queries / 15% advancement initiations. *)
 
 (** {1 Running a workload} *)
 
@@ -77,7 +76,6 @@ type stats = {
 val check :
   ?gc_renumber:bool ->
   ?skip_query_latch:bool ->
-  ?events:int ->
   seed:int ->
   unit ->
   (stats, string list) result
@@ -88,13 +86,9 @@ val check :
 
 (** {1 The racy twin} *)
 
-val convict_racy_twin :
-  ?domains:int ->
-  ?iters_per_domain:int ->
-  ?time_budget:float ->
-  unit ->
-  string list
-(** Hammer one site's query counter from several domains with
+val convict_racy_twin : ?domains:int -> unit -> string list
+(** Hammer one site's query counter from several domains (each running at
+    most 50,000 queries within 10 s of wall time) with
     [skip_query_latch] enabled and return the evidence of lost counter
     increments (negative-counter exceptions observed, plus
     [Backend.check_quiescent] residue).  An empty list means the twin

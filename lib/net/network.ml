@@ -5,7 +5,6 @@ type 'm t = {
   engine : Sim.Engine.t;
   nodes : int;
   latency : Latency.t;
-  self_latency : float;
   send_occupancy : float;
   (* Sender serialization: earliest time each node's transmitter is free. *)
   send_clock : float array;
@@ -29,7 +28,7 @@ type 'm t = {
   mutable envelopes : int;
 }
 
-let create ~engine ~nodes ?(latency = Latency.Constant 1.0) ?(self_latency = 0.0)
+let create ~engine ~nodes ?(latency = Latency.Constant 1.0)
     ?(send_occupancy = 0.0) ?(call_timeout = infinity) ?(batch_window = 0.0)
     ?metrics () =
   if nodes <= 0 then invalid_arg "Network.create: need at least one node";
@@ -40,7 +39,6 @@ let create ~engine ~nodes ?(latency = Latency.Constant 1.0) ?(self_latency = 0.0
     engine;
     nodes;
     latency;
-    self_latency;
     send_occupancy;
     send_clock = Array.make nodes 0.0;
     call_timeout;
@@ -105,7 +103,7 @@ let link_count t ~src ~dst =
    the same link. *)
 let delivery_delay t ~src ~dst =
   let raw =
-    (if src = dst then t.self_latency else Latency.sample t.latency t.rng)
+    (if src = dst then 0.0 else Latency.sample t.latency t.rng)
     +. t.link_extra.(src).(dst)
   in
   let now = Sim.Engine.now t.engine in

@@ -14,17 +14,16 @@ val create :
   engine:Sim.Engine.t ->
   nodes:int ->
   ?latency:Latency.t ->
-  ?self_latency:float ->
   ?send_occupancy:float ->
   ?call_timeout:float ->
   ?batch_window:float ->
   ?metrics:Sim.Metrics.t ->
   unit ->
   'm t
-(** [latency] defaults to [Constant 1.0]; [self_latency] (messages a node
-    sends to itself) defaults to [0.].  [call_timeout] is the default
-    timeout for {!call} (simulated seconds); it defaults to [infinity],
-    i.e. callers wait forever unless they pass an explicit [?timeout].
+(** [latency] defaults to [Constant 1.0]; messages a node sends to itself
+    take no time.  [call_timeout] is the default timeout for {!call}
+    (simulated seconds); it defaults to [infinity], i.e. callers wait
+    forever unless they pass an explicit [?timeout].
 
     [send_occupancy] (default [0.]) models sender-side serialization:
     each remote message reserves the source node's transmitter for that

@@ -13,12 +13,8 @@ type 'v t = {
   mutable next_conn : int;
 }
 
-let create ?pool ?coordinators ~seed db =
+let create ?(pool = 4) ?coordinators ~seed db =
   let cs = Cluster.state db in
-  let config = Cluster.config db in
-  let pool =
-    match pool with Some p -> p | None -> config.Config.session_pool_size
-  in
   if pool < 1 then invalid_arg "Session.create: pool must be >= 1";
   let coords =
     match coordinators with

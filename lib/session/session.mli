@@ -2,9 +2,9 @@
     transactions, and seeded automatic retry on top of {!Ava3.Txn_core}.
 
     A session is what application code holds instead of a raw cluster
-    handle.  It pools [Config.session_pool_size] logical connections, each
-    pinned to a coordinator partition (round-robin over the cluster), and
-    runs client functions as update transactions:
+    handle.  It pools logical connections (4 by default), each pinned to a
+    coordinator partition (round-robin over the cluster), and runs client
+    functions as update transactions:
 
     {[
       let s = Session.create db ~seed:42L in
@@ -50,12 +50,11 @@ type 'v t
 
 val create :
   ?pool:int -> ?coordinators:int list -> seed:int64 -> 'v Ava3.Cluster.t -> 'v t
-(** [create db ~seed] opens a session.  [?pool] overrides
-    [Config.session_pool_size]; [?coordinators] pins the logical
-    connections to the given partitions instead of round-robin over all of
-    them.  [seed] feeds the session's private jitter/choice stream
-    (forked by name, so equal seeds give equal streams regardless of
-    draw order elsewhere). *)
+(** [create db ~seed] opens a session.  [?pool] is its number of logical
+    connections (default 4, must be [>= 1]); [?coordinators] pins them to
+    the given partitions instead of round-robin over all of them.  [seed]
+    feeds the session's private jitter/choice stream (forked by name, so
+    equal seeds give equal streams regardless of draw order elsewhere). *)
 
 val cluster : 'v t -> 'v Ava3.Cluster.t
 val rng : _ t -> Sim.Rng.t

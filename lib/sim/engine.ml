@@ -57,7 +57,6 @@ let now t = t.clock
 let rng t = t.root_rng
 let trace t = t.trace_rec
 let trace_enabled t = Trace.enabled t.trace_rec
-let current_process t = t.current_name
 
 let set_chooser t chooser = t.chooser <- chooser
 

@@ -90,10 +90,6 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     every trace entry emitted while the process runs (across suspensions)
     carries the name in its [process] field. *)
 
-val current_process : t -> string option
-(** Name of the process whose code is currently executing, if it was
-    spawned with [~name]. *)
-
 val schedule : t -> ?name:string -> delay:float -> (unit -> unit) -> unit
 (** Start a new process after [delay] units of virtual time.  [name] acts
     as in {!spawn} (minus the spawn trace entry) and additionally labels

@@ -118,7 +118,5 @@ let pop_unsafe t =
   remove_min t;
   payload
 
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
-
 let slot_is_vacant t i =
   i >= Array.length t.data || t.data.(i) == t.dummy

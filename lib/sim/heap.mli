@@ -34,12 +34,9 @@ val pop_unsafe : 'a t -> 'a
     {!min_time} first if needed) — calling this on an empty heap is a
     programming error. *)
 
-val peek_time : 'a t -> float option
-(** Time key of the minimum element without removing it. *)
-
 val min_time : 'a t -> float
-(** Time key of the minimum element, without the option allocation of
-    {!peek_time}.  The heap must be non-empty. *)
+(** Time key of the minimum element without removing it.  The heap must
+    be non-empty. *)
 
 val slot_is_vacant : 'a t -> int -> bool
 (** [slot_is_vacant t i] is true when backing payload slot [i] holds no

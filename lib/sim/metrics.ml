@@ -242,7 +242,6 @@ let total_version_mismatches t = sum (fun m -> m.version_mismatches) t
 let total_advancements t = sum (fun m -> m.advancements) t
 let total_rpc_calls t = sum (fun m -> m.rpc_calls) t
 let total_rpc_timeouts t = sum (fun m -> m.rpc_timeouts) t
-let total_envelopes t = sum (fun m -> m.envelopes) t
 let total_disk_forces t = sum (fun m -> m.disk_forces) t
 let total_records_forced t = sum (fun m -> m.records_forced) t
 let total_savepoint_rollbacks t = sum (fun m -> m.savepoint_rollbacks) t

@@ -105,7 +105,6 @@ val total_version_mismatches : t -> int
 val total_advancements : t -> int
 val total_rpc_calls : t -> int
 val total_rpc_timeouts : t -> int
-val total_envelopes : t -> int
 val total_disk_forces : t -> int
 val total_records_forced : t -> int
 val total_savepoint_rollbacks : t -> int

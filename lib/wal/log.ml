@@ -12,8 +12,6 @@ let append t r =
 
 let length t = t.count
 let records t = List.rev t.rev
-let records_rev t = t.rev
-let fold_rev f init t = List.fold_left f init t.rev
 
 let slice t ~from_ ~upto =
   if from_ < 0 || upto > t.count || from_ > upto then

@@ -21,12 +21,6 @@ val length : _ t -> int
 val records : 'v t -> 'v Record.t list
 (** In append order. *)
 
-val records_rev : 'v t -> 'v Record.t list
-(** Newest first — the direction moveToFuture walks. *)
-
-val fold_rev : ('a -> 'v Record.t -> 'a) -> 'a -> 'v t -> 'a
-(** Fold newest-to-oldest. *)
-
 val slice : 'v t -> from_:int -> upto:int -> 'v Record.t list
 (** Records with 0-based indexes [from_ .. upto - 1], in append order —
     the shape a log-shipping cursor sends to a replica.  Raises

@@ -14,15 +14,6 @@ type 'v t =
       g : int;
     }
 
-let txn_of = function
-  | Begin { txn; _ }
-  | Update { txn; _ }
-  | Commit { txn; _ }
-  | Rollback { txn; _ }
-  | Abort { txn } ->
-      Some txn
-  | Advance_update _ | Advance_query _ | Collect _ | Checkpoint _ -> None
-
 let pp pp_v ppf = function
   | Begin { txn; version } -> Format.fprintf ppf "begin(T%d, v%d)" txn version
   | Update { txn; key; value = Some v } ->

@@ -34,7 +34,4 @@ type 'v t =
           transaction is active at the node (the paper's remark about
           coordinating checkpoints, after BPR+96). *)
 
-val txn_of : _ t -> int option
-(** Transaction a record belongs to, if any. *)
-
 val pp : (Format.formatter -> 'v -> unit) -> Format.formatter -> 'v t -> unit

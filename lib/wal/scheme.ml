@@ -35,7 +35,6 @@ type 'v t = {
   mutable stat_mtf : int;
   mutable stat_mtf_trivial : int;
   mutable stat_copied : int;
-  mutable stat_undone : int;
 }
 
 let create kind ~store ~log =
@@ -46,7 +45,6 @@ let create kind ~store ~log =
     stat_mtf = 0;
     stat_mtf_trivial = 0;
     stat_copied = 0;
-    stat_undone = 0;
   }
 
 let kind t = t.scheme_kind
@@ -122,8 +120,7 @@ let move_to_future t s ~new_version =
                 ~dst:new_version;
               t.stat_copied <- t.stat_copied + 1
             end;
-            apply_image t key old_version image;
-            t.stat_undone <- t.stat_undone + 1)
+            apply_image t key old_version image)
           s.undo_log;
         (* The items now live at new_version where nothing pre-existed. *)
         s.undo_log <- List.map (fun (key, _) -> (key, Absent)) s.undo_log);
@@ -211,4 +208,3 @@ let abort t s =
 let mtf_invocations t = t.stat_mtf
 let mtf_trivial t = t.stat_mtf_trivial
 let mtf_items_copied t = t.stat_copied
-let mtf_undos_applied t = t.stat_undone

@@ -89,4 +89,3 @@ val mtf_trivial : _ t -> int
 (** Invocations that were virtual no-ops (the [No_undo] fast path). *)
 
 val mtf_items_copied : _ t -> int
-val mtf_undos_applied : _ t -> int

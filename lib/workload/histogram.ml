@@ -27,7 +27,6 @@ let fold f init t =
   !acc
 
 let mean t = if t.len = 0 then 0.0 else fold ( +. ) 0.0 t /. float_of_int t.len
-let min_value t = if t.len = 0 then 0.0 else fold min infinity t
 let max_value t = if t.len = 0 then 0.0 else fold max neg_infinity t
 
 let ensure_sorted t =

@@ -10,7 +10,6 @@ val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
-val min_value : t -> float
 val max_value : t -> float
 
 val percentile : t -> float -> float

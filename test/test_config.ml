@@ -73,16 +73,9 @@ let test_service_times () =
     (rejected { C.default with read_service_time = -0.1 });
   check_bool "negative write_service_time rejected" true
     (rejected { C.default with write_service_time = -0.1 });
-  check_bool "negative gc_item_time rejected" true
-    (rejected { C.default with gc_item_time = -0.1 });
   check_bool "free (zero-cost) services fine" false
     (rejected
-       {
-         C.default with
-         read_service_time = 0.0;
-         write_service_time = 0.0;
-         gc_item_time = 0.0;
-       })
+       { C.default with read_service_time = 0.0; write_service_time = 0.0 })
 
 let test_advancement_retry () =
   check_bool "zero retry period rejected" true
@@ -113,12 +106,6 @@ let test_replication_knobs () =
     (rejected { C.default with replica_catchup_timeout = Float.nan });
   check_bool "infinite catch-up timeout rejected" true
     (rejected { C.default with replica_catchup_timeout = infinity });
-  check_bool "negative ship window rejected" true
-    (rejected { C.default with replica_ship_window = -1.0 });
-  check_bool "nan ship window rejected" true
-    (rejected { C.default with replica_ship_window = Float.nan });
-  check_bool "coalesced shipping fine" false
-    (rejected { C.default with replicas = 1; replica_ship_window = 2.0 });
   check_bool "ack-early without replicas rejected" true
     (rejected { C.default with mutant = Some Replica_ack_early });
   check_bool "ack-early twin with replicas fine" false
@@ -138,10 +125,6 @@ let test_session_knobs () =
     (rejected { C.default with retry_backoff_base = infinity });
   check_bool "zero backoff base fine (immediate retries)" false
     (rejected { C.default with retry_backoff_base = 0.0 });
-  check_bool "zero pool rejected" true
-    (rejected { C.default with session_pool_size = 0 });
-  check_bool "negative pool rejected" true
-    (rejected { C.default with session_pool_size = -3 });
   check_bool "leak twin knob is a valid (deliberately broken) config" false
     (rejected { C.default with mutant = Some Savepoint_leak })
 
@@ -180,10 +163,6 @@ let test_message_names_knob () =
     (contains
        (msg { C.default with replica_catchup_timeout = 0.0 })
        "replica_catchup_timeout");
-  check_bool "names replica_ship_window" true
-    (contains
-       (msg { C.default with replica_ship_window = -2.0 })
-       "replica_ship_window");
   List.iter
     (fun m ->
       let name = C.mutant_name m in
@@ -195,11 +174,7 @@ let test_message_names_knob () =
   check_bool "names retry_backoff_base" true
     (contains
        (msg { C.default with retry_backoff_base = -1.0 })
-       "retry_backoff_base");
-  check_bool "names session_pool_size" true
-    (contains
-       (msg { C.default with session_pool_size = 0 })
-       "session_pool_size")
+       "retry_backoff_base")
 
 let test_pp_names_mutant () =
   let pp c = Format.asprintf "%a" C.pp c in

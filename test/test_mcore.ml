@@ -252,10 +252,10 @@ let test_convict_racy_twin () =
     Alcotest.fail "divergence harness failed to convict the latch-skipping twin"
 
 let test_workload_generation_deterministic () =
-  let w1 = Mcore.Conform.generate ~seed:42 () in
-  let w2 = Mcore.Conform.generate ~seed:42 () in
+  let w1 = Mcore.Conform.generate ~seed:42 in
+  let w2 = Mcore.Conform.generate ~seed:42 in
   Alcotest.(check bool) "same seed, same workload" true (w1 = w2);
-  let w3 = Mcore.Conform.generate ~seed:43 () in
+  let w3 = Mcore.Conform.generate ~seed:43 in
   Alcotest.(check bool) "different seed, different workload" true (w1 <> w3)
 
 (* ---- Metrics merge across domains --------------------------------------- *)
