@@ -198,6 +198,7 @@ let run_check () =
           string_of_int s.Explorer.distinct_states;
           string_of_int s.Explorer.max_depth;
           string_of_bool s.Explorer.exhausted;
+          Fingerprint.to_hex s.Explorer.states_digest;
         ])
       Scenarios.must_clear
   in
@@ -206,7 +207,7 @@ let run_check () =
        ~header:
          [
            "scenario"; "schedules"; "completed"; "pruned"; "distinct";
-           "max-depth"; "exhausted";
+           "max-depth"; "exhausted"; "states";
          ]
        ~rows);
   (* Conviction self-tests: every deliberately broken twin in the
@@ -260,11 +261,14 @@ let write_json path =
     let one (name, (s : Explorer.stats)) =
       Printf.sprintf
         "    \"%s\": {\"schedules\": %d, \"completed\": %d, \"pruned\": %d, \
-         \"distinct_states\": %d, \"choice_points\": %d, \"max_depth\": %d, \
-         \"exhausted\": %b, \"elapsed_s\": %g}"
+         \"distinct_states\": %d, \"states_digest\": \"%s\", \
+         \"choice_points\": %d, \"max_depth\": %d, \"exhausted\": %b, \
+         \"elapsed_s\": %g}"
         (Dbsim.Report.json_escape name) s.Explorer.schedules s.Explorer.completed
-        s.Explorer.pruned s.Explorer.distinct_states s.Explorer.choice_points
-        s.Explorer.max_depth s.Explorer.exhausted s.Explorer.elapsed_s
+        s.Explorer.pruned s.Explorer.distinct_states
+        (Fingerprint.to_hex s.Explorer.states_digest)
+        s.Explorer.choice_points s.Explorer.max_depth s.Explorer.exhausted
+        s.Explorer.elapsed_s
     in
     match !check_stats with
     | [] -> "{}"
