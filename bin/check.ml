@@ -153,6 +153,8 @@ let () =
   in
   Arg.parse specs (reject "unexpected argument %S") usage;
   if !budget < 1 then reject "--budget must be >= 1 (got %d)" !budget;
+  if !max_depth < 1 then
+    reject "--max-depth must be >= 1 (got %d)" !max_depth;
   if !list_only then begin
     List.iter
       (fun (sc : Scenario.t) ->

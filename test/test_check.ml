@@ -124,6 +124,14 @@ let test_race2_clean_small_budget () =
   check_bool "many schedules enumerated" true (r.stats.schedules >= 100);
   check_bool "several choice points per run" true (r.stats.choice_points > 0)
 
+let test_max_depth_cut_not_exhausted () =
+  (* mtf-race's full space is 31 schedules; branching at depth 0 only
+     leaves alternatives untried, so the search must not claim coverage. *)
+  let sc = Option.get (Scenarios.find "mtf-race") in
+  let r = Explorer.explore ~max_depth:1 sc in
+  check_bool "no violation" true (r.violation = None);
+  check_bool "a depth-cut search is not exhausted" false r.stats.exhausted
+
 (* {1 Group-commit durability} *)
 
 let test_group_commit_crash_clean () =
@@ -229,6 +237,8 @@ let () =
         [
           Alcotest.test_case "race2 clean under small budget" `Quick
             test_race2_clean_small_budget;
+          Alcotest.test_case "max-depth cut is not exhausted" `Quick
+            test_max_depth_cut_not_exhausted;
           Alcotest.test_case "group-commit crash clean" `Quick
             test_group_commit_crash_clean;
           Alcotest.test_case "savepoint rollback clean" `Quick
