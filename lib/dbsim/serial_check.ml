@@ -25,9 +25,104 @@ type history = {
 
 let key_name (n, k) = Printf.sprintf "n%d-%s" n k
 
-(* The deterministic transform RMW transactions apply; salted so different
-   ops produce different values. *)
+(* Deterministic injective-ish update function: distinct (salt, old)
+   pairs give distinct values, so a lost update changes the final state
+   and the replay catches it. *)
 let transform ~salt old = ((Option.value old ~default:0 * 31) + salt) mod 100_003
+
+module Recorder = struct
+  type op =
+    | Rmw of int * string * int
+    | Put of int * string * int
+    | Del of int * string
+    | Begin_at of int
+    | Pause of float
+
+  type t = {
+    mutable committed : txn_record list;
+    mutable queries : query_record list;
+    initial : (key * int) list;
+  }
+
+  let create initial = { committed = []; queries = []; initial }
+
+  let update t db ~root ops =
+    let observed = Queue.create () in
+    let uops =
+      List.map
+        (function
+          | Rmw (node, key, salt) ->
+              Update.Read_modify_write
+                {
+                  node;
+                  key;
+                  f =
+                    (fun old ->
+                      let v = transform ~salt old in
+                      Queue.push (old, v) observed;
+                      v);
+                }
+          | Put (node, key, value) -> Update.Write { node; key; value }
+          | Del (node, key) -> Update.Delete { node; key }
+          | Begin_at n -> Update.Begin_at n
+          | Pause d -> Update.Pause d)
+        ops
+    in
+    match Ava3.Cluster.run_update db ~root ~ops:uops with
+    | Update.Committed c ->
+        (* RMWs ran in op-list order, so popping the observation queue in
+           the same order re-associates observed/written values. *)
+        let t_ops =
+          List.filter_map
+            (function
+              | Rmw (n, k, _) ->
+                  let old, v = Queue.pop observed in
+                  Some (Rmw ((n, k), old, v) : op_record)
+              | Put (n, k, v) -> Some (Put ((n, k), v) : op_record)
+              | Del (n, k) -> Some (Del (n, k) : op_record)
+              | Begin_at _ | Pause _ -> None)
+            ops
+        in
+        t.committed <-
+          {
+            t_version = c.final_version;
+            t_finished = c.finished_at;
+            t_commit_at = c.participants;
+            t_ops;
+          }
+          :: t.committed
+    | Update.Aborted _ | Update.Root_down _ -> ()
+
+  let add_query t (q : int Ava3.Query_exec.result) =
+    t.queries <-
+      {
+        q_version = q.version;
+        q_reads = List.map (fun (n, k, v) -> ((n, k), v)) q.values;
+      }
+      :: t.queries
+
+  let query t db ~root reads =
+    match Ava3.Cluster.run_query db ~root ~reads with
+    | q -> add_query t q
+    | exception (Net.Network.Node_down _ | Net.Network.Rpc_timeout _) -> ()
+
+  let history t db ~keys =
+    let cs = Ava3.Cluster.state db in
+    {
+      committed = List.rev t.committed;
+      queries = List.rev t.queries;
+      initial = t.initial;
+      final_visible =
+        List.map
+          (fun ((n, k) as key) ->
+            ( key,
+              Vstore.Store.read_le
+                (Ava3.Node_state.store
+                   (Ava3.Cluster.node db (Ava3.Cluster_state.home_site cs n)))
+                k max_int ))
+          keys;
+    }
+end
 
 (* Workload shape: 3 nodes, 60 update transactions, 25 queries and 4
    advancement rounds. *)
@@ -54,11 +149,10 @@ let recording_run ?(seed = 101L) () =
       Ava3.Cluster.load db ~node:n [ (snd key, v) ])
     initial;
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  let committed = ref [] and query_records = ref [] in
+  let r = Recorder.create initial in
   let horizon = 400.0 in
-  (* Update transactions: a mix of RMWs (observing reads), blind writes and
-     deletes, each recorded through closures so only the committed
-     attempt's executions count. *)
+  (* Update transactions: a mix of RMWs (observing reads), blind writes
+     and deletes. *)
   for t = 1 to transactions do
     let delay = Sim.Rng.float rng horizon in
     let picks =
@@ -66,69 +160,29 @@ let recording_run ?(seed = 101L) () =
         (1 + Sim.Rng.int rng 3)
         (fun j ->
           let n = Sim.Rng.int rng nodes in
-          let key = (n, Printf.sprintf "k%d" (Sim.Rng.int rng keys_per_node)) in
-          (key, Sim.Rng.int rng 3, (t * 100) + j))
+          let k = Printf.sprintf "k%d" (Sim.Rng.int rng keys_per_node) in
+          let salt = (t * 100) + j in
+          match Sim.Rng.int rng 3 with
+          | 0 -> ((n, k), Recorder.Rmw (n, k, salt))
+          | 1 -> ((n, k), Recorder.Put (n, k, salt))
+          | _ -> ((n, k), Recorder.Del (n, k)))
     in
-    (* Distinct keys only: repeated RMW of one key in one txn is fine for
-       the protocol but would need own-write tracking here. *)
+    (* Repeated keys are dropped: the recorder would handle them, but
+       keeping them would change every seed's workload. *)
     let seen = Hashtbl.create 4 in
-    let picks =
-      List.filter
-        (fun (key, _, _) ->
-          if Hashtbl.mem seen key then false
+    let ops =
+      List.filter_map
+        (fun (key, op) ->
+          if Hashtbl.mem seen key then None
           else begin
             Hashtbl.replace seen key ();
-            true
+            Some op
           end)
         picks
     in
     Sim.Engine.schedule engine ~delay (fun () ->
-        (* RMW observations are recorded by their closures at execution
-           time; blind writes and deletes are appended afterwards — sound
-           because each transaction touches distinct keys, so intra-
-           transaction op order across keys cannot affect observations. *)
-        let cell = ref [] in
-        let ops =
-          List.map
-            (fun (((n, k) as key), kind, salt) ->
-              match kind with
-              | 0 ->
-                  Update.Read_modify_write
-                    {
-                      node = n;
-                      key = k;
-                      f =
-                        (fun old ->
-                          let nv = transform ~salt old in
-                          cell := Rmw (key, old, nv) :: !cell;
-                          nv);
-                    }
-              | 1 -> Update.Write { node = n; key = k; value = salt }
-              | _ -> Update.Delete { node = n; key = k })
-            picks
-        in
-        match Ava3.Cluster.run_update db ~root:(Sim.Rng.int rng nodes) ~ops with
-        | Update.Committed c ->
-            let blind =
-              List.filter_map
-                (fun (key, kind, salt) ->
-                  match kind with
-                  | 1 -> Some (Put (key, salt))
-                  | 2 -> Some (Del key)
-                  | _ -> None)
-                picks
-            in
-            committed :=
-              {
-                t_version = c.Update.final_version;
-                t_finished = c.Update.finished_at;
-                t_commit_at = c.Update.participants;
-                t_ops = List.rev !cell @ blind;
-              }
-              :: !committed
-        | Update.Aborted _ | Update.Root_down _ -> ())
+        Recorder.update r db ~root:(Sim.Rng.int rng nodes) ops)
   done;
-  (* Queries. *)
   for _ = 1 to queries do
     let delay = Sim.Rng.float rng (horizon +. 50.0) in
     Sim.Engine.schedule engine ~delay (fun () ->
@@ -139,14 +193,7 @@ let recording_run ?(seed = 101L) () =
               let n = Sim.Rng.int rng nodes in
               (n, Printf.sprintf "k%d" (Sim.Rng.int rng keys_per_node)))
         in
-        let q = Ava3.Cluster.run_query db ~root:(Sim.Rng.int rng nodes) ~reads in
-        query_records :=
-          {
-            q_version = q.Ava3.Query_exec.version;
-            q_reads =
-              List.map (fun (n, k, v) -> ((n, k), v)) q.Ava3.Query_exec.values;
-          }
-          :: !query_records)
+        Recorder.query r db ~root:(Sim.Rng.int rng nodes) reads)
   done;
   for a = 1 to advancements do
     Sim.Engine.schedule engine
@@ -154,21 +201,7 @@ let recording_run ?(seed = 101L) () =
       (fun () -> ignore (Ava3.Cluster.advance db ~coordinator:(a mod nodes)))
   done;
   Sim.Engine.run engine;
-  let final_visible =
-    List.map
-      (fun ((n, k) as key) ->
-        ( key,
-          Vstore.Store.read_le
-            (Ava3.Node_state.store (Ava3.Cluster.node db n))
-            k max_int ))
-      all_keys
-  in
-  {
-    committed = !committed;
-    queries = !query_records;
-    initial;
-    final_visible;
-  }
+  Recorder.history r db ~keys:all_keys
 
 type verdict = {
   transactions_checked : int;

@@ -6,10 +6,11 @@
     transactions follow their two-phase-locking order.  This module makes
     that theorem executable:
 
-    - {!recording_run} drives a randomized read-modify-write workload with
-      interleaved advancements and records, for every {e committed}
-      transaction, the values each read observed and each write produced,
-      and for every query the snapshot it returned;
+    - a {!Recorder} runs updates and queries on a cluster and records,
+      for every {e committed} transaction, the values each read observed
+      and each write produced, and for every query the snapshot it
+      returned; {!recording_run} drives a randomized read-modify-write
+      workload with interleaved advancements through one;
     - {!verify} reconstructs the claimed serial order — commit version,
       then commit completion time (which respects the 2PL order of
       conflicting transactions) — replays it on a plain map, and checks
@@ -43,10 +44,53 @@ type history = {
   initial : (key * int) list;
   final_visible : (key * int option) list;
 }
-(** The types are concrete so harnesses other than {!recording_run} — in
-    particular the schedule explorer in [lib/check], which records a
-    history for {e every} enumerated interleaving — can assemble histories
-    and put them through {!verify}. *)
+(** The types are concrete so harnesses that drive transactions some
+    other way than {!Recorder} — the session layer's retrying
+    transactions, say — can add their own records and put the history
+    through {!verify}. *)
+
+val transform : salt:int -> int option -> int
+(** The update function every recorded read-modify-write applies:
+    distinct [(salt, old)] pairs give distinct values, so a lost update
+    changes the final state and the replay catches it. *)
+
+(** Records a history while transactions run.  The schedule explorer in
+    [lib/check] records one per enumerated interleaving;
+    {!recording_run} records one per seed. *)
+module Recorder : sig
+  type op =
+    | Rmw of int * string * int
+        (** node, item, salt: writes [transform ~salt old] *)
+    | Put of int * string * int  (** node, item, value *)
+    | Del of int * string
+    | Begin_at of int  (** join a node without touching its data *)
+    | Pause of float
+
+  type t = {
+    mutable committed : txn_record list;  (** newest first *)
+    mutable queries : query_record list;  (** newest first *)
+    initial : (key * int) list;
+  }
+
+  val create : (key * int) list -> t
+  (** An empty record over the given initial contents. *)
+
+  val update : t -> int Ava3.Cluster.t -> root:int -> op list -> unit
+  (** Run one update transaction; if it commits, record its ops in op
+      order with what each RMW observed and wrote. *)
+
+  val query : t -> int Ava3.Cluster.t -> root:int -> key list -> unit
+  (** Run one query and record its snapshot.  A query cut off by
+      [Node_down] or [Rpc_timeout] records nothing. *)
+
+  val add_query : t -> int Ava3.Query_exec.result -> unit
+  (** Record the rows of a query run some other way (an index select,
+      say): each is a point observation at the query's version. *)
+
+  val history : t -> int Ava3.Cluster.t -> keys:key list -> history
+  (** The recorded history, oldest first, with [final_visible] read for
+      [keys] at each partition's current primary. *)
+end
 
 type verdict = {
   transactions_checked : int;

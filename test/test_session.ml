@@ -302,13 +302,12 @@ let test_idempotence_guard () =
 
 (* {1 The oracle suite} *)
 
-(* Mirror of the recording harness in lib/check/scenarios.ml, driven
-   through the session layer: committed transactions record what each
-   tracked RMW observed and wrote; queries record their snapshots; the
-   Theorem 6.2 replay verifies the lot.  Ops inside expect-abort scopes
-   are deliberately untracked — their effects must vanish with the scope,
-   so recording them would itself be a bug. *)
-let transform ~salt old = ((Option.value old ~default:0 * 31) + salt) mod 100_003
+(* Mirror of Serial_check.Recorder, driven through the session layer:
+   committed transactions record what each tracked RMW observed and
+   wrote; queries record their snapshots; the Theorem 6.2 replay
+   verifies the lot.  Ops inside expect-abort scopes are deliberately
+   untracked — their effects must vanish with the scope, so recording
+   them would itself be a bug. *)
 
 let oracle_run ~seed ~gc_renumber =
   let label = Printf.sprintf "seed %Ld, gc_renumber %b" seed gc_renumber in
@@ -384,7 +383,7 @@ let oracle_run ~seed ~gc_renumber =
               List.iteri
                 (fun i (n, k) ->
                   Session.rmw c ~node:n k (fun old ->
-                      let v = transform ~salt:((u * 10) + i) old in
+                      let v = SC.transform ~salt:((u * 10) + i) old in
                       Queue.push ((n, k), old, v) observed;
                       v))
                 targets;
@@ -393,7 +392,7 @@ let oracle_run ~seed ~gc_renumber =
                 match
                   Session.nested c (fun () ->
                       Session.rmw c ~node:n k (fun old ->
-                          transform ~salt:999 old);
+                          SC.transform ~salt:999 old);
                       raise Session.Rollback)
                 with
                 | Error `Rolled_back -> ()
