@@ -38,6 +38,21 @@ let scheme_conv =
   let print ppf k = Format.pp_print_string ppf (Wal.Scheme.kind_name k) in
   Arg.conv (parse, print)
 
+(* A number that fails [ok] is a command-line error (exit 124), like an
+   unparsable one: a run over it would simulate nothing or crash. *)
+let bounded conv ~ok ~what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "value must be %s (got %s)" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = bounded Arg.int ~ok:(fun n -> n >= 1) ~what:">= 1"
+let positive_float = bounded Arg.float ~ok:(fun x -> x > 0.0) ~what:"> 0"
+let rate = bounded Arg.float ~ok:(fun x -> x >= 0.0) ~what:">= 0"
+
 let run protocol scheme nodes duration seed update_rate query_rate theta
     keys_per_node advancement_period long_query_period long_query_reads
     remote_fraction eager piggyback use_tree verbose =
@@ -133,27 +148,31 @@ let cmd =
           ~doc:"Recovery scheme for ava3: no-undo or undo-redo.")
   in
   let nodes =
-    Arg.(value & opt int 3 & info [ "n"; "nodes" ] ~doc:"Number of sites.")
+    Arg.(
+      value & opt positive_int 3 & info [ "n"; "nodes" ] ~doc:"Number of sites.")
   in
   let duration =
-    Arg.(value & opt float 2000.0 & info [ "d"; "duration" ] ~doc:"Virtual run time.")
+    Arg.(
+      value & opt positive_float 2000.0
+      & info [ "d"; "duration" ] ~doc:"Virtual run time.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let update_rate =
     Arg.(
-      value & opt float 0.25
+      value & opt rate 0.25
       & info [ "update-rate" ] ~doc:"Mean update transactions per time unit.")
   in
   let query_rate =
     Arg.(
-      value & opt float 0.15
+      value & opt rate 0.15
       & info [ "query-rate" ] ~doc:"Mean queries per time unit.")
   in
   let theta =
     Arg.(value & opt float 0.8 & info [ "theta" ] ~doc:"Zipf skew of key access.")
   in
   let keys_per_node =
-    Arg.(value & opt int 80 & info [ "keys" ] ~doc:"Data items per node.")
+    Arg.(
+      value & opt positive_int 80 & info [ "keys" ] ~doc:"Data items per node.")
   in
   let advancement_period =
     Arg.(

@@ -9,7 +9,6 @@
    `dune exec bin/stress.exe -- --seeds 500`.  *)
 
 module Cluster = Ava3.Cluster
-module Update = Ava3.Update_exec
 
 let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
     ~with_index ~with_sessions =
@@ -69,7 +68,9 @@ let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
     | None -> Sim.Rng.int rng nodes
   in
   let horizon = 400.0 in
-  (* Updates. *)
+  (* Updates, retried by the session pinned to their drawn root: a commit
+     round that timed out after the version decision is finished, not rerun. *)
+  let sessions = Session.per_partition ~seed:(Int64.of_int (1000 * seed)) db in
   for _ = 1 to 25 do
     let delay = Sim.Rng.float rng horizon in
     Sim.Engine.schedule engine ~delay (fun () ->
@@ -80,14 +81,17 @@ let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
             Workload.Db_intf.Write { node = n; key = key n; value = Sim.Rng.int rng 1000 }
           else Workload.Db_intf.Read { node = n; key = key n }
         in
-        let ops =
-          List.init (1 + Sim.Rng.int rng 4) (fun i ->
-              match mk i with
-              | Workload.Db_intf.Write { node; key; value } ->
-                  Update.Write { node; key; value }
-              | Workload.Db_intf.Read { node; key } -> Update.Read { node; key })
-        in
-        ignore (Cluster.run_update_with_retry db ~root ~ops ()))
+        let ops = List.init (1 + Sim.Rng.int rng 4) mk in
+        ignore
+          (Session.txn sessions.(root) (fun c ->
+               List.iter
+                 (function
+                   | Workload.Db_intf.Write { node; key; value } ->
+                       Session.write c ~node key value
+                   | Workload.Db_intf.Read { node; key } ->
+                       ignore (Session.read c ~node key : int option))
+                 ops)
+            : (int, unit) Session.outcome))
   done;
   (* Tree transactions (explicit), when enabled. *)
   if use_tree then

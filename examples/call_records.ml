@@ -14,7 +14,6 @@
    Run with: dune exec examples/call_records.exe *)
 
 module Cluster = Ava3.Cluster
-module Update = Ava3.Update_exec
 
 let nodes = 4 (* regional switches *)
 let customers_per_node = 50
@@ -44,6 +43,9 @@ let () =
     ~until:run_for;
 
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
+  (* Each switch records its calls through its own session, which retries
+     a failed recording without ever charging a call twice. *)
+  let sessions = Session.per_partition ~seed:0L db in
   let calls_recorded = ref 0 and calls_failed = ref 0 in
   let query_latency = Workload.Histogram.create () in
   let staleness = Workload.Histogram.create () in
@@ -59,34 +61,29 @@ let () =
           in
           let duration = 1 + Sim.Rng.int rng 30 in
           let charge v = Option.value v ~default:0 + duration in
-          let ops =
-            let base =
-              [
-                Update.Read_modify_write
-                  { node = origin; key = customer_key customer; f = charge };
-              ]
-            in
+          let accounts =
+            let base = [ (origin, customer_key customer) ] in
             if Sim.Rng.chance rng 0.3 then
               (* Long-distance: also update the destination region's
                  settlement record. *)
               let dest = Sim.Rng.int rng nodes in
               base
               @ [
-                  Update.Read_modify_write
-                    {
-                      node = dest;
-                      key =
-                        customer_key
-                          ((dest * customers_per_node)
-                          + Sim.Rng.int rng customers_per_node);
-                      f = charge;
-                    };
+                  ( dest,
+                    customer_key
+                      ((dest * customers_per_node)
+                      + Sim.Rng.int rng customers_per_node) );
                 ]
             else base
           in
-          match Cluster.run_update_with_retry db ~root:origin ~ops () with
-          | Update.Committed _, _ -> incr calls_recorded
-          | (Update.Aborted _ | Update.Root_down _), _ -> incr calls_failed);
+          match
+            Session.txn sessions.(origin) (fun c ->
+                List.iter
+                  (fun (node, key) -> Session.rmw c ~node key charge)
+                  accounts)
+          with
+          | Session.Committed _ -> incr calls_recorded
+          | Session.Failed _ -> incr calls_failed);
       schedule_calls (at +. Sim.Rng.exponential rng ~mean:1.0)
     end
   in

@@ -116,22 +116,15 @@ let () =
   Ava3.Cluster.start_periodic_advancement db ~coordinator:0 ~period:flush_period
     ~until:duration;
   let rng2 = Sim.Rng.split (Sim.Engine.rng engine2) in
+  let session = Session.create db ~seed:88L in
   let query_latency = Workload.Histogram.create () in
   let rec updates2 at =
     if at < duration then begin
       Sim.Engine.schedule engine2 ~delay:at (fun () ->
+          let k, v = (key (Sim.Rng.int rng2 n_keys), Sim.Rng.int rng2 1000) in
           ignore
-            (Ava3.Cluster.run_update_with_retry db ~root:0
-               ~ops:
-                 [
-                   Ava3.Update_exec.Write
-                     {
-                       node = 0;
-                       key = key (Sim.Rng.int rng2 n_keys);
-                       value = Sim.Rng.int rng2 1000;
-                     };
-                 ]
-               ()));
+            (Session.txn session (fun c -> Session.write c ~node:0 k v)
+              : (int, unit) Session.outcome));
       updates2 (at +. Sim.Rng.exponential rng2 ~mean:2.0)
     end
   in

@@ -75,27 +75,20 @@ let tree_plan ~root ops =
   in
   { Ava3.Tree_txn.at = root; work; children }
 
+let restart_outcome : _ Ava3.Txn_core.outcome -> _ = function
+  | Committed _ -> `Committed
+  | Aborted _ | Root_down _ -> `Aborted
+
 let submit_update t ~root ~ops =
-  if t.use_tree then begin
-    let plan = tree_plan ~root ops in
-    let rec attempt n =
-      match Ava3.Cluster.run_tree_update t.db ~plan with
-      | Ava3.Tree_txn.Committed _ -> Workload.Db_intf.Committed
-      | Ava3.Tree_txn.Aborted _ when n < 10 ->
-          Sim.Engine.sleep 5.0;
-          attempt (n + 1)
-      | Ava3.Tree_txn.Aborted _ | Ava3.Tree_txn.Root_down _ ->
-          Workload.Db_intf.Aborted
-    in
-    attempt 1
-  end
-  else
-    match
-      Ava3.Cluster.run_update_with_retry t.db ~root ~ops:(List.map to_op ops) ()
-    with
-    | Ava3.Update_exec.Committed _, _ -> Workload.Db_intf.Committed
-    | (Ava3.Update_exec.Aborted _ | Ava3.Update_exec.Root_down _), _ ->
-        Workload.Db_intf.Aborted
+  let attempt =
+    if t.use_tree then
+      let plan = tree_plan ~root ops in
+      fun () -> restart_outcome (Ava3.Cluster.run_tree_update t.db ~plan)
+    else
+      let ops = List.map to_op ops in
+      fun () -> restart_outcome (Ava3.Cluster.run_update t.db ~root ~ops)
+  in
+  Common.retry ~max_attempts:10 ~backoff:5.0 attempt
 
 let submit_query t ~root ~reads =
   match Ava3.Cluster.run_query t.db ~root ~reads with

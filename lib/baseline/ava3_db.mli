@@ -3,7 +3,12 @@
 
     Version advancement is driven by a periodic process (configured at
     creation); query staleness comes from the cluster's freeze-time
-    bookkeeping. *)
+    bookkeeping.
+
+    [submit_update] restarts aborts under the harness rule of every
+    baseline ({!Common.retry}, 10 attempts 5.0 apart), so run the adapter
+    fault-free: under faults a rerun can re-apply a commit that already
+    landed, and faulted workloads belong on [Session.txn]. *)
 
 type t
 

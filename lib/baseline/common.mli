@@ -18,4 +18,6 @@ val retry :
   backoff:float ->
   (unit -> [ `Committed | `Aborted ]) ->
   Workload.Db_intf.update_outcome
-(** Retry transient aborts with a fixed backoff, inside a process. *)
+(** The harness restart rule, inside a process: rerun after every abort,
+    [max_attempts] attempts in all, [backoff] apart.  Safe only where an
+    abort leaves nothing committed, as in the fault-free suites. *)

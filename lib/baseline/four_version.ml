@@ -34,21 +34,13 @@ let to_op = function
    usually succeeds — but the abort itself is the interference AVA3 avoids. *)
 let submit_update t ~root ~ops =
   let ops = List.map to_op ops in
-  let rec go n =
-    match Ava3.Cluster.run_update t.db ~root ~ops with
-    | Ava3.Update_exec.Committed _ -> Workload.Db_intf.Committed
-    | Ava3.Update_exec.Aborted { reason; _ } ->
-        (match reason with
-        | `Version_mismatch -> t.mismatch_aborts <- t.mismatch_aborts + 1
-        | `Deadlock | `Node_down _ | `Rpc_timeout _ -> ());
-        if n >= 10 then Workload.Db_intf.Aborted
-        else begin
-          Sim.Engine.sleep 5.0;
-          go (n + 1)
-        end
-    | Ava3.Update_exec.Root_down _ -> Workload.Db_intf.Aborted
-  in
-  go 1
+  Common.retry ~max_attempts:10 ~backoff:5.0 (fun () ->
+      match Ava3.Cluster.run_update t.db ~root ~ops with
+      | Ava3.Update_exec.Committed _ -> `Committed
+      | Ava3.Update_exec.Aborted { reason = `Version_mismatch; _ } ->
+          t.mismatch_aborts <- t.mismatch_aborts + 1;
+          `Aborted
+      | Ava3.Update_exec.Aborted _ | Ava3.Update_exec.Root_down _ -> `Aborted)
 
 let submit_query t ~root ~reads =
   match Ava3.Cluster.run_query t.db ~root ~reads with

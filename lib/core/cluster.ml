@@ -68,29 +68,6 @@ let run_join cs ~root ~plan ~build ~probe =
 let run_tree_update cs ~plan = Tree_txn.run cs ~plan
 let run_tree_query cs ~plan = Tree_query.run cs ~plan
 
-let run_update_with_retry cs ~root ~ops ?(max_attempts = 10) ?(backoff = 5.0) ()
-    =
-  let rec attempt n =
-    match Update_exec.run cs ~root ~ops with
-    | Update_exec.Committed _ as outcome -> (outcome, n)
-    | Update_exec.Aborted { reason = `Deadlock | `Rpc_timeout _; _ } as outcome
-      ->
-        (* Both are transient: deadlocks resolve as competitors drain, and a
-           timed-out participant may recover (or the partition heal) before
-           the next attempt. *)
-        if n >= max_attempts then (outcome, n)
-        else begin
-          Sim.Engine.sleep backoff;
-          attempt (n + 1)
-        end
-    | Update_exec.Aborted _ as outcome -> (outcome, n)
-    | Update_exec.Root_down _ as outcome ->
-        (* The root itself is gone; retrying against it cannot help — the
-           caller must pick another root (or wait for recovery). *)
-        (outcome, n)
-  in
-  attempt 1
-
 let advance cs ~coordinator = Advancement.initiate cs ~coordinator
 let advancement_in_progress cs = Advancement.in_progress cs
 

@@ -72,7 +72,9 @@ val run_query :
 (** See {!Query_exec.run}. *)
 
 val run_update : 'v t -> root:int -> ops:'v Update_exec.op list -> 'v Update_exec.outcome
-(** See {!Update_exec.run}. *)
+(** One attempt; see {!Update_exec.run}.  To retry, run the transaction
+    through [Session.txn]: it finishes a commit round whose version was
+    decided instead of rerunning it, so no commit is applied twice. *)
 
 val run_scan :
   'v t -> root:int -> ranges:(int * string * string) list -> 'v Query_exec.result
@@ -107,27 +109,6 @@ val run_tree_update : 'v t -> plan:'v Tree_txn.plan -> 'v Tree_txn.outcome
 val run_tree_query : 'v t -> plan:Tree_query.plan -> 'v Query_exec.result
 (** Execute a read-only query as a concurrent subquery tree; see
     {!Tree_query.run}. *)
-
-val run_update_with_retry :
-  'v t ->
-  root:int ->
-  ops:'v Update_exec.op list ->
-  ?max_attempts:int ->
-  ?backoff:float ->
-  unit ->
-  'v Update_exec.outcome * int
-(** Retry deadlock-aborted transactions (fresh transaction id, current
-    update version — the paper's restart rule).  Returns the final outcome
-    and the number of attempts made.  Default 10 attempts, backoff 5.0.
-
-    {b Double-apply hazard.}  [`Rpc_timeout] aborts are retried too, and
-    one may come from the commit round: {!Txn_core.protect} maps a
-    timed-out commit call to [Aborted (`Rpc_timeout _)], but
-    {!Subtxn.abort} leaves alone a participant that had already applied
-    its commit.  The retry then applies the same writes a second time.
-    Callers that need at-most-once commits should use [Session], whose
-    redrive finishes a decided commit round instead of rerunning the
-    transaction. *)
 
 (** {1 Version advancement} *)
 

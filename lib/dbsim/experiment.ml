@@ -53,9 +53,9 @@ and advancement =
 
 and client =
   | Mix of Driver.spec  (** the generated open-loop mix; runs the engine *)
-  | Updates of { every : float; max_ops : int; backoff : float }
+  | Updates of { every : float; max_ops : int }
       (** one update of 1..[max_ops] writes every [every] time units,
-          retried after [backoff] on transient aborts *)
+          retried by [Session.txn] under the spec's [config] *)
   | Custom of (ctx -> unit)
 
 and ctx = {
@@ -144,6 +144,10 @@ let schedule ctx ~delay f = Sim.Engine.schedule ctx.engine ~delay f
 (* A uniformly drawn key of node [n] among the spec's [keys]. *)
 let key ctx n = Printf.sprintf "n%d-k%d" n (Sim.Rng.int ctx.rng ctx.spec.keys)
 
+(* For AVA3, the fault-free harness restart rule of [Ava3_db]. *)
+let submit_update ctx ~root ~ops =
+  match ctx.db.ops with Ops ((module D), d) -> D.submit_update d ~root ~ops
+
 let first_alive_beats ctx ~period =
   let db = cluster ctx in
   let alive p =
@@ -158,37 +162,28 @@ let first_alive_beats ctx ~period =
         | None -> ())
   done
 
-(* Retried in place rather than through [Cluster.run_update_with_retry]
-   so timed-out attempts are counted even when a later attempt commits —
-   the work the faults cost. *)
-let update_stream ctx ~every ~max_ops ~backoff =
-  let db = cluster ctx and rng = ctx.rng and nodes = ctx.spec.nodes in
+(* Each update retries through the session pinned to its drawn root, so
+   a commit round that timed out after its version was decided is
+   finished rather than rerun. *)
+let update_stream ctx ~every ~max_ops =
+  let rng = ctx.rng and nodes = ctx.spec.nodes in
+  let sessions = Session.per_partition ~seed:ctx.spec.seed (cluster ctx) in
   for u = 0 to int_of_float (ctx.spec.horizon /. every) - 1 do
     schedule ctx ~delay:(float_of_int u *. every) (fun () ->
         let root = Sim.Rng.int rng nodes in
-        let ops =
+        let writes =
           List.init
             (1 + Sim.Rng.int rng max_ops)
             (fun _ ->
               let n = Sim.Rng.int rng nodes in
-              Update.Write
-                { node = n; key = key ctx n; value = Sim.Rng.int rng 1000 })
+              (n, key ctx n, Sim.Rng.int rng 1000))
         in
-        let rec attempt n =
-          match Cluster.run_update db ~root ~ops with
-          | Update.Committed _ -> tally ctx "commits"
-          | Update.Aborted { reason; _ } -> (
-              (match reason with
-              | `Rpc_timeout _ -> tally ctx "timeouts"
-              | _ -> ());
-              match reason with
-              | (`Deadlock | `Rpc_timeout _) when n < 5 ->
-                  Sim.Engine.sleep backoff;
-                  attempt (n + 1)
-              | _ -> tally ctx "aborts")
-          | Update.Root_down _ -> tally ctx "aborts"
-        in
-        attempt 1)
+        match
+          Session.txn sessions.(root) (fun c ->
+              List.iter (fun (node, k, v) -> Session.write c ~node k v) writes)
+        with
+        | Session.Committed _ -> tally ctx "commits"
+        | Session.Failed _ -> tally ctx "aborts")
   done
 
 let start ctx = function
@@ -201,8 +196,7 @@ let start ctx = function
                  (module D)
                  d ~engine:ctx.engine ~rng:ctx.rng
                  ~keyspace:(Lazy.force ctx.keyspace) ~spec))
-  | Updates { every; max_ops; backoff } ->
-      update_stream ctx ~every ~max_ops ~backoff
+  | Updates { every; max_ops } -> update_stream ctx ~every ~max_ops
   | Custom f -> f ctx
 
 (* ------------------------------------------------------------------ *)
@@ -1136,16 +1130,16 @@ let spaced_load ctx =
           let ops =
             List.init (Sim.Rng.int_in rng 2 4) (fun _ ->
                 let n = Sim.Rng.int rng nodes in
-                Update.Write
+                Workload.Db_intf.Write
                   {
                     node = n;
                     key = Workload.Keyspace.draw_at ks rng ~node:n;
                     value = Sim.Rng.int rng 1000;
                   })
           in
-          match Cluster.run_update_with_retry db ~root ~ops () with
-          | Update.Committed _, _ -> tally ctx "commits"
-          | (Update.Aborted _ | Update.Root_down _), _ -> ()))
+          match submit_update ctx ~root ~ops with
+          | Workload.Db_intf.Committed -> tally ctx "commits"
+          | Workload.Db_intf.Aborted -> ()))
     (evenly update_rate);
   List.iter
     (fun at ->
@@ -1231,6 +1225,8 @@ let faults () =
             Ava3.Config.default with
             rpc_timeout = 10.0;
             advancement_retry = 30.0;
+            max_retries = 4;
+            retry_backoff_base = 12.0;
           };
         keys = 20;
         advancement = Beats 50.0;
@@ -1245,7 +1241,7 @@ let faults () =
         probes = every 10.0 (int_of_float (horizon /. 10.0) + 4);
         clients =
           [
-            Updates { every = 8.0; max_ops = 3; backoff = 12.0 };
+            Updates { every = 8.0; max_ops = 3 };
             Custom random_queries;
           ];
         horizon;
@@ -1266,7 +1262,9 @@ let faults () =
       col "scenario" (fun r -> Text r.label);
       col "commits" (fun r -> Int (icount r "commits"));
       col "aborts" (fun r -> Int (icount r "aborts"));
-      col "timeouts" (fun r -> Int (icount r "timeouts"));
+      col "timeouts" (fun r ->
+          let add acc n = acc + n.Sim.Metrics.aborts_rpc_timeout in
+          Int (List.fold_left add 0 (Option.get r.metrics)));
       col "queries ok" (fun r -> Int (icount r "queries ok"));
       col "q failed" (fun r -> Int (icount r "queries failed"));
       col "advancements" (fun r -> Int (stats r).advancements);
@@ -1409,11 +1407,13 @@ let storm_load ctx =
           let (a, ka), (b, kb) = if w1 <= w2 then (w1, w2) else (w2, w1) in
           let ops =
             [
-              Update.Write { node = a; key = ka; value = Sim.Rng.int rng 1000 };
-              Update.Write { node = b; key = kb; value = Sim.Rng.int rng 1000 };
+              Workload.Db_intf.Write
+                { node = a; key = ka; value = Sim.Rng.int rng 1000 };
+              Workload.Db_intf.Write
+                { node = b; key = kb; value = Sim.Rng.int rng 1000 };
             ]
           in
-          ignore (Cluster.run_update_with_retry db ~root ~ops ())))
+          ignore (submit_update ctx ~root ~ops)))
     (arrivals ());
   List.iter
     (fun at ->
@@ -1559,6 +1559,8 @@ let replication ?(horizon = 1000.0) () =
             read_service_time = 0.5;
             write_service_time = 0.5;
             send_occupancy = 0.4;
+            max_retries = 4;
+            retry_backoff_base = 10.0;
           };
         keys = 12;
         advancement = Beats 40.0;
@@ -1573,7 +1575,7 @@ let replication ?(horizon = 1000.0) () =
         probes = every 10.0 (int_of_float (horizon /. 10.0) + 1);
         clients =
           [
-            Updates { every = 6.0; max_ops = 2; backoff = 10.0 };
+            Updates { every = 6.0; max_ops = 2 };
             Custom pinned_reads;
           ];
         horizon;

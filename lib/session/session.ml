@@ -32,6 +32,11 @@ let create ?(pool = 4) ?coordinators ~seed db =
     next_conn = 0;
   }
 
+let per_partition ~seed db =
+  Array.init (Cluster.partitions db) (fun p ->
+      let seed = Int64.add seed (Int64.of_int p) in
+      create ~pool:1 ~coordinators:[ p ] ~seed db)
+
 let cluster t = t.db
 let rng t = t.session_rng
 
@@ -263,12 +268,9 @@ let backoff_of s ~config k =
 
 (* Generic over the failure payload ['f]: [txn] threads the durable
    participant list through it, queries just use {!failure}. *)
-let retry_loop s ?retries
-    (run : root:int -> [ `Ok of 'a | `Failed of 'f * bool ]) =
+let retry_loop s (run : root:int -> [ `Ok of 'a | `Failed of 'f * bool ]) =
   let config = Cluster.config s.db in
-  let budget =
-    match retries with Some r -> r | None -> config.Config.max_retries
-  in
+  let budget = config.Config.max_retries in
   let rec go k =
     let root = next_root s in
     match run ~root with
@@ -285,9 +287,9 @@ let retry_loop s ?retries
   in
   go 0
 
-let txn ?retries s f =
+let txn s f =
   match
-    retry_loop s ?retries (fun ~root ->
+    retry_loop s (fun ~root ->
         match attempt s ~root f with
         | `Committed c -> `Ok c
         | `Failed (last, durable, version, retryable) ->

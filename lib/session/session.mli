@@ -56,6 +56,11 @@ val create :
     feeds the session's private jitter/choice stream (forked by name, so
     equal seeds give equal streams regardless of draw order elsewhere). *)
 
+val per_partition : seed:int64 -> 'v Ava3.Cluster.t -> 'v t array
+(** One single-connection session pinned to each partition [p], seeded
+    [seed + p]: for callers that draw each transaction's root
+    themselves. *)
+
 val cluster : 'v t -> 'v Ava3.Cluster.t
 val rng : _ t -> Sim.Rng.t
 (** The session's private random stream — the one backoff jitter and the
@@ -129,12 +134,10 @@ type ('v, 'a) outcome =
     }
       (** retry budget exhausted (or the failure was not retryable) *)
 
-val txn : ?retries:int -> 'v t -> ('v ctx -> 'a) -> ('v, 'a) outcome
+val txn : 'v t -> ('v ctx -> 'a) -> ('v, 'a) outcome
 (** Run [f] as an update transaction on the next pooled connection,
-    retrying per the session discipline above.  [?retries] overrides
-    [Config.max_retries] for this call ([Some 0] = one attempt); the
-    override draws no extra random numbers, so a run with [~retries:0]
-    is byte-equal to one under a [max_retries = 0] config. *)
+    retrying per the session discipline above.  This is the one retry
+    path for AVA3 update transactions that may meet faults. *)
 
 (** {1 Read-only queries}
 

@@ -326,39 +326,28 @@ let test_deadlock_abort_and_retry () =
         Cluster.load db ~node:0 [ ("x", 1); ("y", 2) ];
         let eng = Cluster.engine db in
         let outcomes = ref [] in
-        Sim.Engine.spawn eng (fun () ->
-            let o, _ =
-              Cluster.run_update_with_retry db ~root:0
-                ~ops:
-                  [
-                    Update.Write { node = 0; key = "x"; value = 10 };
-                    Update.Pause 10.0;
-                    Update.Write { node = 0; key = "y"; value = 11 };
-                  ]
-                ()
-            in
-            outcomes := o :: !outcomes);
-        Sim.Engine.spawn eng (fun () ->
-            let o, _ =
-              Cluster.run_update_with_retry db ~root:0
-                ~ops:
-                  [
-                    Update.Write { node = 0; key = "y"; value = 20 };
-                    Update.Pause 10.0;
-                    Update.Write { node = 0; key = "x"; value = 21 };
-                  ]
-                ()
-            in
-            outcomes := o :: !outcomes);
+        let client seed ops =
+          Sim.Engine.spawn eng (fun () ->
+              let s = Session.create db ~seed ~coordinators:[ 0 ] in
+              let o = Flat_txn.run s ops in
+              outcomes := o :: !outcomes)
+        in
+        client 1L
+          [
+            Update.Write { node = 0; key = "x"; value = 10 };
+            Update.Pause 10.0;
+            Update.Write { node = 0; key = "y"; value = 11 };
+          ];
+        client 2L
+          [
+            Update.Write { node = 0; key = "y"; value = 20 };
+            Update.Pause 10.0;
+            Update.Write { node = 0; key = "x"; value = 21 };
+          ];
         Sim.Engine.sleep 500.0;
         check_int "both eventually done" 2 (List.length !outcomes);
-        List.iter
-          (fun o ->
-            match o with
-            | Update.Committed _ -> ()
-            | Update.Aborted _ | Update.Root_down _ ->
-                Alcotest.fail "retry did not recover")
-          !outcomes)
+        check_bool "retry recovered" true
+          (List.for_all Flat_txn.committed !outcomes))
   in
   let stats = Cluster.stats db in
   check_bool "a deadlock was detected" true (stats.Cluster.deadlocks >= 1);
@@ -948,6 +937,7 @@ let prop_invariants_under_random_load =
       in
       let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
       let db : int Cluster.t = Cluster.create ~engine ~config ~nodes () in
+      let sessions = Session.per_partition ~seed:0L db in
       let rng = Sim.Rng.split (Sim.Engine.rng engine) in
       for n = 0 to nodes - 1 do
         Cluster.load db ~node:n
@@ -969,7 +959,7 @@ let prop_invariants_under_random_load =
               else Update.Read { node = n; key = key n })
         in
         Sim.Engine.schedule engine ~delay (fun () ->
-            ignore (Cluster.run_update_with_retry db ~root ~ops ()))
+            ignore (Flat_txn.run sessions.(root) ops))
       done;
       (* Queries *)
       for _ = 1 to 10 do
@@ -1005,6 +995,27 @@ let prop_invariants_under_random_load =
           (String.concat "; " !violations)
       else true)
 
+let increment =
+  [
+    Update.Read_modify_write
+      { node = 0; key = "counter"; f = (fun v -> Option.value v ~default:0 + 1) };
+  ]
+
+(* The committed value of the counter, read by a fresh transaction once
+   the engine has drained. *)
+let final_counter engine db =
+  let final = ref None in
+  Sim.Engine.spawn engine (fun () ->
+      match
+        committed
+          (Cluster.run_update db ~root:0
+             ~ops:[ Update.Read { node = 0; key = "counter" } ])
+      with
+      | { reads = [ (_, v) ]; _ } -> final := v
+      | _ -> ());
+  Sim.Engine.run engine;
+  !final
+
 (* Serializability check on a single hot item: concurrent
    increment-transactions must not lose updates. *)
 let prop_no_lost_updates =
@@ -1017,43 +1028,67 @@ let prop_no_lost_updates =
       let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
       let db : int Cluster.t = Cluster.create ~engine ~config ~nodes:2 () in
       Cluster.load db ~node:0 [ ("counter", 0) ];
+      let sessions = Session.per_partition ~seed:0L db in
       let committed_count = ref 0 in
       let rng = Sim.Rng.split (Sim.Engine.rng engine) in
       for _ = 1 to writers do
         let delay = Sim.Rng.float rng 20.0 in
         Sim.Engine.schedule engine ~delay (fun () ->
-            match
-              Cluster.run_update_with_retry db ~root:(Sim.Rng.int rng 2)
-                ~ops:
-                  [
-                    Update.Read_modify_write
-                      {
-                        node = 0;
-                        key = "counter";
-                        f = (fun v -> Option.value v ~default:0 + 1);
-                      };
-                  ]
-                ~max_attempts:50 ()
-            with
-            | Update.Committed _, _ -> incr committed_count
-            | (Update.Aborted _ | Update.Root_down _), _ -> ())
+            if Flat_txn.committed
+                 (Flat_txn.run sessions.(Sim.Rng.int rng 2) increment)
+            then incr committed_count)
       done;
       (* Interleave an advancement. *)
       Sim.Engine.schedule engine ~delay:10.0 (fun () ->
           ignore (Cluster.advance db ~coordinator:1));
       Sim.Engine.run engine;
       (* Final value must equal the number of committed increments. *)
-      let final = ref None in
-      Sim.Engine.spawn engine (fun () ->
-          match
-            committed
-              (Cluster.run_update db ~root:0
-                 ~ops:[ Update.Read { node = 0; key = "counter" } ])
-          with
-          | { reads = [ (_, v) ]; _ } -> final := v
-          | _ -> ());
+      final_counter engine db = Some !committed_count)
+
+(* The same check with the commit acknowledgement lost: the counter's
+   home (node 0) writes its commit record, but the reply leg 0->1 is cut
+   before the reply leaves, so the root (node 1) times out after the
+   version was decided.  Rerunning the transaction would apply the
+   increment a second time; the session finishes the decided commit
+   instead.  The cut lands in that window at every listed instant
+   (the transaction starts at t=1). *)
+let test_lost_ack_increment () =
+  let config =
+    {
+      Ava3.Config.default with
+      read_service_time = 1.0;
+      write_service_time = 1.0;
+      disk_force_latency = 5.0;
+      rpc_timeout = 8.0;
+    }
+  in
+  List.iter
+    (fun cut ->
+      let engine = Sim.Engine.create ~seed:13L () in
+      let db : int Cluster.t =
+        Cluster.create ~engine ~config ~latency:(Net.Latency.Constant 1.0)
+          ~nodes:2 ()
+      in
+      Cluster.load db ~node:0 [ ("counter", 0) ];
+      let net = Cluster.network db in
+      let committed_count = ref 0 in
+      let session = Session.create db ~seed:0L ~coordinators:[ 1 ] in
+      Sim.Engine.schedule engine ~delay:1.0 (fun () ->
+          if Flat_txn.committed (Flat_txn.run session increment) then
+            incr committed_count);
+      Sim.Engine.schedule engine ~delay:cut (fun () ->
+          Net.Network.set_link_down net ~src:0 ~dst:1 true);
+      Sim.Engine.schedule engine ~delay:(cut +. 30.0) (fun () ->
+          Net.Network.set_link_down net ~src:0 ~dst:1 false);
       Sim.Engine.run engine;
-      !final = Some !committed_count)
+      let label = Printf.sprintf "cut at %.0f" cut in
+      check_bool (label ^ ": the commit round timed out") true
+        (Sim.Metrics.total_rpc_timeouts (Cluster.metrics db) > 0);
+      check_int (label ^ ": the increment committed") 1 !committed_count;
+      Alcotest.(check vopt)
+        (label ^ ": final value = committed increments")
+        (Some !committed_count) (final_counter engine db))
+    [ 7.0; 8.0; 9.0; 10.0; 11.0 ]
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -1147,5 +1182,9 @@ let () =
             test_staleness_shrinks_after_advancement;
         ] );
       ( "properties",
-        qc [ prop_invariants_under_random_load; prop_no_lost_updates ] );
+        qc [ prop_invariants_under_random_load; prop_no_lost_updates ]
+        @ [
+            Alcotest.test_case "lost commit ack applies once" `Quick
+              test_lost_ack_increment;
+          ] );
     ]

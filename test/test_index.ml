@@ -348,11 +348,14 @@ let oracle_run ~seed ~gc_renumber =
       gc_renumber;
       rpc_timeout = 15.0;
       advancement_retry = 25.0;
+      max_retries = 3;
+      retry_backoff_base = 8.0;
     }
   in
   let db : int Cluster.t =
     Cluster.create ~engine ~config ~index:extract ~nodes ()
   in
+  let sessions = Session.per_partition ~seed:0L db in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   for n = 0 to nodes - 1 do
     Cluster.load db ~node:n
@@ -383,9 +386,7 @@ let oracle_run ~seed ~gc_renumber =
           Update.Write { node; key; value = (u * 37) mod 1000 }
         in
         let ops = if u mod 3 = 0 then [ op (); op () ] else [ op () ] in
-        ignore
-          (Cluster.run_update_with_retry db ~root ~ops ~max_attempts:4
-             ~backoff:8.0 ()))
+        ignore (Flat_txn.run sessions.(root) ops))
   done;
   (* Advancement beats from the first alive node. *)
   for b = 1 to int_of_float (horizon /. 45.0) do

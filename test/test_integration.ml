@@ -27,6 +27,7 @@ let prop_recovery_equivalence =
         }
       in
       let db : int Cluster.t = Cluster.create ~engine ~config ~nodes:2 () in
+      let sessions = Session.per_partition ~seed:0L db in
       let rng = Sim.Rng.split (Sim.Engine.rng engine) in
       Cluster.load db ~node:0 (List.init 6 (fun i -> (Printf.sprintf "a%d" i, i)));
       Cluster.load db ~node:1 (List.init 6 (fun i -> (Printf.sprintf "b%d" i, i)));
@@ -45,7 +46,7 @@ let prop_recovery_equivalence =
                   | 1 -> Update.Delete { node = n; key = key n }
                   | _ -> Update.Write { node = n; key = key n; value = Sim.Rng.int rng 1000 })
             in
-            ignore (Cluster.run_update_with_retry db ~root ~ops ()))
+            ignore (Flat_txn.run sessions.(root) ops))
       done;
       (* A couple of advancements mixed in. *)
       Sim.Engine.schedule engine ~delay:80.0 (fun () ->
@@ -129,6 +130,7 @@ let prop_conserved_ledger =
         { Ava3.Config.default with read_service_time = 0.2; write_service_time = 0.3 }
       in
       let db : int Cluster.t = Cluster.create ~engine ~config ~nodes () in
+      let sessions = Session.per_partition ~seed:0L db in
       let accounts_per_node = 4 in
       let initial = 100 in
       let total = nodes * accounts_per_node * initial in
@@ -150,15 +152,13 @@ let prop_conserved_ledger =
             if a1 <> a2 then begin
               let amount = 1 + Sim.Rng.int rng 20 in
               ignore
-                (Cluster.run_update_with_retry db ~root:n1
-                   ~ops:
-                     [
-                       Update.Read_modify_write
-                         { node = n1; key = a1; f = (fun v -> Option.value v ~default:0 - amount) };
-                       Update.Read_modify_write
-                         { node = n2; key = a2; f = (fun v -> Option.value v ~default:0 + amount) };
-                     ]
-                   ())
+                (Flat_txn.run sessions.(n1)
+                   [
+                     Update.Read_modify_write
+                       { node = n1; key = a1; f = (fun v -> Option.value v ~default:0 - amount) };
+                     Update.Read_modify_write
+                       { node = n2; key = a2; f = (fun v -> Option.value v ~default:0 + amount) };
+                   ])
             end)
       done;
       (* Advancements interleaved. *)
@@ -247,6 +247,7 @@ let prop_coordinator_storm =
     (fun seed ->
       let engine = Sim.Engine.create ~seed:(Int64.of_int seed) ~trace:false () in
       let db : int Cluster.t = Cluster.create ~engine ~nodes:4 () in
+      let sessions = Session.per_partition ~seed:0L db in
       let rng = Sim.Rng.split (Sim.Engine.rng engine) in
       Cluster.load db ~node:0 [ ("x", 1) ];
       (* Several waves of advancement attempts from random nodes at random
@@ -261,9 +262,8 @@ let prop_coordinator_storm =
         let delay = Sim.Rng.float rng 120.0 in
         Sim.Engine.schedule engine ~delay (fun () ->
             ignore
-              (Cluster.run_update_with_retry db ~root:(Sim.Rng.int rng 4)
-                 ~ops:[ Update.Write { node = Sim.Rng.int rng 4; key = "x"; value = 1 } ]
-                 ()))
+              (Flat_txn.run sessions.(Sim.Rng.int rng 4)
+                 [ Update.Write { node = Sim.Rng.int rng 4; key = "x"; value = 1 } ]))
       done;
       Sim.Engine.run engine;
       (* All nodes agree and the system is quiescent-consistent. *)

@@ -221,8 +221,11 @@ let chaos_fingerprint seed =
   let engine = Sim.Engine.create ~seed () in
   let nodes = 3 in
   let db : int Cluster.t =
-    Cluster.create ~engine ~config:fault_config ~nodes ()
+    Cluster.create ~engine
+      ~config:{ fault_config with max_retries = 3; retry_backoff_base = 10.0 }
+      ~nodes ()
   in
+  let sessions = Session.per_partition ~seed:0L db in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   for n = 0 to nodes - 1 do
     Cluster.load db ~node:n
@@ -244,13 +247,12 @@ let chaos_fingerprint seed =
         let root = Sim.Rng.int rng nodes in
         let n = Sim.Rng.int rng nodes in
         let key = Printf.sprintf "n%d-k%d" n (Sim.Rng.int rng 8) in
-        match
-          Cluster.run_update_with_retry db ~root
-            ~ops:[ Update.Write { node = n; key; value = u } ]
-            ~max_attempts:4 ~backoff:10.0 ()
-        with
-        | Update.Committed _, _ -> incr commits
-        | (Update.Aborted _ | Update.Root_down _), _ -> incr aborts)
+        if
+          Flat_txn.committed
+            (Flat_txn.run sessions.(root)
+               [ Update.Write { node = n; key; value = u } ])
+        then incr commits
+        else incr aborts)
   done;
   (* Advancement beats from the first alive node. *)
   for b = 1 to int_of_float (horizon /. 40.0) do

@@ -36,6 +36,7 @@ let equivalence_run ~seed ~gc_renumber =
   for p = 0 to 2 do
     Cluster.load db ~node:p (List.map (fun k -> (k, 0)) (keys p))
   done;
+  let sessions = Session.per_partition ~seed:0L db in
   let mismatches = ref [] in
   let violations = ref [] in
   Sim.Engine.spawn engine (fun () ->
@@ -43,10 +44,8 @@ let equivalence_run ~seed ~gc_renumber =
         let p = i mod 3 in
         let key = Printf.sprintf "k%d_%d" p (i mod 4) in
         ignore
-          (Cluster.run_update_with_retry db ~root:p
-             ~ops:[ Update.Write { node = p; key; value = i } ]
-             ()
-            : int Update.outcome * int);
+          (Flat_txn.run sessions.(p) [ Update.Write { node = p; key; value = i } ]
+            : (int, unit) Session.outcome);
         Sim.Engine.sleep 3.0
       done);
   Sim.Engine.spawn engine (fun () ->

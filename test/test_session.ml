@@ -5,8 +5,7 @@
    guard — and the end-to-end oracle: ten seeds under both GC renumbering
    rules running DSL-generated programs through the session layer under a
    nemesis, with the serializability checker and the index<->base
-   invariant audit asserting zero violations, plus byte-equality of the
-   [~retries:0] override against a [max_retries = 0] config. *)
+   invariant audit asserting zero violations. *)
 
 module Cluster = Ava3.Cluster
 module Node_state = Ava3.Node_state
@@ -536,75 +535,6 @@ let test_oracle () =
       done)
     [ false; true ]
 
-(* Disabling retries two ways — the per-call [~retries:0] override against
-   a [max_retries = 0] config — must give byte-identical runs: same
-   outcomes, same final stores, same virtual end time.  The override draws
-   no extra randomness by construction. *)
-let test_retries_disabled_byte_equal () =
-  let run ~use_override seed =
-    let config =
-      if use_override then Config.default
-      else { Config.default with max_retries = 0 }
-    in
-    let engine = Sim.Engine.create ~seed () in
-    let db : int Cluster.t =
-      Cluster.create ~engine ~config ~latency:(Net.Latency.Constant 1.0)
-        ~nodes:3 ()
-    in
-    for n = 0 to 2 do
-      Cluster.load db ~node:n
-        (List.init 6 (fun i -> (Printf.sprintf "n%d-k%d" n i, i)))
-    done;
-    (* A mid-run crash induces failures, which is where a retry would
-       change the timeline if either path took one. *)
-    Sim.Engine.schedule engine ~delay:30.0 (fun () -> Cluster.crash db ~node:2);
-    Sim.Engine.schedule engine ~delay:90.0 (fun () ->
-        Cluster.recover db ~node:2);
-    let outcomes = ref [] in
-    let record o =
-      outcomes :=
-        (match o with
-        | Session.Committed cm ->
-            `C (cm.Session.txn_id, cm.Session.final_version, cm.Session.reads)
-        | Session.Failed { attempts; _ } -> `F attempts)
-        :: !outcomes
-    in
-    for u = 0 to 9 do
-      Sim.Engine.schedule engine
-        ~delay:(5.0 +. (8.0 *. float_of_int u))
-        (fun () ->
-          let s = Session.create db ~seed:(Int64.of_int (100 + u)) in
-          let n = u mod 3 in
-          let k = Printf.sprintf "n%d-k%d" n (u mod 6) in
-          let f c =
-            Session.rmw c ~node:n k (fun old ->
-                (Option.value old ~default:0 * 7) + u)
-          in
-          record
-            (if use_override then Session.txn ~retries:0 s f
-             else Session.txn s f))
-    done;
-    Sim.Engine.run engine;
-    let dump =
-      List.concat_map
-        (fun n ->
-          List.init 6 (fun i ->
-              let k = Printf.sprintf "n%d-k%d" n i in
-              (n, k, visible db ~node:n k)))
-        [ 0; 1; 2 ]
-    in
-    (List.rev !outcomes, dump, Sim.Engine.now engine)
-  in
-  for s = 1 to 10 do
-    let seed = Int64.of_int (700 + s) in
-    let o1, d1, t1 = run ~use_override:true seed
-    and o2, d2, t2 = run ~use_override:false seed in
-    let label = Printf.sprintf "seed %Ld" seed in
-    check_bool (label ^ ": outcomes byte-equal") true (o1 = o2);
-    check_bool (label ^ ": final stores byte-equal") true (d1 = d2);
-    check_bool (label ^ ": timelines byte-equal") true (t1 = t2)
-  done
-
 let () =
   Alcotest.run "session"
     [
@@ -641,7 +571,5 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "10 seeds x both gc rules" `Quick test_oracle;
-          Alcotest.test_case "retries disabled two ways, byte-equal" `Quick
-            test_retries_disabled_byte_equal;
         ] );
     ]
