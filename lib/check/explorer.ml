@@ -37,7 +37,6 @@ type stats = {
 type violation = {
   v_decisions : decision list;
   v_messages : string list;
-  v_trace : string list;
 }
 
 type result = {
@@ -261,13 +260,8 @@ let explore ?(budget = 10_000) ?(max_depth = 400) ?(prune = true)
     | None -> None
     | Some (darr, _) ->
         let minimal = if minimize_violation then minimize sc darr else darr in
-        let out = replay sc (Array.to_list minimal) in
-        Some
-          {
-            v_decisions = out.r_decisions;
-            v_messages = out.r_messages;
-            v_trace = out.r_trace;
-          }
+        let out = replay ~record_trace:false sc (Array.to_list minimal) in
+        Some { v_decisions = out.r_decisions; v_messages = out.r_messages }
   in
   {
     scenario = sc.Scenario.name;

@@ -40,7 +40,6 @@ type stats = {
 type violation = {
   v_decisions : decision list;  (** minimized, with labels and arities *)
   v_messages : string list;
-  v_trace : string list;  (** engine trace of the minimized replay *)
 }
 
 type result = {

@@ -1,7 +1,5 @@
 open Cluster_state
 
-let tag = "advance"
-
 (* Catch the node's garbage version up to [target], one collection round at
    a time.  Also the Phase-1 inference rule: a node seeing advance-u(newu)
    with g < newu - 3 may collect everything up to newu - 3. *)
@@ -35,7 +33,7 @@ let advance_u_local cs i ~newu ~complete =
     catch_up_gc cs nd ~target:(newu - 3 - gc_lag cs);
     if Node_state.u nd < newu then begin
       Node_state.set_u nd newu;
-      if tracing cs then emit cs ~tag (Printf.sprintf "node%d: u := %d" i newu);
+      note cs (Sim.Event.Set_u { site = i; u = newu });
       note_version_change cs
     end;
     (* Wait for local update subtransactions that started on the previous
@@ -57,7 +55,7 @@ let advance_q_local cs i ~newq ~complete =
   if Node_state.q nd <= newq then begin
     if Node_state.q nd < newq then begin
       Node_state.set_q nd newq;
-      if tracing cs then emit cs ~tag (Printf.sprintf "node%d: q := %d" i newq);
+      note cs (Sim.Event.Set_q { site = i; q = newq });
       note_version_change cs
     end;
     (* Four-version baseline: the old query version survives one more round,
@@ -96,8 +94,7 @@ let handle_garbage_collect cs i ~src ~newg =
     if cs.config.Config.retain_extra_version then
       Node_state.await_no_queries nd ~version:newg;
     catch_up_gc cs nd ~target:newg;
-    if tracing cs then
-      emit cs ~tag (Printf.sprintf "node%d: collected version %d" i newg);
+    note cs (Sim.Event.Collected { site = i; g = newg });
     note_version_change cs;
     (* Ship the Collect records so backup garbage versions converge (no
        barrier — backup reads can never touch a collectable version, see
@@ -224,12 +221,10 @@ let handle_ack_advance_u cs k ~src ~newu =
         freeze_version cs (newu - 1);
         c.c_phase <- `Collect_q;
         c.c_phase1_done <- now cs;
-        Sim.Metrics.record_phase1_duration cs.metrics ~node:k
-          (c.c_phase1_done -. c.c_started);
         let newq = newu - 1 in
-        if tracing cs then
-          emit cs ~tag
-            (Printf.sprintf "node%d: phase 1 complete, advance-q(%d)" k newq);
+        note cs
+          (Sim.Event.Phase1_done
+             { site = k; newq; duration = c.c_phase1_done -. c.c_started });
         send_phase cs k c (Messages.Advance_q { newq })
       end
   | _ -> ()
@@ -241,14 +236,10 @@ let handle_ack_advance_q cs k ~src ~newq =
       c.c_acks_q.(src) <- true;
       if all_acked c.c_acks_q then begin
         cs.coords.(k) <- None;
-        Sim.Metrics.record_advancement cs.metrics ~node:k;
-        Sim.Metrics.record_phase2_duration cs.metrics ~node:k
-          (now cs -. c.c_phase1_done);
         let newg = newq - 1 in
-        if tracing cs then
-          emit cs ~tag
-            (Printf.sprintf "node%d: phase 2 complete, garbage-collect(%d)" k
-               newg);
+        note cs
+          (Sim.Event.Phase2_done
+             { site = k; newg; duration = now cs -. c.c_phase1_done });
         send_phase cs k c (Messages.Garbage_collect { newg })
       end
   | _ -> ()
@@ -393,11 +384,8 @@ let maybe_abandon cs i ~src msg =
       if obsolete then begin
         c.c_abandoned <- true;
         cs.coords.(i) <- None;
-        if tracing cs then
-          emit cs ~tag
-            (Printf.sprintf
-               "node%d: abandons coordination of round %d (node%d is ahead)" i
-               c.c_newu src)
+        note cs
+          (Sim.Event.Adv_abandon { site = i; round = c.c_newu; ahead = src })
       end
   | _ -> ()
 
@@ -520,8 +508,7 @@ let start_round cs k ~newu =
     end
   in
   cs.coords.(k) <- Some c;
-  if tracing cs then
-    emit cs ~tag (Printf.sprintf "node%d: initiates advancement to u=%d" k newu);
+  note cs (Sim.Event.Adv_start { site = k; newu });
   send_phase cs k c (Messages.Advance_u { newu });
   retransmit cs k c
 

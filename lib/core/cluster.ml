@@ -114,9 +114,9 @@ let checkpoint cs ~node:i =
     let nd = Cluster_state.node cs i in
     let ok = Node_state.try_checkpoint nd in
     if ok then begin
-      Cluster_state.emit cs ~tag:"checkpoint"
-        (Printf.sprintf "node%d: checkpoint (log reset to %d records)" i
-           (Wal.Log.length (Node_state.log nd)));
+      Cluster_state.note cs
+        (Sim.Event.Checkpoint
+           { site = i; log_records = Wal.Log.length (Node_state.log nd) });
       Replication.on_checkpoint cs ~site:i
     end;
     ok
@@ -162,7 +162,7 @@ let crash cs ~node:i =
      coordinator's retransmission re-delivers the current phase). *)
   cs.Cluster_state.relays.(i) <- [];
   Net.Network.set_down cs.Cluster_state.net ~node:i true;
-  Cluster_state.emit cs ~tag:"crash" (Printf.sprintf "node%d: crashed" i);
+  Cluster_state.note cs (Sim.Event.Crashed { site = i });
   (* Replication: a crashed backup is demoted; a crashed primary triggers
      backup promotion (WAL-replay recovery of the best surviving copy). *)
   Replication.on_crash cs ~site:i
@@ -178,10 +178,14 @@ let recover cs ~node:i =
   if Node_state.alive old then invalid_arg "Cluster.recover: node is not down";
   let versions = Replication.recover_from_log cs ~site:i (Node_state.log old) in
   Net.Network.set_down cs.Cluster_state.net ~node:i false;
-  Cluster_state.emit cs ~tag:"crash"
-    (Printf.sprintf "node%d: recovered (u=%d q=%d g=%d)" i
-       versions.Wal.Recovery.update_version versions.Wal.Recovery.query_version
-       versions.Wal.Recovery.collected_version);
+  Cluster_state.note cs
+    (Sim.Event.Recovered
+       {
+         site = i;
+         u = versions.Wal.Recovery.update_version;
+         q = versions.Wal.Recovery.query_version;
+         g = versions.Wal.Recovery.collected_version;
+       });
   Cluster_state.note_version_change cs;
   (* A recovered primary resumes shipping where its durable log left off
      (everything shipped before the crash was durable, so the cursors are

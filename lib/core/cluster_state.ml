@@ -179,8 +179,11 @@ let backup_at t s =
   Array.to_seq t.repl.backups_of.(p) |> Seq.find (fun b -> b.b_site = s)
 
 let note_repl_change t = Sim.Condition.broadcast t.repl.repl_changed
-let emit t ~tag message = Sim.Engine.emit t.engine ~tag message
-let tracing t = Sim.Engine.trace_enabled t.engine
+
+let note t event =
+  Sim.Metrics.record t.metrics event;
+  Sim.Engine.emit t.engine event
+
 let now t = Sim.Engine.now t.engine
 
 let note_version_change t = Sim.Condition.broadcast t.state_changed

@@ -153,12 +153,10 @@ val backup_at : 'v t -> int -> 'v backup option
 (** The backup record whose site this is, if the site currently is one. *)
 
 val note_repl_change : _ t -> unit
-val emit : _ t -> tag:string -> string -> unit
 
-val tracing : _ t -> bool
-(** Whether the engine trace is recording.  Hot emit sites test this before
-    building their message with [Printf.sprintf], so large disabled-trace
-    runs (benchmarks, stress, exploration) skip the formatting cost. *)
+val note : _ t -> Sim.Event.t -> unit
+(** Record a protocol event in the metrics registry and append it to the
+    engine trace (when that is on). *)
 
 val now : _ t -> float
 

@@ -36,7 +36,8 @@ let create_recovered ~engine ~node_id ~(config : Config.t) ?lock_group
   let disk = Wal.Disk.create ~force_latency:config.disk_force_latency () in
   let on_force =
     Option.map
-      (fun m ~records -> Sim.Metrics.record_disk_force m ~node:node_id ~records)
+      (fun m ~records ->
+        Sim.Metrics.record m (Sim.Event.Disk_force { site = node_id; records }))
       metrics
   in
   let gcd =

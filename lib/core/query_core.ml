@@ -16,7 +16,7 @@ type 'v t = {
   txn_id : int;
   started_at : float;
   version : int;
-  kind : string;
+  kind : Sim.Event.query_kind;
   child_counters : bool;
   touched : (int, unit) Hashtbl.t;
   (* Set once the query released its counters: a request still in flight
@@ -42,17 +42,8 @@ let start cs ~root ~kind =
      in the system while we run. *)
   let v = Node_state.q root_node in
   Node_state.incr_query_count root_node ~version:v;
-  let kind =
-    match kind with
-    | `Read -> ""
-    | `Scan -> "scan "
-    | `Select -> "select "
-    | `Join -> "join "
-  in
-  if tracing cs then
-    emit cs ~tag:"query"
-      (Printf.sprintf "Q%d: %sstarts at node%d with version %d" txn_id kind root
-         v);
+  note cs
+    (Sim.Event.Query_start { query = txn_id; site = root; version = v; kind });
   {
     cs;
     root;
@@ -135,9 +126,8 @@ let finish t =
 
 let complete t ~values =
   finish t;
-  Sim.Metrics.record_query t.cs.metrics ~node:t.root;
-  if tracing t.cs then
-    emit t.cs ~tag:"query" (Printf.sprintf "Q%d: %scompleted" t.txn_id t.kind);
+  note t.cs
+    (Sim.Event.Query_done { query = t.txn_id; root = t.root; kind = t.kind });
   {
     txn_id = t.txn_id;
     version = t.version;

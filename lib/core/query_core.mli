@@ -26,7 +26,7 @@ type 'v t
 val start :
   'v Cluster_state.t ->
   root:int ->
-  kind:[ `Read | `Scan | `Select | `Join ] ->
+  kind:Sim.Event.query_kind ->
   'v t
 (** Pin [V(Q) = q_root], increment the root's query counter (§3.3
     step 1, atomic) and emit the start trace.  Raises

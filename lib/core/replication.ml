@@ -1,6 +1,5 @@
 open Cluster_state
 
-let tag = "repl"
 let active cs = replicated cs
 
 let recover_from_log cs ~site log =
@@ -224,10 +223,7 @@ let maybe_resync cs p b =
     in
     if Wal.Ship.acked b.b_cursor >= horizon then begin
       b.b_insync <- true;
-      if tracing cs then
-        emit cs ~tag
-          (Printf.sprintf "partition %d: backup site%d caught up, back in sync"
-             p b.b_site)
+      note cs (Sim.Event.Backup_in_sync { part = p; site = b.b_site })
     end
   end
 
@@ -264,9 +260,8 @@ let demote cs b ~why =
   if b.b_insync then begin
     b.b_insync <- false;
     cs.repl.demotions <- cs.repl.demotions + 1;
-    emit cs ~tag
-      (Printf.sprintf "partition %d: backup site%d demoted (%s)" b.b_part
-         b.b_site why);
+    note cs
+      (Sim.Event.Backup_demoted { part = b.b_part; site = b.b_site; why });
     note_repl_change cs;
     (* Waiters on cluster-wide version agreement no longer count this
        backup; wake them so they re-evaluate. *)
@@ -509,13 +504,16 @@ let promote cs ~part ~old_site =
       (* The cursors were the dead primary's view; start over from zero. *)
       Array.iter (fun b -> Wal.Ship.reset b.b_cursor) (backups cs part);
       shift_coord_acks cs ~old_site ~new_site;
-      emit cs ~tag
-        (Printf.sprintf
-           "partition %d: site%d promoted to primary (was site%d; u=%d q=%d \
-            g=%d)"
-           part new_site old_site versions.Wal.Recovery.update_version
-           versions.Wal.Recovery.query_version
-           versions.Wal.Recovery.collected_version);
+      note cs
+        (Sim.Event.Promoted
+           {
+             part;
+             site = new_site;
+             was = old_site;
+             u = versions.Wal.Recovery.update_version;
+             q = versions.Wal.Recovery.query_version;
+             g = versions.Wal.Recovery.collected_version;
+           });
       note_version_change cs;
       note_repl_change cs;
       poke cs part;
@@ -535,10 +533,7 @@ let on_crash cs ~site =
           match promote cs ~part ~old_site:site with
           | `Promoted _ -> ()
           | `No_backup ->
-              emit cs ~tag
-                (Printf.sprintf
-                   "partition %d: primary site%d down, no backup eligible"
-                   part site)
+              note cs (Sim.Event.No_backup { part; site })
         end
 
 (* Recovery hook for a site that is not (or no longer) its partition's
@@ -589,9 +584,7 @@ let recover_as_backup cs ~site =
             };
           |]);
   Net.Network.set_down cs.net ~node:site false;
-  emit cs ~tag
-    (Printf.sprintf "partition %d: site%d rejoins as backup (resyncing)" part
-       site);
+  note cs (Sim.Event.Rejoined { part; site });
   note_version_change cs;
   poke cs part
 

@@ -67,10 +67,9 @@ let start cs ~txn_id ~state ~node:nd ~carried =
     Wal.Scheme.begin_session (Node_state.scheme nd) ~txn:txn_id ~version:v
   in
   Node_state.incr_update_count nd ~version:v;
-  if tracing cs then
-    emit cs ~tag:"txn"
-      (Printf.sprintf "T%d: subtransaction at node%d starts in version %d"
-         txn_id (Node_state.id nd) v);
+  note cs
+    (Sim.Event.Sub_start
+       { txn = txn_id; site = Node_state.id nd; version = v });
   {
     txn_id;
     txn_state = state;
@@ -101,13 +100,8 @@ let move_to cs t ~newv ~at_commit =
       raise (Txn_abort `Version_mismatch);
     Wal.Scheme.move_to_future (Node_state.scheme t.sub_node) t.session
       ~new_version:newv;
-    if tracing cs then
-      emit cs ~tag:"txn"
-        (Printf.sprintf "T%d: moveToFuture(%d) at node%d (%s)" t.txn_id newv
-           (Node_state.id t.sub_node)
-           (if at_commit then "commit time" else "data access"));
-    Sim.Metrics.record_mtf cs.metrics ~node:(Node_state.id t.sub_node)
-      ~at_commit;
+    let site = Node_state.id t.sub_node in
+    note cs (Sim.Event.Mtf { txn = t.txn_id; site; version = newv; at_commit });
     if cs.config.Config.eager_counter_handoff then begin
       (* §8: appear to have "started" in the advanced version so Phase 1
          need not wait for us. *)
@@ -216,10 +210,8 @@ let rollback_to cs t sp =
             ~owner:t.txn_id ~key)
         (scope_keys t sp));
   t.acq_order <- sp.sv_acq;
-  if tracing cs then
-    emit cs ~tag:"txn"
-      (Printf.sprintf "T%d: savepoint rollback at node%d" t.txn_id
-         (Node_state.id t.sub_node))
+  note cs
+    (Sim.Event.Sub_rollback { txn = t.txn_id; site = Node_state.id t.sub_node })
 
 let prepare cs t =
   ignore cs;

@@ -28,7 +28,7 @@ let create cs ~root =
   if not (Node_state.alive root_node) then begin
     (* No transaction id was allocated and nothing ran anywhere: this is
        a rejection, not an abort, and is counted as such. *)
-    Sim.Metrics.record_root_down cs.metrics ~node:root;
+    Sim.Metrics.record cs.metrics (Sim.Event.Root_down { root });
     None
   end
   else
@@ -125,7 +125,8 @@ let rollback_to t sp =
           at_node t n (fun s -> Subtxn.abort t.cs s);
           Hashtbl.remove t.subs n)
     (sub_list t);
-  Sim.Metrics.record_savepoint_rollback t.cs.metrics ~node:t.root
+  Sim.Metrics.record t.cs.metrics
+    (Sim.Event.Savepoint_rollback { txn = t.txn_id; root = t.root })
 
 let release_savepoint _t _sp =
   (* Merging a scope into its parent keeps every write and lock: savepoints
@@ -135,7 +136,8 @@ let release_savepoint _t _sp =
 let decide_version t versions =
   let final_version = List.fold_left max 0 versions in
   if List.exists (fun v -> v <> final_version) versions then begin
-    Sim.Metrics.record_version_mismatch t.cs.metrics ~node:t.root;
+    Sim.Metrics.record t.cs.metrics
+      (Sim.Event.Version_mismatch { txn = t.txn_id; root = t.root });
     (* Synchronous-advancement baseline: a mismatch cannot be repaired,
        so the decision is to abort (detected before any participant
        commits). *)
@@ -146,17 +148,9 @@ let decide_version t versions =
 
 let finish_commit t ~final_version =
   t.state := Subtxn.Finished;
-  Sim.Metrics.record_commit t.cs.metrics ~node:t.root;
-  if tracing t.cs then
-    emit t.cs ~tag:"txn"
-      (Printf.sprintf "T%d: committed in version %d (root node%d)" t.txn_id
-         final_version t.root)
-
-let pp_reason = function
-  | `Deadlock -> "deadlock"
-  | `Node_down n -> Printf.sprintf "node %d down" n
-  | `Rpc_timeout n -> Printf.sprintf "rpc to node %d timed out" n
-  | `Version_mismatch -> "version mismatch"
+  note t.cs
+    (Sim.Event.Commit
+       { txn = t.txn_id; root = t.root; version = final_version })
 
 let abort_all t reason =
   (* Bookkeeping runs on direct references: sessions at nodes that have
@@ -166,11 +160,7 @@ let abort_all t reason =
      alone by Subtxn.abort. *)
   t.state := Subtxn.Aborting;
   List.iter (fun s -> Subtxn.abort t.cs s) (sub_list t);
-  Sim.Metrics.record_abort t.cs.metrics ~node:t.root reason;
-  if tracing t.cs then
-    emit t.cs ~tag:"txn"
-      (Printf.sprintf "T%d: aborted at root node%d (%s)" t.txn_id t.root
-         (pp_reason reason));
+  note t.cs (Sim.Event.Abort { txn = t.txn_id; root = t.root; reason });
   Aborted { txn_id = t.txn_id; reason }
 
 let protect t body =

@@ -108,13 +108,11 @@ val decide_version : 'v t -> int list -> int
 
 val finish_commit : 'v t -> final_version:int -> unit
 (** Mark the transaction finished, count the commit against the root
-    node, emit the trace line. *)
-
-val pp_reason : abort_reason -> string
+    node and trace it ({!Cluster_state.note}). *)
 
 val abort_all : 'v t -> abort_reason -> 'info outcome
 (** Roll back every registered subtransaction (node-id order), count the
-    abort with its reason against the root node, emit the trace line;
+    abort with its reason against the root node and trace it;
     returns the [Aborted] outcome. *)
 
 val protect : 'v t -> (unit -> 'info outcome) -> 'info outcome

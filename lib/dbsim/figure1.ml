@@ -109,33 +109,34 @@ let run ?(eager_handoff = false) ?(long_query_duration = 100.0) () =
   let trace = Sim.Trace.entries (Sim.Engine.trace engine) in
   let last_time pred =
     List.fold_left
-      (fun acc e -> if pred e.Sim.Trace.message then e.Sim.Trace.time else acc)
+      (fun acc e -> if pred e.Sim.Trace.event then e.Sim.Trace.time else acc)
       nan trace
   in
   let first_time pred =
-    List.fold_left
-      (fun acc e ->
-        if Float.is_nan acc && pred e.Sim.Trace.message then e.Sim.Trace.time
-        else acc)
-      nan trace
-  in
-  let contains fragment msg =
-    let flen = String.length fragment and len = String.length msg in
-    let rec scan i =
-      i + flen <= len && (String.sub msg i flen = fragment || scan (i + 1))
-    in
-    scan 0
+    match List.find_opt (fun e -> pred e.Sim.Trace.event) trace with
+    | Some e -> e.Sim.Trace.time
+    | None -> nan
   in
   let timings =
     {
-      advancement_started = first_time (contains "initiates advancement to u=2");
-      all_nodes_on_new_u = last_time (contains "u := 2");
+      advancement_started =
+        first_time (function
+          | Sim.Event.Adv_start { newu = 2; _ } -> true
+          | _ -> false);
+      all_nodes_on_new_u =
+        last_time (function Sim.Event.Set_u { u = 2; _ } -> true | _ -> false);
       long_update_committed = !long_update_done;
-      phase1_complete = first_time (contains "phase 1 complete");
-      all_nodes_on_new_q = last_time (contains "q := 1");
+      phase1_complete =
+        first_time (function Sim.Event.Phase1_done _ -> true | _ -> false);
+      all_nodes_on_new_q =
+        last_time (function Sim.Event.Set_q { q = 1; _ } -> true | _ -> false);
       long_query_completed = !long_query_done;
-      phase2_complete = first_time (contains "phase 2 complete");
-      gc_complete = last_time (contains "collected version 0");
+      phase2_complete =
+        first_time (function Sim.Event.Phase2_done _ -> true | _ -> false);
+      gc_complete =
+        last_time (function
+          | Sim.Event.Collected { g = 0; _ } -> true
+          | _ -> false);
       short_update_max_latency = !short_update_max;
       short_query_max_latency = !short_query_max;
     }

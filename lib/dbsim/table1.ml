@@ -112,17 +112,11 @@ let run ?(scheme = Wal.Scheme.No_undo) () =
   let u_commit = commit_of "U" u_outcome in
   let s_commit = commit_of "S" s_outcome in
   let trace = Sim.Trace.entries (Sim.Engine.trace engine) in
-  let trace_has fragment =
-    List.exists
-      (fun e ->
-        let msg = e.Sim.Trace.message in
-        let frag_len = String.length fragment and len = String.length msg in
-        let rec scan i =
-          i + frag_len <= len
-          && (String.sub msg i frag_len = fragment || scan (i + 1))
-        in
-        scan 0)
-      trace
+  let traced ev = List.exists (fun e -> e.Sim.Trace.event = ev) trace in
+  let started txn site version =
+    traced (Sim.Event.Sub_start { txn; site; version })
+  and moved txn site ~at_commit =
+    traced (Sim.Event.Mtf { txn; site; version = 2; at_commit })
   in
   let check_query label r ~version ~values =
     match !r with
@@ -148,17 +142,14 @@ let run ?(scheme = Wal.Scheme.No_undo) () =
   (match t_commit with
   | Some c ->
       let t = c.Update.txn_id in
-      if not (trace_has (Printf.sprintf "T%d: subtransaction at node0 starts in version 1" t))
-      then fail "T_i did not start in version 1";
-      if not (trace_has (Printf.sprintf "T%d: subtransaction at node1 starts in version 1" t))
-      then fail "T_j did not start in version 1";
-      if not (trace_has (Printf.sprintf "T%d: subtransaction at node2 starts in version 2" t))
-      then fail "T_k did not start in version 2";
+      if not (started t 0 1) then fail "T_i did not start in version 1";
+      if not (started t 1 1) then fail "T_j did not start in version 1";
+      if not (started t 2 2) then fail "T_k did not start in version 2";
       (* (4) moveToFuture at data access on j, at commit time on i. *)
-      if not (trace_has (Printf.sprintf "T%d: moveToFuture(2) at node1 (data access)" t))
-      then fail "T_j had no data-access moveToFuture";
-      if not (trace_has (Printf.sprintf "T%d: moveToFuture(2) at node0 (commit time)" t))
-      then fail "T_i had no commit-time moveToFuture";
+      if not (moved t 1 ~at_commit:false) then
+        fail "T_j had no data-access moveToFuture";
+      if not (moved t 0 ~at_commit:true) then
+        fail "T_i had no commit-time moveToFuture";
       if c.Update.final_version <> 2 then
         fail "T committed in version %d, expected 2" c.Update.final_version
   | None -> ());
@@ -171,10 +162,9 @@ let run ?(scheme = Wal.Scheme.No_undo) () =
   | Some c ->
       let s = c.Update.txn_id in
       if c.Update.final_version <> 2 then fail "S committed in version %d" c.Update.final_version;
-      if not (trace_has (Printf.sprintf "T%d: subtransaction at node1 starts in version 1" s))
-      then fail "S_j did not start in version 1";
-      if not (trace_has (Printf.sprintf "T%d: moveToFuture(2) at node1 (data access)" s))
-      then fail "S had no (trivial) moveToFuture"
+      if not (started s 1 1) then fail "S_j did not start in version 1";
+      if not (moved s 1 ~at_commit:false) then
+        fail "S had no (trivial) moveToFuture"
   | None -> ());
   (* (6) exactly one commit-time version mismatch (T's). *)
   let stats = Ava3.Cluster.stats db in
@@ -208,54 +198,30 @@ let run ?(scheme = Wal.Scheme.No_undo) () =
      showing T's value (serialized after U). *)
   check_query "final" final_query ~version:2 ~values:[ w_t; x_t; y_s; z_t ];
   (* ---- Event log ---- *)
-  let site_of msg =
-    let find_site prefix =
-      let plen = String.length prefix in
-      let len = String.length msg in
-      let rec scan i =
-        if i + plen + 1 > len then None
-        else if String.sub msg i plen = prefix && i + plen < len then
-          match msg.[i + plen] with
-          | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
-          | _ -> scan (i + 1)
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    find_site "node"
-  in
-  (* Rename transaction ids to the paper's names. *)
+  (* Transactions and queries go by the paper's names. *)
   let names =
-    List.filter_map
-      (fun x -> x)
+    List.filter_map Fun.id
       [
-        Option.map (fun (c : int Update.commit_info) -> (Printf.sprintf "T%d:" c.Update.txn_id, "T:")) t_commit;
-        Option.map (fun (c : int Update.commit_info) -> (Printf.sprintf "T%d:" c.Update.txn_id, "U:")) u_commit;
-        Option.map (fun (c : int Update.commit_info) -> (Printf.sprintf "T%d:" c.Update.txn_id, "S:")) s_commit;
-        Option.map (fun (r : int Query.result) -> (Printf.sprintf "Q%d:" r.Query.txn_id, "R:")) !r_result;
-        Option.map (fun (r : int Query.result) -> (Printf.sprintf "Q%d:" r.Query.txn_id, "Q:")) !q_result;
-        Option.map (fun (r : int Query.result) -> (Printf.sprintf "Q%d:" r.Query.txn_id, "P:")) !p_result;
-        Option.map (fun (r : int Query.result) -> (Printf.sprintf "Q%d:" r.Query.txn_id, "final check:")) !final_query;
+        Option.map (fun (c : int Update.commit_info) -> (`Txn c.Update.txn_id, "T")) t_commit;
+        Option.map (fun (c : int Update.commit_info) -> (`Txn c.Update.txn_id, "U")) u_commit;
+        Option.map (fun (c : int Update.commit_info) -> (`Txn c.Update.txn_id, "S")) s_commit;
+        Option.map (fun (r : int Query.result) -> (`Query r.Query.txn_id, "R")) !r_result;
+        Option.map (fun (r : int Query.result) -> (`Query r.Query.txn_id, "Q")) !q_result;
+        Option.map (fun (r : int Query.result) -> (`Query r.Query.txn_id, "P")) !p_result;
+        Option.map (fun (r : int Query.result) -> (`Query r.Query.txn_id, "final check")) !final_query;
       ]
   in
-  let rename msg =
-    List.fold_left
-      (fun msg (from_, to_) ->
-        let flen = String.length from_ and len = String.length msg in
-        if len >= flen && String.sub msg 0 flen = from_ then
-          to_ ^ String.sub msg flen (len - flen)
-        else msg)
-      msg names
-  in
+  let name subject = List.assoc_opt subject names in
   let events =
     List.filter_map
-      (fun e ->
-        if List.mem e.Sim.Trace.tag [ "advance"; "txn"; "query"; "crash" ] then
+      (fun { Sim.Trace.time; event; _ } ->
+        if List.mem (Sim.Event.tag event) [ "advance"; "txn"; "query"; "crash" ]
+        then
           Some
             {
-              time = e.Sim.Trace.time;
-              site = site_of e.Sim.Trace.message;
-              text = rename e.Sim.Trace.message;
+              time;
+              site = Sim.Event.site event;
+              text = Format.asprintf "%a" (Sim.Event.pp ~name) event;
             }
         else None)
       trace

@@ -44,6 +44,7 @@ type 'v site = {
      stripe just cause false contention, never unsoundness. *)
   item_locks : int Atomic.t array;
   lock_mask : int;
+  query_done : Sim.Event.t;  (* built once: queries carry no id here *)
 }
 
 type 'v t = {
@@ -93,6 +94,8 @@ let create ?(gc_renumber = true) ?(skip_query_latch = false) ~sites () =
       query_counts;
       item_locks = Array.init lock_stripes (fun _ -> Atomic.make 0);
       lock_mask = lock_stripes - 1;
+      query_done =
+        Sim.Event.Query_done { query = 0; root = site_id; kind = `Read };
     }
   in
   {
@@ -272,20 +275,22 @@ let begin_sub s =
 
 (* Subtxn.move_to under No_undo: deferred writes carry no version, so
    promoting the session's version is the whole job. *)
-let move_to w sub ~newv ~at_commit =
+let move_to w ~txn sub ~newv ~at_commit =
   if newv > sub.version then begin
     sub.version <- newv;
-    Sim.Metrics.record_mtf w.m ~node:sub.sub_site.site_id ~at_commit
+    Sim.Metrics.record w.m
+      (Sim.Event.Mtf
+         { txn; site = sub.sub_site.site_id; version = newv; at_commit })
   end
 
 (* Subtxn.catch_up: a later version of an accessed item means a
    conflicting transaction of the next version already committed;
    serialize after it by moving to the site's current update version. *)
-let catch_up w sub key =
+let catch_up w ~txn sub key =
   match Mstore.max_version sub.sub_site.store key with
   | Some cur when cur > sub.version ->
       let newu = Latch.with_latch sub.sub_site.counters (fun () -> sub.sub_site.u) in
-      move_to w sub ~newv:newu ~at_commit:false
+      move_to w ~txn sub ~newv:newu ~at_commit:false
   | _ -> ()
 
 let ws_put sub key value =
@@ -328,17 +333,17 @@ let attempt w ~root ~ops ~marker =
             (match Hashtbl.find_opt sub.ws key with
             | Some own -> reads := (key, own) :: !reads
             | None ->
-                catch_up w sub key;
+                catch_up w ~txn:marker sub key;
                 reads :=
                   (key, Mstore.read_le sub.sub_site.store key sub.version)
                   :: !reads)
         | Write (key, value) ->
             lock_item sub marker key;
-            catch_up w sub key;
+            catch_up w ~txn:marker sub key;
             ws_put sub key (Some value)
         | Delete key ->
             lock_item sub marker key;
-            catch_up w sub key;
+            catch_up w ~txn:marker sub key;
             ws_put sub key None)
       ops;
     (* Prepare round: collect each participant's version (shared-lock
@@ -352,7 +357,8 @@ let attempt w ~root ~ops ~marker =
       List.fold_left (fun acc sub -> max acc sub.version) 0 subs_sorted
     in
     if List.exists (fun sub -> sub.version <> final_version) subs_sorted then
-      Sim.Metrics.record_version_mismatch w.m ~node:root;
+      Sim.Metrics.record w.m
+        (Sim.Event.Version_mismatch { txn = marker; root });
     (* Commit round, in site order like Txn_core.at_sub_nodes. *)
     List.iter
       (fun sub ->
@@ -360,7 +366,7 @@ let attempt w ~root ~ops ~marker =
         if sub.version < final_version then begin
           Latch.with_latch s.counters (fun () ->
               set_u_locked s final_version);
-          move_to w sub ~newv:final_version ~at_commit:true
+          move_to w ~txn:marker sub ~newv:final_version ~at_commit:true
         end;
         List.iter
           (fun key -> Mstore.apply s.store key final_version (Hashtbl.find sub.ws key))
@@ -387,7 +393,8 @@ let run_update w ~root ~ops =
   let rec go retries =
     match attempt w ~root ~ops ~marker with
     | Ok (final_version, reads) ->
-        Sim.Metrics.record_commit w.m ~node:root;
+        Sim.Metrics.record w.m
+          (Sim.Event.Commit { txn = txn_id; root; version = final_version });
         Committed { txn_id; final_version; reads; retries }
     | Error `Busy when retries < max_retries ->
         (* Contention backoff proportional to how often we failed. *)
@@ -396,7 +403,8 @@ let run_update w ~root ~ops =
         done;
         go (retries + 1)
     | Error `Busy ->
-        Sim.Metrics.record_abort w.m ~node:root `Deadlock;
+        Sim.Metrics.record w.m
+          (Sim.Event.Abort { txn = txn_id; root; reason = `Deadlock });
         Aborted { txn_id; retries }
   in
   go 0
@@ -466,7 +474,7 @@ let run_query w ~root ~reads =
     visited;
   Latch.with_latch rs.counters (fun () ->
       decr_query_count_locked rs ~version:v);
-  Sim.Metrics.record_query w.m ~node:root;
+  Sim.Metrics.record w.m rs.query_done;
   { q_version = v; values }
 
 (* ---- Advancement (§3.2: the three phases) ----------------------------- *)
@@ -511,19 +519,21 @@ let advance w ~coordinator =
                 await_zero (fun () -> update_count s ~version:(newu - 1)))
               b.sites;
             let t1 = Unix.gettimeofday () in
-            Sim.Metrics.record_phase1_duration w.m ~node:coordinator (t1 -. t0);
-            (* Phase 2: advance-q, wait out the old version's queries. *)
             let newq = newu - 1 in
+            Sim.Metrics.record w.m
+              (Sim.Event.Phase1_done
+                 { site = coordinator; newq; duration = t1 -. t0 });
+            (* Phase 2: advance-q, wait out the old version's queries. *)
             Array.iter
               (fun s ->
                 Latch.with_latch s.counters (fun () -> set_q_locked s newq);
                 await_zero (fun () -> query_count s ~version:(newq - 1)))
               b.sites;
-            Sim.Metrics.record_phase2_duration w.m ~node:coordinator
-              (Unix.gettimeofday () -. t1);
-            Sim.Metrics.record_advancement w.m ~node:coordinator;
-            (* Phase 3: collect the version nobody can read anymore. *)
             let newg = newu - 2 in
+            let duration = Unix.gettimeofday () -. t1 in
+            Sim.Metrics.record w.m
+              (Sim.Event.Phase2_done { site = coordinator; newg; duration });
+            (* Phase 3: collect the version nobody can read anymore. *)
             Array.iter
               (fun s ->
                 Latch.with_latch s.counters (fun () ->

@@ -64,7 +64,9 @@ val backend : 'v worker -> 'v t
 
 val metrics : _ t -> Sim.Metrics.t
 (** All worker registries merged node-wise into a fresh registry.  Only
-    meaningful at quiesce (no worker mid-operation). *)
+    meaningful at quiesce (no worker mid-operation).  Workers record the
+    DES's {!Sim.Event} constructors; queries carry no id here, so every
+    {!Sim.Event.Query_done} names query [0]. *)
 
 (** {1 Update transactions} *)
 

@@ -187,37 +187,32 @@ let choice_plan ~choose ~nodes ~horizon ?(crashes = 1) ?(partitions = 0)
 
 let install ~engine target plan =
   validate ~nodes:target.nodes plan;
+  let emit = Sim.Engine.emit engine in
   List.iter
     (fun ev ->
       match ev with
       | Crash { node; at; duration } ->
           Sim.Engine.schedule engine ~delay:at (fun () ->
-              Sim.Engine.emit engine ~tag:"nemesis"
-                (Printf.sprintf "crash node%d" node);
+              emit (Sim.Event.Nemesis_crash { site = node });
               target.crash node;
               Sim.Engine.sleep duration;
-              Sim.Engine.emit engine ~tag:"nemesis"
-                (Printf.sprintf "recover node%d" node);
+              emit (Sim.Event.Nemesis_recover { site = node });
               target.recover node)
       | Partition { a; b; at; duration } ->
           Sim.Engine.schedule engine ~delay:at (fun () ->
-              Sim.Engine.emit engine ~tag:"nemesis"
-                (Printf.sprintf "partition node%d<->node%d" a b);
+              emit (Sim.Event.Nemesis_partition { a; b });
               target.partition ~src:a ~dst:b true;
               target.partition ~src:b ~dst:a true;
               Sim.Engine.sleep duration;
-              Sim.Engine.emit engine ~tag:"nemesis"
-                (Printf.sprintf "heal node%d<->node%d" a b);
+              emit (Sim.Event.Nemesis_heal { a; b });
               target.partition ~src:a ~dst:b false;
               target.partition ~src:b ~dst:a false)
       | Slow_link { src; dst; at; duration; extra } ->
           Sim.Engine.schedule engine ~delay:at (fun () ->
-              Sim.Engine.emit engine ~tag:"nemesis"
-                (Printf.sprintf "slow node%d->node%d (+%g)" src dst extra);
+              emit (Sim.Event.Nemesis_slow { src; dst; extra });
               target.slow ~src ~dst extra;
               Sim.Engine.sleep duration;
-              Sim.Engine.emit engine ~tag:"nemesis"
-                (Printf.sprintf "restore node%d->node%d" src dst);
+              emit (Sim.Event.Nemesis_restore { src; dst });
               target.slow ~src ~dst 0.0))
     plan
 

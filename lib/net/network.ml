@@ -127,11 +127,12 @@ let delivery_delay t ~src ~dst =
   t.link_clock.(src).(dst) <- at;
   at -. now
 
+let record t event =
+  match t.metrics with Some m -> Sim.Metrics.record m event | None -> ()
+
 let count_envelope t ~src =
   t.envelopes <- t.envelopes + 1;
-  match t.metrics with
-  | Some m -> Sim.Metrics.record_envelope m ~node:src
-  | None -> ()
+  record t (Sim.Event.Envelope { src })
 
 (* Ship everything queued on (src,dst) as one envelope: one latency sample,
    one arrival instant, the payloads scheduled in FIFO order at it.  Each
@@ -238,9 +239,7 @@ let call ?timeout t ~src ~dst thunk =
   end;
   let request_ok = not t.link_down.(src).(dst) in
   if not request_ok then t.dropped <- t.dropped + 1;
-  (match t.metrics with
-  | Some m -> Sim.Metrics.record_rpc_call m ~node:src
-  | None -> ());
+  record t (Sim.Event.Rpc_call { src; dst });
   let issued_at = Sim.Engine.now t.engine in
   let outcome =
     Sim.Engine.suspend (fun resume ->
@@ -273,20 +272,15 @@ let call ?timeout t ~src ~dst thunk =
                          (* A reply settled the call: record its round trip
                             (the callee's own exception still counts as a
                             completed RPC — only silence is a timeout). *)
-                         (match t.metrics with
-                         | Some m ->
-                             Sim.Metrics.record_rpc_latency m ~node:src
-                               (Sim.Engine.now t.engine -. issued_at)
-                         | None -> ());
+                         let rtt = Sim.Engine.now t.engine -. issued_at in
+                         record t (Sim.Event.Rpc_reply { src; dst; rtt });
                          settle result
                        end)
                end));
         if timeout < infinity then
           Sim.Engine.schedule t.engine ~delay:timeout (fun () ->
               if not !settled then begin
-                (match t.metrics with
-                | Some m -> Sim.Metrics.record_rpc_timeout m ~node:src
-                | None -> ());
+                record t (Sim.Event.Rpc_timeout { src; dst });
                 settle (Error (Rpc_timeout dst))
               end))
   in

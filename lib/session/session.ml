@@ -278,8 +278,8 @@ let retry_loop s (run : root:int -> [ `Ok of 'a | `Failed of 'f * bool ]) =
     | `Failed (last, retryable) ->
         if retryable && k < budget then begin
           let backoff = backoff_of s ~config k in
-          Sim.Metrics.record_session_retry s.cs.Cluster_state.metrics
-            ~node:root ~backoff;
+          Sim.Metrics.record s.cs.Cluster_state.metrics
+            (Sim.Event.Session_retry { root; backoff });
           if backoff > 0.0 then Sim.Engine.sleep backoff;
           go (k + 1)
         end

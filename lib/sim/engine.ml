@@ -56,7 +56,6 @@ let create ?(seed = 0x5EEDL) ?(trace = true) ?trace_capacity () =
 let now t = t.clock
 let rng t = t.root_rng
 let trace t = t.trace_rec
-let trace_enabled t = Trace.enabled t.trace_rec
 
 let set_chooser t chooser = t.chooser <- chooser
 
@@ -68,8 +67,8 @@ let branch t ~label arity =
       let c = choose (Branch { label; arity }) in
       if c < 0 || c >= arity then 0 else c
 
-let emit t ~tag message =
-  Trace.emit t.trace_rec ~time:t.clock ?process:t.current_name ~tag message
+let emit t event =
+  Trace.emit t.trace_rec ~time:t.clock ?process:t.current_name event
 
 let schedule_at t ~time ?label fn =
   t.seq <- t.seq + 1;
@@ -121,7 +120,8 @@ let run_process t ?name fn =
 
 let spawn t ?name fn =
   (match name with
-  | Some n -> Trace.emit t.trace_rec ~time:t.clock ~process:n ~tag:"spawn" n
+  | Some n ->
+      Trace.emit t.trace_rec ~time:t.clock ~process:n (Event.Spawn { name = n })
   | None -> ());
   schedule_at t ~time:t.clock ?label:name (fun () -> run_process t ?name fn)
 

@@ -75,18 +75,14 @@ val rng : t -> Rng.t
 
 val trace : t -> Trace.t
 
-val trace_enabled : t -> bool
-(** Whether the trace is recording.  Hot emit sites that build their
-    message with [Printf.sprintf] should test this first so disabled-trace
-    runs skip the formatting entirely. *)
-
-val emit : t -> tag:string -> string -> unit
-(** Record a trace entry stamped with the current virtual time. *)
+val emit : t -> Event.t -> unit
+(** Record a trace entry stamped with the current virtual time (no-op when
+    the trace is off). *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a new process at the current time (it runs when the engine next
     reaches the event queue, after the caller yields).  When [name] is
-    given and tracing is on, a ["spawn"]-tagged entry is recorded and
+    given and tracing is on, an {!Event.Spawn} entry is recorded and
     every trace entry emitted while the process runs (across suspensions)
     carries the name in its [process] field. *)
 

@@ -59,29 +59,34 @@ let hist_add h v =
 (* Inclusive upper bound of bucket [i]: frexp puts v in (2^(e-1), 2^e]. *)
 let bucket_le i = if i = 0 then 0.0 else Float.ldexp 1.0 (i - 1 + exp_min)
 
+(* A node's integer counters share one array, one slot each, so adding a
+   counter means naming its slot here and reading it in [snapshot]. *)
+let commits = 0
+let aborts_deadlock = 1
+let aborts_node_down = 2
+let aborts_rpc_timeout = 3
+let aborts_version_mismatch = 4
+let root_down_rejections = 5
+let queries = 6
+let mtf_data_access = 7
+let mtf_commit_time = 8
+let version_mismatches = 9
+let advancements = 10
+let rpc_calls = 11
+let rpc_timeouts = 12
+let envelopes = 13
+let disk_forces = 14
+let records_forced = 15
+let savepoint_rollbacks = 16
+let session_retries = 17
+let slot_count = 18
+
 type node_metrics = {
-  mutable commits : int;
-  mutable aborts_deadlock : int;
-  mutable aborts_node_down : int;
-  mutable aborts_rpc_timeout : int;
-  mutable aborts_version_mismatch : int;
-  mutable root_down_rejections : int;
-  mutable queries : int;
-  mutable mtf_data_access : int;
-  mutable mtf_commit_time : int;
-  mutable version_mismatches : int;
-  mutable advancements : int;
+  c : int array;
+  mutable session_backoff : float;
   phase1_duration : hist;
   phase2_duration : hist;
-  mutable rpc_calls : int;
-  mutable rpc_timeouts : int;
   rpc_latency : hist;
-  mutable envelopes : int;
-  mutable disk_forces : int;
-  mutable records_forced : int;
-  mutable savepoint_rollbacks : int;
-  mutable session_retries : int;
-  mutable session_backoff : float;
 }
 
 type t = node_metrics array
@@ -90,101 +95,62 @@ let create ~nodes =
   if nodes <= 0 then invalid_arg "Metrics.create: need at least one node";
   Array.init nodes (fun _ ->
       {
-        commits = 0;
-        aborts_deadlock = 0;
-        aborts_node_down = 0;
-        aborts_rpc_timeout = 0;
-        aborts_version_mismatch = 0;
-        root_down_rejections = 0;
-        queries = 0;
-        mtf_data_access = 0;
-        mtf_commit_time = 0;
-        version_mismatches = 0;
-        advancements = 0;
+        c = Array.make slot_count 0;
+        session_backoff = 0.0;
         phase1_duration = hist_create ();
         phase2_duration = hist_create ();
-        rpc_calls = 0;
-        rpc_timeouts = 0;
         rpc_latency = hist_create ();
-        envelopes = 0;
-        disk_forces = 0;
-        records_forced = 0;
-        savepoint_rollbacks = 0;
-        session_retries = 0;
-        session_backoff = 0.0;
       })
-
-let node_count t = Array.length t
 
 let at t node =
   if node < 0 || node >= Array.length t then
     invalid_arg "Metrics: no such node";
   t.(node)
 
-let record_commit t ~node =
-  let m = at t node in
-  m.commits <- m.commits + 1
+let add t node slot n =
+  let c = (at t node).c in
+  c.(slot) <- c.(slot) + n
 
-let record_abort t ~node reason =
-  let m = at t node in
-  match reason with
-  | `Deadlock -> m.aborts_deadlock <- m.aborts_deadlock + 1
-  | `Node_down _ -> m.aborts_node_down <- m.aborts_node_down + 1
-  | `Rpc_timeout _ -> m.aborts_rpc_timeout <- m.aborts_rpc_timeout + 1
-  | `Version_mismatch ->
-      m.aborts_version_mismatch <- m.aborts_version_mismatch + 1
-
-let record_root_down t ~node =
-  let m = at t node in
-  m.root_down_rejections <- m.root_down_rejections + 1
-
-let record_query t ~node =
-  let m = at t node in
-  m.queries <- m.queries + 1
-
-let record_mtf t ~node ~at_commit =
-  let m = at t node in
-  if at_commit then m.mtf_commit_time <- m.mtf_commit_time + 1
-  else m.mtf_data_access <- m.mtf_data_access + 1
-
-let record_version_mismatch t ~node =
-  let m = at t node in
-  m.version_mismatches <- m.version_mismatches + 1
-
-let record_phase1_duration t ~node d = hist_add (at t node).phase1_duration d
-let record_phase2_duration t ~node d = hist_add (at t node).phase2_duration d
-
-let record_advancement t ~node =
-  let m = at t node in
-  m.advancements <- m.advancements + 1
-
-let record_rpc_call t ~node =
-  let m = at t node in
-  m.rpc_calls <- m.rpc_calls + 1
-
-let record_rpc_latency t ~node d = hist_add (at t node).rpc_latency d
-
-let record_rpc_timeout t ~node =
-  let m = at t node in
-  m.rpc_timeouts <- m.rpc_timeouts + 1
-
-let record_envelope t ~node =
-  let m = at t node in
-  m.envelopes <- m.envelopes + 1
-
-let record_disk_force t ~node ~records =
-  let m = at t node in
-  m.disk_forces <- m.disk_forces + 1;
-  m.records_forced <- m.records_forced + records
-
-let record_savepoint_rollback t ~node =
-  let m = at t node in
-  m.savepoint_rollbacks <- m.savepoint_rollbacks + 1
-
-let record_session_retry t ~node ~backoff =
-  let m = at t node in
-  m.session_retries <- m.session_retries + 1;
-  m.session_backoff <- m.session_backoff +. backoff
+let record t (ev : Event.t) =
+  match ev with
+  | Commit { root; _ } -> add t root commits 1
+  | Abort { root; reason; _ } ->
+      add t root
+        (match reason with
+        | `Deadlock -> aborts_deadlock
+        | `Node_down _ -> aborts_node_down
+        | `Rpc_timeout _ -> aborts_rpc_timeout
+        | `Version_mismatch -> aborts_version_mismatch)
+        1
+  | Root_down { root } -> add t root root_down_rejections 1
+  | Query_done { root; _ } -> add t root queries 1
+  | Mtf { site; at_commit; _ } ->
+      add t site (if at_commit then mtf_commit_time else mtf_data_access) 1
+  | Version_mismatch { root; _ } -> add t root version_mismatches 1
+  | Phase1_done { site; duration; _ } ->
+      hist_add (at t site).phase1_duration duration
+  | Phase2_done { site; duration; _ } ->
+      add t site advancements 1;
+      hist_add (at t site).phase2_duration duration
+  | Rpc_call { src; _ } -> add t src rpc_calls 1
+  | Rpc_reply { src; rtt; _ } -> hist_add (at t src).rpc_latency rtt
+  | Rpc_timeout { src; _ } -> add t src rpc_timeouts 1
+  | Envelope { src } -> add t src envelopes 1
+  | Disk_force { site; records } ->
+      add t site disk_forces 1;
+      add t site records_forced records
+  | Savepoint_rollback { root; _ } -> add t root savepoint_rollbacks 1
+  | Session_retry { root; backoff } ->
+      add t root session_retries 1;
+      let m = at t root in
+      m.session_backoff <- m.session_backoff +. backoff
+  | Spawn _ | Nemesis_crash _ | Nemesis_recover _ | Nemesis_partition _
+  | Nemesis_heal _ | Nemesis_slow _ | Nemesis_restore _ | Sub_start _
+  | Sub_rollback _ | Query_start _ | Adv_start _ | Set_u _ | Set_q _
+  | Collected _ | Adv_abandon _ | Crashed _ | Recovered _ | Checkpoint _
+  | Backup_in_sync _ | Backup_demoted _ | Promoted _ | No_backup _
+  | Rejoined _ ->
+      ()
 
 let hist_merge_into ~into:a b =
   a.h_count <- a.h_count + b.h_count;
@@ -200,52 +166,31 @@ let merge_into ~into src =
   Array.iteri
     (fun i (s : node_metrics) ->
       let d = into.(i) in
-      d.commits <- d.commits + s.commits;
-      d.aborts_deadlock <- d.aborts_deadlock + s.aborts_deadlock;
-      d.aborts_node_down <- d.aborts_node_down + s.aborts_node_down;
-      d.aborts_rpc_timeout <- d.aborts_rpc_timeout + s.aborts_rpc_timeout;
-      d.aborts_version_mismatch <-
-        d.aborts_version_mismatch + s.aborts_version_mismatch;
-      d.root_down_rejections <-
-        d.root_down_rejections + s.root_down_rejections;
-      d.queries <- d.queries + s.queries;
-      d.mtf_data_access <- d.mtf_data_access + s.mtf_data_access;
-      d.mtf_commit_time <- d.mtf_commit_time + s.mtf_commit_time;
-      d.version_mismatches <- d.version_mismatches + s.version_mismatches;
-      d.advancements <- d.advancements + s.advancements;
+      Array.iteri (fun slot n -> d.c.(slot) <- d.c.(slot) + n) s.c;
+      d.session_backoff <- d.session_backoff +. s.session_backoff;
       hist_merge_into ~into:d.phase1_duration s.phase1_duration;
       hist_merge_into ~into:d.phase2_duration s.phase2_duration;
-      d.rpc_calls <- d.rpc_calls + s.rpc_calls;
-      d.rpc_timeouts <- d.rpc_timeouts + s.rpc_timeouts;
-      hist_merge_into ~into:d.rpc_latency s.rpc_latency;
-      d.envelopes <- d.envelopes + s.envelopes;
-      d.disk_forces <- d.disk_forces + s.disk_forces;
-      d.records_forced <- d.records_forced + s.records_forced;
-      d.savepoint_rollbacks <- d.savepoint_rollbacks + s.savepoint_rollbacks;
-      d.session_retries <- d.session_retries + s.session_retries;
-      d.session_backoff <- d.session_backoff +. s.session_backoff)
+      hist_merge_into ~into:d.rpc_latency s.rpc_latency)
     src
 
 let sum f t = Array.fold_left (fun acc m -> acc + f m) 0 t
+let total slot t = sum (fun m -> m.c.(slot)) t
 
 let node_aborts m =
-  m.aborts_deadlock + m.aborts_node_down + m.aborts_rpc_timeout
-  + m.aborts_version_mismatch
+  m.c.(aborts_deadlock) + m.c.(aborts_node_down) + m.c.(aborts_rpc_timeout)
+  + m.c.(aborts_version_mismatch)
 
-let total_commits t = sum (fun m -> m.commits) t
+let total_commits = total commits
 let total_aborts t = sum node_aborts t
-let total_root_down t = sum (fun m -> m.root_down_rejections) t
-let total_queries t = sum (fun m -> m.queries) t
-let total_mtf_data_access t = sum (fun m -> m.mtf_data_access) t
-let total_mtf_commit_time t = sum (fun m -> m.mtf_commit_time) t
-let total_version_mismatches t = sum (fun m -> m.version_mismatches) t
-let total_advancements t = sum (fun m -> m.advancements) t
-let total_rpc_calls t = sum (fun m -> m.rpc_calls) t
-let total_rpc_timeouts t = sum (fun m -> m.rpc_timeouts) t
-let total_disk_forces t = sum (fun m -> m.disk_forces) t
-let total_records_forced t = sum (fun m -> m.records_forced) t
-let total_savepoint_rollbacks t = sum (fun m -> m.savepoint_rollbacks) t
-let total_session_retries t = sum (fun m -> m.session_retries) t
+let total_queries = total queries
+let total_mtf_data_access = total mtf_data_access
+let total_mtf_commit_time = total mtf_commit_time
+let total_version_mismatches = total version_mismatches
+let total_advancements = total advancements
+let total_disk_forces = total disk_forces
+let total_records_forced = total records_forced
+let total_savepoint_rollbacks = total savepoint_rollbacks
+let total_session_retries = total session_retries
 
 let total_session_backoff t =
   Array.fold_left (fun acc m -> acc +. m.session_backoff) 0.0 t
@@ -303,29 +248,30 @@ let hist_snapshot h =
 let snapshot t =
   Array.to_list t
   |> List.mapi (fun node (m : node_metrics) ->
+         let c = m.c in
          {
            node;
-           commits = m.commits;
-           aborts_deadlock = m.aborts_deadlock;
-           aborts_node_down = m.aborts_node_down;
-           aborts_rpc_timeout = m.aborts_rpc_timeout;
-           aborts_version_mismatch = m.aborts_version_mismatch;
-           root_down_rejections = m.root_down_rejections;
-           queries = m.queries;
-           mtf_data_access = m.mtf_data_access;
-           mtf_commit_time = m.mtf_commit_time;
-           version_mismatches = m.version_mismatches;
-           advancements = m.advancements;
+           commits = c.(commits);
+           aborts_deadlock = c.(aborts_deadlock);
+           aborts_node_down = c.(aborts_node_down);
+           aborts_rpc_timeout = c.(aborts_rpc_timeout);
+           aborts_version_mismatch = c.(aborts_version_mismatch);
+           root_down_rejections = c.(root_down_rejections);
+           queries = c.(queries);
+           mtf_data_access = c.(mtf_data_access);
+           mtf_commit_time = c.(mtf_commit_time);
+           version_mismatches = c.(version_mismatches);
+           advancements = c.(advancements);
            phase1_duration = hist_snapshot m.phase1_duration;
            phase2_duration = hist_snapshot m.phase2_duration;
-           rpc_calls = m.rpc_calls;
-           rpc_timeouts = m.rpc_timeouts;
+           rpc_calls = c.(rpc_calls);
+           rpc_timeouts = c.(rpc_timeouts);
            rpc_latency = hist_snapshot m.rpc_latency;
-           envelopes = m.envelopes;
-           disk_forces = m.disk_forces;
-           records_forced = m.records_forced;
-           savepoint_rollbacks = m.savepoint_rollbacks;
-           session_retries = m.session_retries;
+           envelopes = c.(envelopes);
+           disk_forces = c.(disk_forces);
+           records_forced = c.(records_forced);
+           savepoint_rollbacks = c.(savepoint_rollbacks);
+           session_retries = c.(session_retries);
            session_backoff = m.session_backoff;
          })
 

@@ -1,11 +1,11 @@
 (** Per-node metrics registry.
 
-    One registry serves a whole simulated cluster: every protocol-level
-    event (commit, abort with reason, query completion, moveToFuture
-    repair, advancement phase, RPC) is attributed to a node index at
-    record time.  The registry is mutable and single-domain; experiment
-    sweeps that fan out over domains must extract an immutable
-    {!snapshot} inside the worker and ship that back.
+    One registry serves a whole simulated cluster: it folds protocol
+    events ({!Event.t}: commit, abort with reason, query completion,
+    moveToFuture repair, advancement phase, RPC) into per-node counters
+    and histograms.  The registry is mutable and single-domain;
+    experiment sweeps that fan out over domains must extract an
+    immutable {!snapshot} inside the worker and ship that back.
 
     Durations and latencies go into log2-bucketed histograms: bucket 0
     holds exact zeros, bucket [i >= 1] holds values in
@@ -21,66 +21,15 @@ val create : nodes:int -> t
 (** A registry for node indices [0 .. nodes-1].  Recording against an
     out-of-range node raises [Invalid_argument]. *)
 
-val node_count : t -> int
-
 (** {1 Recording} *)
 
-val record_commit : t -> node:int -> unit
-
-val record_abort :
-  t ->
-  node:int ->
-  [ `Deadlock | `Node_down of int | `Rpc_timeout of int | `Version_mismatch ] ->
-  unit
-(** One aborted transaction, attributed to its root node, broken down by
-    reason.  The payload of [`Node_down]/[`Rpc_timeout] (the failed peer)
-    is not retained — only the reason class. *)
-
-val record_root_down : t -> node:int -> unit
-(** A transaction rejected before it began because its root node was
-    down.  Counted separately from aborts: no transaction id was
-    allocated and nothing was rolled back. *)
-
-val record_query : t -> node:int -> unit
-val record_mtf : t -> node:int -> at_commit:bool -> unit
-val record_version_mismatch : t -> node:int -> unit
-
-val record_phase1_duration : t -> node:int -> float -> unit
-(** Advancement Phase 1 (advance-u broadcast to last ack) at the
-    coordinating node. *)
-
-val record_phase2_duration : t -> node:int -> float -> unit
-val record_advancement : t -> node:int -> unit
-(** One advancement round completed, attributed to its coordinator. *)
-
-val record_rpc_call : t -> node:int -> unit
-(** An RPC issued with [node] as the calling side. *)
-
-val record_rpc_latency : t -> node:int -> float -> unit
-(** Round-trip time of an RPC that completed with a reply (successful or
-    carrying the callee's exception). *)
-
-val record_rpc_timeout : t -> node:int -> unit
-(** An RPC that was settled by its timeout rather than a reply. *)
-
-val record_envelope : t -> node:int -> unit
-(** One transport envelope put on the wire by [node].  Without RPC
-    coalescing every logical message is its own envelope; a coalescing
-    network packs a whole batch window into one. *)
-
-val record_disk_force : t -> node:int -> records:int -> unit
-(** One completed WAL force at [node], covering [records] log records.
-    Group commit amortizes many commits over one force, so
-    [records/forces] is the achieved batch size. *)
-
-val record_savepoint_rollback : t -> node:int -> unit
-(** One transaction-wide savepoint rollback (partial abort), attributed
-    to the transaction's root node. *)
-
-val record_session_retry : t -> node:int -> backoff:float -> unit
-(** One session-layer retry of a failed transaction, attributed to the
-    session's coordinator node; [backoff] is the virtual time slept
-    before the new attempt. *)
+val record : t -> Event.t -> unit
+(** Fold one event into the registry, against the node it names: the
+    root for transaction and query outcomes, the calling side for RPCs.
+    Aborts count by reason class; {!Event.Root_down} rejections are not
+    aborts.  {!Event.Phase1_done} and {!Event.Phase2_done} record their
+    phase's duration at the coordinator, and the latter counts one
+    completed round.  Events with no counter are ignored. *)
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] adds every counter and histogram of [src]
@@ -95,16 +44,13 @@ val merge_into : into:t -> t -> unit
 
 val total_commits : t -> int
 val total_aborts : t -> int
-(** Sum over all reasons; excludes {!record_root_down} rejections. *)
+(** Sum over all reasons; excludes {!Event.Root_down} rejections. *)
 
-val total_root_down : t -> int
 val total_queries : t -> int
 val total_mtf_data_access : t -> int
 val total_mtf_commit_time : t -> int
 val total_version_mismatches : t -> int
 val total_advancements : t -> int
-val total_rpc_calls : t -> int
-val total_rpc_timeouts : t -> int
 val total_disk_forces : t -> int
 val total_records_forced : t -> int
 val total_savepoint_rollbacks : t -> int

@@ -1,26 +1,18 @@
-type entry = {
-  time : float;
-  tag : string;
-  message : string;
-  process : string option;
-}
+type entry = { time : float; event : Event.t; process : string option }
 
-let dummy = { time = nan; tag = ""; message = ""; process = None }
+let dummy = { time = nan; event = Spawn { name = "" }; process = None }
 
 (* Two storage modes, selected by [capacity]:
    - unbounded: a newest-first list, O(1) cons per emit;
    - bounded: a preallocated ring of exactly [capacity] slots, so a hot
      bounded trace (schedule exploration creates millions of short-lived
-     engines) never conses per emit and never triggers the old amortized
-     list truncation.
-   Vacated ring slots are scrubbed with [dummy] so dropped entries are
-   collectable. *)
+     engines) never conses per emit.
+   Overwritten ring slots make dropped entries collectable. *)
 type t = {
-  mutable enabled : bool;
-  mutable capacity : int option;
-  mutable dropped : int;
+  enabled : bool;
+  capacity : int option;
   mutable rev_entries : entry list; (* unbounded mode *)
-  mutable ring : entry array; (* bounded mode *)
+  ring : entry array; (* bounded mode *)
   mutable head : int; (* next ring slot to write *)
   mutable count : int; (* live ring entries *)
 }
@@ -32,21 +24,17 @@ let create ?(enabled = true) ?capacity () =
   let ring =
     match capacity with Some c -> Array.make c dummy | None -> [||]
   in
-  { enabled; capacity; dropped = 0; rev_entries = []; ring; head = 0; count = 0 }
+  { enabled; capacity; rev_entries = []; ring; head = 0; count = 0 }
 
-let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
-
-let emit t ~time ?process ~tag message =
+let emit t ~time ?process event =
   if t.enabled then
-    let e = { time; tag; message; process } in
+    let e = { time; event; process } in
     match t.capacity with
     | None -> t.rev_entries <- e :: t.rev_entries
     | Some cap ->
         t.ring.(t.head) <- e;
         t.head <- (t.head + 1) mod cap;
-        if t.count = cap then t.dropped <- t.dropped + 1
-        else t.count <- t.count + 1
+        if t.count < cap then t.count <- t.count + 1
 
 let entries t =
   match t.capacity with
@@ -55,51 +43,7 @@ let entries t =
       let start = (t.head - t.count + cap) mod cap in
       List.init t.count (fun i -> t.ring.((start + i) mod cap))
 
-let find t ~tag = List.filter (fun e -> String.equal e.tag tag) (entries t)
-
-let clear t =
-  t.rev_entries <- [];
-  t.dropped <- 0;
-  if Array.length t.ring > 0 then
-    Array.fill t.ring 0 (Array.length t.ring) dummy;
-  t.head <- 0;
-  t.count <- 0
-
-let capacity t = t.capacity
-
-let rec drop_first n l =
-  if n <= 0 then l
-  else match l with [] -> [] | _ :: rest -> drop_first (n - 1) rest
-
-let set_capacity t cap =
-  (match cap with
-  | Some c when c <= 0 ->
-      invalid_arg "Trace.set_capacity: capacity must be positive"
-  | _ -> ());
-  let current = entries t in
-  let n = List.length current in
-  (match cap with
-  | None ->
-      t.rev_entries <- List.rev current;
-      t.ring <- [||];
-      t.head <- 0;
-      t.count <- 0
-  | Some c ->
-      let keep = min n c in
-      let kept = drop_first (n - keep) current in
-      t.dropped <- t.dropped + (n - keep);
-      let ring = Array.make c dummy in
-      List.iteri (fun i e -> ring.(i) <- e) kept;
-      t.rev_entries <- [];
-      t.ring <- ring;
-      t.head <- keep mod c;
-      t.count <- keep);
-  t.capacity <- cap
-
-let dropped t = t.dropped
-
 let pp_entry ppf e =
-  match e.process with
-  | None -> Format.fprintf ppf "[%8.2f] %-12s %s" e.time e.tag e.message
-  | Some name ->
-      Format.fprintf ppf "[%8.2f] %-12s <%s> %s" e.time e.tag name e.message
+  Format.fprintf ppf "[%8.2f] %-12s " e.time (Event.tag e.event);
+  Option.iter (Format.fprintf ppf "<%s> ") e.process;
+  Event.pp ppf e.event

@@ -1,12 +1,11 @@
 (** Recording of timestamped simulation events.
 
-    Traces back the human-readable reproductions of the paper's Table 1 and
-    Figure 1: protocol code emits tagged lines, experiments render them. *)
+    Protocol code emits typed {!Event.t}s; the Table 1 and Figure 1
+    reproductions and counterexample timelines read them back. *)
 
 type entry = {
   time : float;
-  tag : string;
-  message : string;
+  event : Event.t;
   process : string option;
       (** name of the simulation process that emitted the entry, when it
           was spawned with [Engine.spawn ~name] *)
@@ -17,22 +16,11 @@ type t
 val create : ?enabled:bool -> ?capacity:int -> unit -> t
 (** [capacity], if given, bounds the trace to the most recent [capacity]
     entries, kept in a preallocated ring (no allocation per emit); older
-    ones are dropped and counted in {!dropped}.  Unbounded by default.  A
-    bound keeps memory flat when millions of short engine runs each record
-    a trace (schedule exploration). *)
+    ones are dropped.  Unbounded by default.  A bound keeps memory flat
+    when millions of short engine runs each record a trace (schedule
+    exploration). *)
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
-val capacity : t -> int option
-
-val set_capacity : t -> int option -> unit
-(** Change the bound; shrinking truncates immediately. *)
-
-val dropped : t -> int
-(** Entries discarded by the capacity bound since the last {!clear}. *)
-
-val emit : t -> time:float -> ?process:string -> tag:string -> string -> unit
+val emit : t -> time:float -> ?process:string -> Event.t -> unit
 (** Record one entry (no-op when disabled).  [process] attributes the
     entry to a named simulation process. *)
 
@@ -40,9 +28,5 @@ val entries : t -> entry list
 (** Recorded entries in emission order — all of them when unbounded, the
     most recent [capacity] otherwise. *)
 
-val find : t -> tag:string -> entry list
-(** Entries carrying the given tag, in emission order. *)
-
-val clear : t -> unit
-
 val pp_entry : Format.formatter -> entry -> unit
+(** [[time] tag <process> text], the text by {!Event.pp}. *)

@@ -118,6 +118,39 @@ let test_counterexample_end_to_end () =
 
 (* {1 Exploring the real protocol} *)
 
+let test_traced_replay () =
+  (* The timeline [check.exe --replay] prints: pins the text of events the
+     Table 1 golden never shows (faults, crash, recovery). *)
+  let sc = Option.get (Scenarios.find "group-commit-crash-buggy") in
+  match (Explorer.explore ~budget:300 sc).violation with
+  | None -> Alcotest.fail "not convicted within 300 schedules"
+  | Some v ->
+      let out =
+        Explorer.replay sc
+          (List.map (fun (d : Explorer.decision) -> d.index) v.v_decisions)
+      in
+      let times = List.map (fun l -> Scanf.sscanf l "[ %f]" Fun.id) out.r_trace in
+      check_bool "time-ordered" true (times = List.sort Float.compare times);
+      let has fragment =
+        let n = String.length fragment in
+        List.exists
+          (fun l ->
+            let rec go i =
+              i + n <= String.length l
+              && (String.sub l i n = fragment || go (i + 1))
+            in
+            go 0)
+          out.r_trace
+      in
+      List.iter
+        (fun line -> check_bool line true (has line))
+        [
+          "] nemesis      crash node0";
+          "] crash        node0: crashed";
+          "] crash        node0: recovered (";
+          ": committed in version ";
+        ]
+
 let test_race2_clean_small_budget () =
   let r = Explorer.explore ~budget:300 Scenarios.race2 in
   check_bool "no violation in a bounded exploration" true (r.violation = None);
@@ -232,6 +265,7 @@ let () =
             test_counterexample_roundtrip;
           Alcotest.test_case "find-save-load-replay" `Quick
             test_counterexample_end_to_end;
+          Alcotest.test_case "traced replay timeline" `Quick test_traced_replay;
         ] );
       ( "protocol",
         [

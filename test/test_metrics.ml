@@ -9,39 +9,50 @@ let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
 let check_string = Alcotest.(check string)
 
+let record = M.record
+let commit m root = record m (Sim.Event.Commit { txn = 1; root; version = 1 })
+let abort m root reason = record m (Sim.Event.Abort { txn = 1; root; reason })
+let rtt m x = record m (Sim.Event.Rpc_reply { src = 0; dst = 1; rtt = x })
+let total f m = List.fold_left (fun acc n -> acc + f n) 0 (M.snapshot m)
+
 let test_counters_and_totals () =
   let m = M.create ~nodes:3 in
-  check_int "node count" 3 (M.node_count m);
-  M.record_commit m ~node:0;
-  M.record_commit m ~node:2;
-  M.record_abort m ~node:1 `Deadlock;
-  M.record_abort m ~node:1 (`Rpc_timeout 2);
-  M.record_abort m ~node:0 (`Node_down 1);
-  M.record_abort m ~node:2 `Version_mismatch;
-  M.record_root_down m ~node:0;
-  M.record_root_down m ~node:0;
-  M.record_query m ~node:2;
-  M.record_mtf m ~node:0 ~at_commit:false;
-  M.record_mtf m ~node:0 ~at_commit:true;
-  M.record_version_mismatch m ~node:1;
-  M.record_advancement m ~node:1;
-  M.record_rpc_call m ~node:0;
-  M.record_rpc_timeout m ~node:0;
+  check_int "node count" 3 (List.length (M.snapshot m));
+  commit m 0;
+  commit m 2;
+  abort m 1 `Deadlock;
+  abort m 1 (`Rpc_timeout 2);
+  abort m 0 (`Node_down 1);
+  abort m 2 `Version_mismatch;
+  record m (Root_down { root = 0 });
+  record m (Root_down { root = 0 });
+  record m (Query_done { query = 5; root = 2; kind = `Read });
+  record m (Mtf { txn = 1; site = 0; version = 2; at_commit = false });
+  record m (Mtf { txn = 1; site = 0; version = 2; at_commit = true });
+  record m (Version_mismatch { txn = 1; root = 1 });
+  record m (Phase2_done { site = 1; newg = 0; duration = 2.0 });
+  record m (Rpc_call { src = 0; dst = 1 });
+  record m (Rpc_timeout { src = 0; dst = 1 });
+  (* Events without a counter leave the registry untouched. *)
+  record m (Sub_start { txn = 1; site = 0; version = 1 });
+  record m (Set_u { site = 1; u = 2 });
   check_int "commits" 2 (M.total_commits m);
   check_int "aborts exclude root-down rejections" 4 (M.total_aborts m);
-  check_int "root-down rejections" 2 (M.total_root_down m);
+  check_int "root-down rejections" 2
+    (total (fun n -> n.M.root_down_rejections) m);
   check_int "queries" 1 (M.total_queries m);
   check_int "mtf at data access" 1 (M.total_mtf_data_access m);
   check_int "mtf at commit" 1 (M.total_mtf_commit_time m);
   check_int "version mismatches" 1 (M.total_version_mismatches m);
   check_int "advancements" 1 (M.total_advancements m);
-  check_int "rpc calls" 1 (M.total_rpc_calls m);
-  check_int "rpc timeouts" 1 (M.total_rpc_timeouts m);
+  check_int "rpc calls" 1 (total (fun n -> n.M.rpc_calls) m);
+  check_int "rpc timeouts" 1 (total (fun n -> n.M.rpc_timeouts) m);
   let n1 = List.nth (M.snapshot m) 1 in
   check_int "node tag" 1 n1.M.node;
   check_int "n1 deadlock aborts" 1 n1.M.aborts_deadlock;
   check_int "n1 timeout aborts" 1 n1.M.aborts_rpc_timeout;
-  check_int "n1 aborts_total" 2 (M.aborts_total n1)
+  check_int "n1 aborts_total" 2 (M.aborts_total n1);
+  check_int "phase 2 duration recorded" 1 n1.M.phase2_duration.M.count
 
 let test_bad_node_rejected () =
   let m = M.create ~nodes:2 in
@@ -49,8 +60,10 @@ let test_bad_node_rejected () =
     | () -> false
     | exception Invalid_argument _ -> true
   in
-  check_bool "negative node" true (rejected (fun () -> M.record_commit m ~node:(-1)));
-  check_bool "node beyond range" true (rejected (fun () -> M.record_query m ~node:2));
+  check_bool "negative node" true (rejected (fun () -> commit m (-1)));
+  check_bool "node beyond range" true
+    (rejected (fun () ->
+         record m (Query_done { query = 1; root = 2; kind = `Read })));
   check_bool "empty registry" true
     (match M.create ~nodes:0 with
     | _ -> false
@@ -61,11 +74,11 @@ let test_bad_node_rejected () =
    extremes survive in min/max. *)
 let test_histogram_buckets () =
   let m = M.create ~nodes:1 in
-  M.record_rpc_latency m ~node:0 0.0;
-  M.record_rpc_latency m ~node:0 0.75;
-  M.record_rpc_latency m ~node:0 3.0;
-  M.record_rpc_latency m ~node:0 3.5;
-  M.record_rpc_latency m ~node:0 1e12;
+  rtt m 0.0;
+  rtt m 0.75;
+  rtt m 3.0;
+  rtt m 3.5;
+  rtt m 1e12;
   let h = (List.hd (M.snapshot m)).M.rpc_latency in
   check_int "count" 5 h.M.count;
   check_float "sum" (0.0 +. 0.75 +. 3.0 +. 3.5 +. 1e12) h.M.sum;
@@ -81,10 +94,10 @@ let test_histogram_buckets () =
    instead — while still counting toward count/sum/min/max. *)
 let test_negative_underflow () =
   let m = M.create ~nodes:1 in
-  M.record_rpc_latency m ~node:0 (-0.5);
-  M.record_rpc_latency m ~node:0 (-2.0);
-  M.record_rpc_latency m ~node:0 0.0;
-  M.record_rpc_latency m ~node:0 0.75;
+  rtt m (-0.5);
+  rtt m (-2.0);
+  rtt m 0.0;
+  rtt m 0.75;
   let h = (List.hd (M.snapshot m)).M.rpc_latency in
   check_int "count includes negatives" 4 h.M.count;
   check_int "two underflow samples" 2 h.M.neg;
@@ -105,14 +118,14 @@ let test_negative_underflow () =
 
 let test_merge_into () =
   let a = M.create ~nodes:2 and b = M.create ~nodes:2 in
-  M.record_commit a ~node:0;
-  M.record_commit b ~node:0;
-  M.record_commit b ~node:1;
-  M.record_abort b ~node:1 `Deadlock;
-  M.record_rpc_latency a ~node:0 1.5;
-  M.record_rpc_latency b ~node:0 3.0;
-  M.record_rpc_latency b ~node:0 (-1.0);
-  M.record_disk_force b ~node:1 ~records:7;
+  commit a 0;
+  commit b 0;
+  commit b 1;
+  abort b 1 `Deadlock;
+  rtt a 1.5;
+  rtt b 3.0;
+  rtt b (-1.0);
+  record b (Disk_force { site = 1; records = 7 });
   M.merge_into ~into:a b;
   check_int "commits summed" 3 (M.total_commits a);
   check_int "aborts summed" 1 (M.total_aborts a);
@@ -140,19 +153,19 @@ let test_empty_histogram () =
 
 let test_snapshot_immutable () =
   let m = M.create ~nodes:1 in
-  M.record_commit m ~node:0;
+  commit m 0;
   let snap = M.snapshot m in
-  M.record_commit m ~node:0;
-  M.record_rpc_latency m ~node:0 1.5;
+  commit m 0;
+  rtt m 1.5;
   check_int "old snapshot unchanged" 1 (List.hd snap).M.commits;
   check_int "old histogram unchanged" 0 (List.hd snap).M.rpc_latency.M.count;
   check_int "registry moved on" 2 (M.total_commits m)
 
 let test_json () =
   let m = M.create ~nodes:2 in
-  M.record_commit m ~node:0;
-  M.record_abort m ~node:0 `Deadlock;
-  M.record_phase1_duration m ~node:1 3.0;
+  commit m 0;
+  abort m 0 `Deadlock;
+  record m (Phase1_done { site = 1; newq = 0; duration = 3.0 });
   let json = M.to_json (M.snapshot m) in
   let contains needle =
     let n = String.length needle and len = String.length json in
@@ -174,7 +187,7 @@ let test_json () =
 let test_report_sink () =
   Dbsim.Report.clear_metrics ();
   let m = M.create ~nodes:1 in
-  M.record_commit m ~node:0;
+  commit m 0;
   let snap = M.snapshot m in
   Dbsim.Report.record_metrics ~experiment:"E9" ~label:"nodes=2" snap;
   Dbsim.Report.record_metrics ~experiment:"E3" ~label:"b" snap;

@@ -193,8 +193,7 @@ let test_budget_exhaustion () =
       match last with
       | Session.Aborted (`Rpc_timeout 1 | `Node_down 1) -> ()
       | Session.Aborted r ->
-          Alcotest.failf "unexpected abort reason %s"
-            (Ava3.Txn_core.pp_reason r)
+          Alcotest.failf "unexpected abort reason %a" Sim.Event.pp_reason r
       | Session.Root_down _ -> Alcotest.fail "root was alive")
   | Some (Session.Committed _) -> Alcotest.fail "cannot commit to a dead node"
   | None -> Alcotest.fail "transaction never finished");
@@ -293,7 +292,7 @@ let test_idempotence_guard () =
   | Some (Session.Failed { last; _ }) ->
       Alcotest.failf "guard missed a durable commit: %s"
         (match last with
-        | Session.Aborted r -> Ava3.Txn_core.pp_reason r
+        | Session.Aborted r -> Format.asprintf "%a" Sim.Event.pp_reason r
         | Session.Root_down n -> Printf.sprintf "root %d down" n)
   | None -> Alcotest.fail "transaction never finished");
   check_bool "applied exactly once" true (visible db ~node:1 "k" = Some 101);

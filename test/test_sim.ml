@@ -194,17 +194,11 @@ let test_negative_delay_clamped () =
   Sim.Engine.run e;
   check_float "clamped to now" 0.0 !at
 
-let test_trace_toggle () =
+let test_trace_disabled () =
   let e = Sim.Engine.create ~trace:false () in
-  Sim.Engine.emit e ~tag:"t" "dropped";
+  Sim.Engine.emit e (Crashed { site = 0 });
   check_int "disabled trace records nothing" 0
-    (List.length (Sim.Trace.entries (Sim.Engine.trace e)));
-  Sim.Trace.set_enabled (Sim.Engine.trace e) true;
-  Sim.Engine.emit e ~tag:"t" "kept";
-  check_int "enabled trace records" 1
-    (List.length (Sim.Trace.entries (Sim.Engine.trace e)));
-  Sim.Trace.clear (Sim.Engine.trace e);
-  check_int "clear empties" 0 (List.length (Sim.Trace.entries (Sim.Engine.trace e)))
+    (List.length (Sim.Trace.entries (Sim.Engine.trace e)))
 
 let test_rng_shuffle_pick () =
   let r = Sim.Rng.create 11L in
@@ -313,38 +307,27 @@ let test_dead_waiter_does_not_eat_signal () =
 let test_trace_records () =
   let e = Sim.Engine.create () in
   Sim.Engine.schedule e ~delay:3.0 (fun () ->
-      Sim.Engine.emit e ~tag:"t" "hello");
+      Sim.Engine.emit e (Commit { txn = 7; root = 1; version = 2 }));
   Sim.Engine.run e;
-  match Sim.Trace.find (Sim.Engine.trace e) ~tag:"t" with
+  match Sim.Trace.entries (Sim.Engine.trace e) with
   | [ entry ] ->
       check_float "stamped with virtual time" 3.0 entry.Sim.Trace.time;
-      Alcotest.(check string) "message" "hello" entry.Sim.Trace.message
+      Alcotest.(check string)
+        "rendered" "[    3.00] txn          T7: committed in version 2 (root node1)"
+        (Format.asprintf "%a" Sim.Trace.pp_entry entry)
   | _ -> Alcotest.fail "expected exactly one entry"
 
 let test_trace_capacity () =
   let tr = Sim.Trace.create ~capacity:3 () in
   for i = 1 to 10 do
-    Sim.Trace.emit tr ~time:(float_of_int i) ~tag:"t" (string_of_int i)
+    Sim.Trace.emit tr ~time:(float_of_int i) (Set_u { site = 0; u = i })
   done;
-  let entries = Sim.Trace.entries tr in
-  check_int "keeps only newest capacity entries" 3 (List.length entries);
-  Alcotest.(check (list string))
-    "the newest three, oldest first" [ "8"; "9"; "10" ]
-    (List.map (fun e -> e.Sim.Trace.message) entries);
-  check_int "dropped counts the discarded" 7 (Sim.Trace.dropped tr);
-  Sim.Trace.clear tr;
-  check_int "clear resets dropped" 0 (Sim.Trace.dropped tr);
-  check_int "clear empties" 0 (List.length (Sim.Trace.entries tr))
-
-let test_trace_set_capacity () =
-  let tr = Sim.Trace.create () in
-  for i = 1 to 5 do
-    Sim.Trace.emit tr ~time:(float_of_int i) ~tag:"t" (string_of_int i)
-  done;
-  Sim.Trace.set_capacity tr (Some 2);
-  Alcotest.(check (list string))
-    "retroactively bounded" [ "4"; "5" ]
-    (List.map (fun e -> e.Sim.Trace.message) (Sim.Trace.entries tr))
+  Alcotest.(check (list int))
+    "the newest three, oldest first" [ 8; 9; 10 ]
+    (List.map
+       (fun e ->
+         match e.Sim.Trace.event with Set_u { u; _ } -> u | _ -> -1)
+       (Sim.Trace.entries tr))
 
 (* {1 Rng.fork_named} *)
 
@@ -516,10 +499,9 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "records" `Quick test_trace_records;
-          Alcotest.test_case "toggle and clear" `Quick test_trace_toggle;
+          Alcotest.test_case "disabled records nothing" `Quick
+            test_trace_disabled;
           Alcotest.test_case "capacity ring" `Quick test_trace_capacity;
-          Alcotest.test_case "set_capacity retroactive" `Quick
-            test_trace_set_capacity;
         ] );
       ("properties", qc [ prop_engine_deterministic; prop_heap_sorted ]);
     ]

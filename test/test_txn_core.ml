@@ -18,6 +18,11 @@ let with_cluster ?config ?(nodes = 3) ?(seed = 11L) body =
   Sim.Engine.run engine;
   db
 
+let sum_nodes f db =
+  List.fold_left (fun acc n -> acc + f n) 0 (Cluster.metrics_snapshot db)
+
+let root_down = sum_nodes (fun n -> n.Sim.Metrics.root_down_rejections)
+
 (* {1 Root_down sentinel} *)
 
 (* Submitting to a dead root is a rejection, not an abort: no transaction
@@ -45,7 +50,7 @@ let test_root_down_flat () =
             Alcotest.fail "expected commit at live root")
   in
   let m = Cluster.metrics db in
-  check_int "one rejection" 1 (Sim.Metrics.total_root_down m);
+  check_int "one rejection" 1 (root_down db);
   check_int "not counted as an abort" 0 (Sim.Metrics.total_aborts m);
   check_int "the live-root commit" 1 (Sim.Metrics.total_commits m);
   let at1 = List.nth (Cluster.metrics_snapshot db) 1 in
@@ -69,7 +74,7 @@ let test_root_down_tree () =
         | Tree.Committed _ | Tree.Aborted _ ->
             Alcotest.fail "expected Root_down");
   in
-  check_int "one rejection" 1 (Sim.Metrics.total_root_down (Cluster.metrics db));
+  check_int "one rejection" 1 (root_down db);
   check_bool "child untouched" true
     (Node_state.active_update_transactions (Cluster.node db 1) = 0)
 
@@ -156,7 +161,8 @@ let test_tree_orphaned_dispatch_rolled_back () =
   in
   let m = Cluster.metrics db in
   check_int "exactly one abort" 1 (Sim.Metrics.total_aborts m);
-  check_int "one rpc timeout recorded" 1 (Sim.Metrics.total_rpc_timeouts m);
+  check_int "one rpc timeout recorded" 1
+    (sum_nodes (fun n -> n.Sim.Metrics.rpc_timeouts) db);
   check_bool "nothing committed in version 1 at node 2" true
     (Vstore.Store.read_le (Node_state.store (Cluster.node db 2)) "c" 1 <> Some 1)
 
