@@ -13,12 +13,7 @@
 
 type t
 
-val create :
-  engine:Sim.Engine.t ->
-  ?latency:Net.Latency.t ->
-  nodes:int ->
-  unit ->
-  t
+val create : engine:Sim.Engine.t -> nodes:int -> unit -> t
 (** Versions older than the oldest active snapshot are pruned whenever a
     snapshot retires and after every 20 commits. *)
 

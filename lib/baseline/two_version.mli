@@ -9,12 +9,7 @@
 
 type t
 
-val create :
-  engine:Sim.Engine.t ->
-  ?latency:Net.Latency.t ->
-  nodes:int ->
-  unit ->
-  t
+val create : engine:Sim.Engine.t -> nodes:int -> unit -> t
 
 val load : t -> node:int -> (string * int) list -> unit
 
