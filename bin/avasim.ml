@@ -76,15 +76,19 @@ let run protocol scheme nodes duration seed update_rate query_rate theta
         (List.map (fun k -> (k, 0)) (Workload.Keyspace.all_keys ks ~node:n))
     done
   in
-  let go (type db) (module Db : Workload.Db_intf.DB with type t = db) (db : db)
-      ~(extra : unit -> (string * float) list) =
+  let go (type db) (module Db : Workload.Db_intf.DB with type t = db) (db : db) =
     let report = Workload.Driver.run (module Db) db ~engine ~rng ~keyspace:ks ~spec in
-    Format.printf "protocol: %s, %d nodes, duration %.0f, seed %d@." Db.name
-      nodes duration seed;
+    let name =
+      match protocol with Four_version_p -> "four-version-sync" | _ -> Db.name
+    in
+    Format.printf "protocol: %s, %d nodes, duration %.0f, seed %d@." name nodes
+      duration seed;
     Format.printf "%a@." Workload.Driver.pp_report report;
     Format.printf "max versions of any item: %d@." (Db.max_versions_ever db);
     if verbose then
-      List.iter (fun (k, v) -> Format.printf "  %-20s %.1f@." k v) (extra ())
+      List.iter
+        (fun (k, v) -> Format.printf "  %-20s %.1f@." k v)
+        (Db.extra_stats db)
   in
   match protocol with
   | Ava3_p ->
@@ -101,36 +105,29 @@ let run protocol scheme nodes duration seed update_rate query_rate theta
           ~advancement_until:duration ~use_tree ~nodes ()
       in
       preload Baseline.Ava3_db.load db;
-      go (module Baseline.Ava3_db) db ~extra:(fun () ->
-          Baseline.Ava3_db.extra_stats db);
+      go (module Baseline.Ava3_db) db;
       (match Ava3.Cluster.check_invariants (Baseline.Ava3_db.cluster db) with
       | [] -> Format.printf "invariants: OK@."
       | vs -> List.iter (Format.printf "invariant violation: %s@.") vs)
   | S2pl_p ->
       let db = Baseline.S2pl.create ~engine ~nodes () in
       preload Baseline.S2pl.load db;
-      go (module Baseline.S2pl) db ~extra:(fun () -> Baseline.S2pl.extra_stats db)
+      go (module Baseline.S2pl) db
   | Two_version_p ->
       let db = Baseline.Two_version.create ~engine ~nodes () in
       preload Baseline.Two_version.load db;
-      go
-        (module Baseline.Two_version)
-        db
-        ~extra:(fun () -> Baseline.Two_version.extra_stats db)
+      go (module Baseline.Two_version) db
   | Mvcc_p ->
       let db = Baseline.Mvcc.create ~engine ~nodes () in
       preload Baseline.Mvcc.load db;
-      go (module Baseline.Mvcc) db ~extra:(fun () -> Baseline.Mvcc.extra_stats db)
+      go (module Baseline.Mvcc) db
   | Four_version_p ->
       let db =
-        Baseline.Four_version.create ~engine ~advancement_period
-          ~advancement_until:duration ~nodes ()
+        Baseline.Ava3_db.create ~engine ~config:Baseline.Ava3_db.four_version
+          ~advancement_period ~advancement_until:duration ~nodes ()
       in
-      preload Baseline.Four_version.load db;
-      go
-        (module Baseline.Four_version)
-        db
-        ~extra:(fun () -> Baseline.Four_version.extra_stats db)
+      preload Baseline.Ava3_db.load db;
+      go (module Baseline.Ava3_db) db
 
 let cmd =
   let protocol =

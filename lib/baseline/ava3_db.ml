@@ -25,6 +25,13 @@ let attr_of f =
   let f = Float.min 1.0 (Float.max 0.0 f) in
   Printf.sprintf "a%03d" (min 999 (int_of_float (f *. 1000.0)))
 
+let four_version =
+  {
+    Ava3.Config.default with
+    abort_on_version_mismatch = true;
+    retain_extra_version = true;
+  }
+
 let create ~engine ?config ?latency ?(advancement_period = 100.0)
     ?(advancement_until = 10_000.0) ?(use_tree = false) ?index
     ?(scan_plan = `Index) ~nodes () =
@@ -144,9 +151,16 @@ let metrics_snapshot t = Some (Ava3.Cluster.metrics_snapshot t.db)
 
 let extra_stats t =
   let s = Ava3.Cluster.stats t.db in
+  let mismatch_aborts =
+    List.fold_left
+      (fun acc n -> acc + n.Sim.Metrics.aborts_version_mismatch)
+      0
+      (Ava3.Cluster.metrics_snapshot t.db)
+  in
   [
     ("commits", float_of_int s.Ava3.Cluster.commits);
     ("aborts", float_of_int s.Ava3.Cluster.aborts);
+    ("mismatch_aborts", float_of_int mismatch_aborts);
     ("advancements", float_of_int s.Ava3.Cluster.advancements);
     ("mtf_data", float_of_int s.Ava3.Cluster.mtf_data_access);
     ("mtf_commit", float_of_int s.Ava3.Cluster.mtf_commit_time);

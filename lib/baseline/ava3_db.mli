@@ -18,6 +18,26 @@ val default_extract : int -> string
     order.  The adapter maps the driver's normalized range endpoints onto
     this encoding, so pass it as [?index] to enable scans and joins. *)
 
+val four_version : Ava3.Config.t
+(** The four-version transient-versioning comparator (MPL92/WYC91-
+    flavoured): AVA3's substrate with the two trade-offs the paper
+    contrasts against, as labelled ["four-version-sync"] in E5 and E7b.
+
+    - {b Centralized trade}: one extra ("fourth") version is retained so
+      advancement's Phase 2 never waits for running queries — new queries
+      always get the freshest published version immediately.  AVA3 pays a
+      wait instead and needs only three versions.
+    - {b Distributed flaw}: version advancement is synchronous with user
+      transactions — there is no moveToFuture, so any transaction caught
+      straddling an advancement (a subtransaction version mismatch at data
+      access or commit) is {e aborted}.  The paper cites exactly this as why
+      MPL92's distributed extension violates non-interference.
+
+    It is [Config.default] with [abort_on_version_mismatch] and
+    [retain_extra_version] set.  Experiment E7 measures both trade-offs:
+    max resident versions (4 vs 3) and advancement-induced aborts
+    (["mismatch_aborts"] in {!extra_stats}, positive vs zero). *)
+
 val create :
   engine:Sim.Engine.t ->
   ?config:Ava3.Config.t ->
