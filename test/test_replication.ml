@@ -1,8 +1,10 @@
 (* Replication tests: version-pinned backup reads are byte-identical to
    primary reads at the same pin (property, 10 seeds x both gc_renumber
-   rules), primary-crash failover loses no acknowledged commit, and a
-   partitioned backup is demoted (commits keep flowing) then re-syncs and
-   re-earns its read-set membership after the partition heals. *)
+   rules, plain and with a script through the savepoint-rollback,
+   checkpoint and backup-restart apply paths), primary-crash failover
+   loses no acknowledged commit, and a partitioned backup is demoted
+   (commits keep flowing) then re-syncs and re-earns its read-set
+   membership after the partition heals. *)
 
 module Cluster = Ava3.Cluster
 module Cluster_state = Ava3.Cluster_state
@@ -16,12 +18,104 @@ let check_bool = Alcotest.(check bool)
 
 let keys p = List.init 4 (fun j -> Printf.sprintf "k%d_%d" p j)
 
+(* Keys only the [backup_paths] script writes, loaded at version 0. *)
+let script_keys p = List.init 3 (fun j -> Printf.sprintf "s%d_%d" p j)
+
+(* Backup paths the plain workload never reaches, one per partition, each
+   on its own keys so no later step repairs a backup that got it wrong:
+   - partition 0: a checkpoint at the primary between transactions, so
+     the backups rebuild from the shipped [Checkpoint] record;
+   - partition 1: a savepoint scope that overwrites and deletes, then
+     rolls back (a [Rollback] record), and a delete that commits;
+   - partition 2: a backup crashes and recovers in the same epoch while a
+     transaction's [Begin]/[Update] records are shipped but its [Commit]
+     is not.  A concurrent commit in the partition ships them.
+   Returns the list of steps that did not happen as scripted. *)
+let backup_paths db =
+  let engine = Cluster.engine db in
+  let cs = Cluster.state db in
+  let session p =
+    Session.create db ~seed:(Int64.of_int (100 + p)) ~pool:1
+      ~coordinators:[ p ]
+  in
+  let missed = ref [] in
+  let miss what = missed := what :: !missed in
+  let commit s ops =
+    if not (Flat_txn.committed (Flat_txn.run s ops)) then
+      miss "a scripted commit failed"
+  in
+  Sim.Engine.spawn engine (fun () ->
+      let s = session 0 in
+      Sim.Engine.sleep 25.0;
+      commit s
+        [
+          Update.Write { node = 0; key = "s0_0"; value = 1 };
+          Update.Delete { node = 0; key = "s0_1" };
+        ];
+      let rec take tries =
+        if tries = 0 then miss "no checkpoint at partition 0"
+        else if not (Cluster.checkpoint db ~node:0) then begin
+          Sim.Engine.sleep 0.5;
+          take (tries - 1)
+        end
+      in
+      take 40);
+  Sim.Engine.spawn engine (fun () ->
+      let s = session 1 in
+      Sim.Engine.sleep 35.0;
+      match
+        Session.txn s (fun c ->
+            Session.write c ~node:1 "s1_0" 1;
+            let scope =
+              Session.nested c (fun () ->
+                  Session.write c ~node:1 "s1_1" 99;
+                  Session.delete c ~node:1 "s1_0";
+                  raise Session.Rollback)
+            in
+            Session.delete c ~node:1 "s1_2";
+            scope)
+      with
+      | Session.Committed { value = Error `Rolled_back; _ } -> ()
+      | _ -> miss "savepoint transaction at partition 1");
+  (* Held open past the backup's crash and recovery. *)
+  Sim.Engine.spawn engine (fun () ->
+      let s = session 2 in
+      Sim.Engine.sleep 50.0;
+      match
+        Session.txn s (fun c ->
+            Session.write c ~node:2 "s2_0" 7;
+            Session.pause c 12.0)
+      with
+      | Session.Committed _ -> ()
+      | Session.Failed _ -> miss "long transaction at partition 2");
+  Sim.Engine.spawn engine (fun () ->
+      let s = session 2 in
+      Sim.Engine.sleep 52.0;
+      commit s [ Update.Write { node = 2; key = "s2_1"; value = 5 } ];
+      let site = (Cluster_state.backups cs 2).(0).Cluster_state.b_site in
+      let log = Node_state.log (Cluster.node db site) in
+      let in_flight = Wal.Recovery.in_flight_transactions log in
+      if
+        not
+          (List.exists
+             (function
+               | Wal.Record.Update { txn; key = "s2_0"; _ } ->
+                   List.mem txn in_flight
+               | _ -> false)
+             (Wal.Log.records log))
+      then miss "backup of partition 2 held no shipped uncommitted update";
+      Cluster.crash db ~node:site;
+      Sim.Engine.sleep 3.0;
+      Cluster.recover db ~node:site);
+  missed
+
 (* Mixed workload on 3 partitions x 2 backups: writers, cross-partition
-   queries (exercising backup routing), periodic advancement.  An online
-   probe compares primary and backup answers at the same pin whenever
-   their query versions coincide; a final quiescent sweep requires every
-   backup store to agree with its primary on every key. *)
-let equivalence_run ~seed ~gc_renumber =
+   queries (exercising backup routing), periodic advancement, and with
+   [scripted] the {!backup_paths} script.  An online probe compares
+   primary and backup answers at the same pin whenever their query
+   versions coincide; a final quiescent sweep requires every backup
+   store to agree with its primary on every key. *)
+let equivalence_run ~seed ~gc_renumber ~scripted =
   let engine = Sim.Engine.create ~seed ~trace:false () in
   let config =
     {
@@ -33,10 +127,12 @@ let equivalence_run ~seed ~gc_renumber =
   in
   let db : int Cluster.t = Cluster.create ~engine ~config ~nodes:3 () in
   let cs = Cluster.state db in
+  let keys p = if scripted then keys p @ script_keys p else keys p in
   for p = 0 to 2 do
     Cluster.load db ~node:p (List.map (fun k -> (k, 0)) (keys p))
   done;
   let sessions = Session.per_partition ~seed:0L db in
+  let missed = if scripted then backup_paths db else ref [] in
   let mismatches = ref [] in
   let violations = ref [] in
   Sim.Engine.spawn engine (fun () ->
@@ -92,7 +188,12 @@ let equivalence_run ~seed ~gc_renumber =
             (Cluster_state.backups cs p)
         done
       done);
-  Sim.Engine.run engine;
+  (* Bounded, so a backup that never converges fails the checks below
+     instead of keeping an advancement round retransmitting forever. *)
+  Sim.Engine.run ~until:5000.0 engine;
+  if Sim.Engine.pending_events engine > 0 then
+    mismatches :=
+      Printf.sprintf "seed=%Ld: not quiescent at t=5000" seed :: !mismatches;
   (* Quiescent: every backup converged to its primary's exact state. *)
   for p = 0 to 2 do
     let pnode = Cluster_state.primary cs p in
@@ -119,6 +220,9 @@ let equivalence_run ~seed ~gc_renumber =
       (Cluster_state.backups cs p)
   done;
   Alcotest.(check (list string))
+    (Printf.sprintf "backup paths scripted (seed %Ld)" seed)
+    [] !missed;
+  Alcotest.(check (list string))
     (Printf.sprintf "no invariant violations (seed %Ld)" seed)
     [] !violations;
   Alcotest.(check (list string))
@@ -129,12 +233,14 @@ let equivalence_run ~seed ~gc_renumber =
 let test_equivalence_across_seeds () =
   let renumber_runs = ref 0 in
   List.iter
-    (fun gc_renumber ->
+    (fun (gc_renumber, scripted) ->
       for seed = 1 to 10 do
-        let reads = equivalence_run ~seed:(Int64.of_int seed) ~gc_renumber in
+        let reads =
+          equivalence_run ~seed:(Int64.of_int seed) ~gc_renumber ~scripted
+        in
         renumber_runs := !renumber_runs + reads
       done)
-    [ false; true ];
+    [ (false, false); (true, false); (false, true); (true, true) ];
   (* Routing must actually spread reads over backups, or the property
      above tested nothing. *)
   check_bool "some reads served by backups" true (!renumber_runs > 0)
