@@ -103,11 +103,11 @@ let start_continuous_advancement cs ~coordinator ~until =
   in
   Sim.Engine.spawn cs.Cluster_state.engine ~name:"continuous-advancement" loop
 
-let checkpoint cs ~node:i =
-  let i = Cluster_state.home_site cs i in
-  (* Backups never truncate their own log: it must stay a prefix of the
-     primary's.  They shed log by adopting the primary's post-checkpoint
-     epoch instead (see {!Replication.on_checkpoint}). *)
+(* One site's quiescent checkpoint, for {!checkpoint} and the periodic
+   beat alike.  Backups never truncate their own log: it must stay a
+   prefix of the primary's.  They shed log by adopting the primary's
+   post-checkpoint epoch instead (see {!Replication.on_checkpoint}). *)
+let checkpoint_site cs i =
   if Cluster_state.replicated cs && not (Cluster_state.is_primary_site cs i)
   then false
   else begin
@@ -122,6 +122,9 @@ let checkpoint cs ~node:i =
     ok
   end
 
+let checkpoint cs ~node:i =
+  checkpoint_site cs (Cluster_state.home_site cs i)
+
 (* Periodic quiescent checkpoints: each beat, try to checkpoint any node
    whose log has grown past [min_log]; nodes busy with update transactions
    are skipped and caught on a later beat. *)
@@ -129,16 +132,12 @@ let start_periodic_checkpoints cs ~period ~until ?(min_log = 64) () =
   let rec loop () =
     Sim.Engine.sleep period;
     if Sim.Engine.now cs.Cluster_state.engine <= until then begin
-      Array.iter
-        (fun nd ->
+      Array.iteri
+        (fun i nd ->
           if
             Node_state.alive nd
             && Wal.Log.length (Node_state.log nd) >= min_log
-            && ((not (Cluster_state.replicated cs))
-               || Cluster_state.is_primary_site cs (Node_state.id nd))
-          then
-            if Node_state.try_checkpoint nd then
-              Replication.on_checkpoint cs ~site:(Node_state.id nd))
+          then ignore (checkpoint_site cs i : bool))
         cs.Cluster_state.nodes;
       loop ()
     end

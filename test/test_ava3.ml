@@ -650,6 +650,13 @@ let test_periodic_checkpoints_bound_log () =
         (* 81 transactions x 3 records would be ~240 without checkpoints. *)
         check_bool "log stayed bounded" true
           (Wal.Log.length (Node_state.log (Cluster.node db 0)) < 120);
+        check_bool "checkpoints traced" true
+          (List.exists
+             (fun e ->
+               match e.Sim.Trace.event with
+               | Sim.Event.Checkpoint { site = 0; _ } -> true
+               | _ -> false)
+             (Sim.Trace.entries (Sim.Engine.trace eng)));
         (* Recovery still works from the truncated log. *)
         Cluster.crash db ~node:0;
         Cluster.recover db ~node:0;
