@@ -27,7 +27,6 @@ type 'v backup = {
   b_site : int;
   b_cursor : Wal.Ship.t;
   mutable b_insync : bool;
-  b_pending : (int, (string * 'v option) list) Hashtbl.t;
 }
 
 type 'v repl = {
@@ -93,7 +92,6 @@ let create ~engine ~config ~nodes ?(latency = Net.Latency.Constant 1.0)
                   b_site = backup_site ~nparts:nodes ~replicas ~part:p ~j;
                   b_cursor = Wal.Ship.create ();
                   b_insync = true;
-                  b_pending = Hashtbl.create 16;
                 }));
       ship_epoch = Array.make nodes 0;
       site_epoch = Array.make sites 0;

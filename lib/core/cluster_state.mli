@@ -45,9 +45,8 @@ type relay = {
 
 (** One backup of one partition, as its current primary sees it.  The
     cursor and flags are primary-side volatile state: failover rebuilds
-    them.  [b_pending] buffers the writes of shipped-but-uncommitted
-    transactions exactly as {!Wal.Recovery.replay} does — a backup applies
-    a transaction's writes only at its [Commit] record. *)
+    them.  The backup's data lives in its site's {!Node_state.t}, which
+    applies shipped records with {!Node_state.apply}. *)
 type 'v backup = {
   b_part : int;
   b_site : int;
@@ -56,7 +55,6 @@ type 'v backup = {
       (** [false] once demoted (catch-up timeout) or freshly (re)joined;
           an out-of-sync backup keeps receiving ships but serves no reads
           and gates no barrier until it catches back up *)
-  b_pending : (int, (string * 'v option) list) Hashtbl.t;
 }
 
 (** Replication topology.  With [Config.replicas = 0] this degenerates to

@@ -1,10 +1,16 @@
 type 'v t = {
   node_id : int;
   eng : Sim.Engine.t;
+  config : Config.t;
   mutable st : 'v Vstore.Store.t;
   lk : Lockmgr.Lock_table.t;
   mutable sch : 'v Wal.Scheme.t;
   wal : 'v Wal.Log.t;
+  (* {!apply}'s redo buffer: the writes of applied transactions whose
+     [Commit] or [Abort] has not been applied yet.  A backup fills it from
+     shipped records; after a restart it holds what replay left.  A
+     primary's own transactions never pass through it. *)
+  pending : 'v Wal.Recovery.pending;
   gcd : 'v Wal.Group_commit.t;
   latch : Lockmgr.Latch.t;
   mutable uv : int;
@@ -25,7 +31,7 @@ type 'v t = {
 }
 
 let create_recovered ~engine ~node_id ~(config : Config.t) ?lock_group
-    ?metrics ~log:wal ~store:st ~u ~q ~g () =
+    ?metrics ~log:wal ~pending ~store:st ~u ~q ~g () =
   let update_counts = Hashtbl.create 8 in
   (* §10: reads of a version only begin after its updates finished, so one
      counter table can serve both populations. *)
@@ -51,10 +57,12 @@ let create_recovered ~engine ~node_id ~(config : Config.t) ?lock_group
     {
       node_id;
       eng = engine;
+      config;
       st;
       lk = Lockmgr.Lock_table.create ?group:lock_group ();
       sch = Wal.Scheme.create config.scheme ~store:st ~log:wal;
       wal;
+      pending;
       gcd;
       latch = Lockmgr.Latch.create (Printf.sprintf "node%d.counters" node_id);
       uv = u;
@@ -84,7 +92,8 @@ let create ~engine ~node_id ~(config : Config.t) ?lock_group ?metrics () =
   in
   let t =
     create_recovered ~engine ~node_id ~config ?lock_group ?metrics
-      ~log:(Wal.Log.create ()) ~store ~u:1 ~q:0 ~g:(-1) ()
+      ~log:(Wal.Log.create ()) ~pending:(Wal.Recovery.pending ()) ~store
+      ~u:1 ~q:0 ~g:(-1) ()
   in
   Hashtbl.replace t.update_counts 0 (ref 0);
   t
@@ -174,78 +183,78 @@ let await_no_queries t ~version =
   Sim.Condition.await_until t.qry_zero ~pred:(fun () ->
       query_count t ~version = 0)
 
-let set_u t version =
-  if version > t.uv then begin
-    t.uv <- version;
-    ignore (counter t.update_counts version : int ref);
-    Wal.Log.append t.wal (Wal.Record.Advance_update version)
-  end
+(* The one rule for how a log record changes a live node.
+   {!Wal.Recovery.redo} handles the transaction records.  A version record
+   moves u, q or g together with its counter slots, and a [Checkpoint]
+   swaps in its restored store.  A primary reaches this through {!set_u},
+   {!set_q} and {!collect_garbage}; a backup applies each shipped record,
+   so a promoted backup matches a crash-recovered primary. *)
+let apply t record =
+  Wal.Recovery.redo t.pending t.st record;
+  match record with
+  | Wal.Record.Advance_update v ->
+      if v <= t.uv then false
+      else begin
+        t.uv <- v;
+        ignore (counter t.update_counts v : int ref);
+        true
+      end
+  | Wal.Record.Advance_query v ->
+      if v <= t.qv then false
+      else begin
+        t.qv <- v;
+        ignore (counter t.query_counts v : int ref);
+        true
+      end
+  | Wal.Record.Collect { collect; query } ->
+      if collect <= t.gv then false
+      else begin
+        t.gv <- collect;
+        Vstore.Store.gc t.st ~collect ~query;
+        (* Phase 3 cleanup: the query counter for the collected version and
+           the update counter for the version queries now read are both
+           dead.  With the §10 shared table, the [query] slot is the LIVE
+           query counter and must stay. *)
+        Hashtbl.remove t.query_counts collect;
+        if not (t.query_counts == t.update_counts) then
+          Hashtbl.remove t.update_counts query;
+        true
+      end
+  | Wal.Record.Checkpoint { items; u; q; g } ->
+      let store =
+        Vstore.Store.restore
+          ?bound:(Config.store_bound t.config)
+          ~gc_renumber:t.config.gc_renumber
+          (Vstore.Store.snapshot_of_items items)
+      in
+      t.st <- store;
+      t.sch <- Wal.Scheme.create (Wal.Scheme.kind t.sch) ~store ~log:t.wal;
+      (* Rebuild the secondary index over the replacement store: the old one
+         tracked a store that no longer serves reads. *)
+      (match t.idx_extract with
+      | Some extract -> attach_index t ~extract
+      | None -> ());
+      t.uv <- u;
+      t.qv <- q;
+      t.gv <- g;
+      (* Same slots a freshly recovered node would have; stale slots from
+         the pre-checkpoint epoch stay so in-flight reads decrement in
+         balance. *)
+      ignore (counter t.update_counts u : int ref);
+      ignore (counter t.query_counts q : int ref);
+      ignore (counter t.query_counts u : int ref);
+      true
+  | Wal.Record.Begin _ | Wal.Record.Update _ | Wal.Record.Commit _
+  | Wal.Record.Rollback _ | Wal.Record.Abort _ ->
+      false
 
-let set_q t version =
-  if version > t.qv then begin
-    t.qv <- version;
-    ignore (counter t.query_counts version : int ref);
-    Wal.Log.append t.wal (Wal.Record.Advance_query version)
-  end
+let apply_and_log t record = if apply t record then Wal.Log.append t.wal record
+
+let set_u t version = apply_and_log t (Wal.Record.Advance_update version)
+let set_q t version = apply_and_log t (Wal.Record.Advance_query version)
 
 let collect_garbage t ~newg =
-  if newg > t.gv then begin
-    t.gv <- newg;
-    let query = newg + 1 in
-    Vstore.Store.gc t.st ~collect:newg ~query;
-    Wal.Log.append t.wal (Wal.Record.Collect { collect = newg; query });
-    (* Phase 3 cleanup: the query counter for the collected version and the
-       update counter for the version queries now read are both dead.  With
-       the §10 shared table, the [query] slot is the LIVE query counter and
-       must stay. *)
-    Hashtbl.remove t.query_counts newg;
-    if not (t.query_counts == t.update_counts) then
-      Hashtbl.remove t.update_counts query
-  end
-
-(* {2 Replica apply}
-
-   A backup applies records its primary shipped.  The records are already
-   in the backup's own log (appended verbatim on receipt), so these mirror
-   {!set_u} / {!set_q} / {!collect_garbage} minus the log append; the
-   version-number and counter-slot handling must match exactly, or a
-   promoted backup would diverge from a recovered primary. *)
-
-let apply_advance_u t version =
-  if version > t.uv then begin
-    t.uv <- version;
-    ignore (counter t.update_counts version : int ref)
-  end
-
-let apply_advance_q t version =
-  if version > t.qv then begin
-    t.qv <- version;
-    ignore (counter t.query_counts version : int ref)
-  end
-
-let apply_collect t ~collect ~query =
-  if collect > t.gv then begin
-    t.gv <- collect;
-    Vstore.Store.gc t.st ~collect ~query;
-    Hashtbl.remove t.query_counts collect;
-    if not (t.query_counts == t.update_counts) then
-      Hashtbl.remove t.update_counts query
-  end
-
-let replace_store t store ~u ~q ~g =
-  t.st <- store;
-  t.sch <- Wal.Scheme.create (Wal.Scheme.kind t.sch) ~store ~log:t.wal;
-  (* Rebuild the secondary index over the replacement store: the old one
-     tracked a store that no longer serves reads. *)
-  (match t.idx_extract with Some extract -> attach_index t ~extract | None -> ());
-  t.uv <- u;
-  t.qv <- q;
-  t.gv <- g;
-  (* Same slots a freshly recovered node would have; stale slots from the
-     pre-checkpoint epoch stay so in-flight reads decrement in balance. *)
-  ignore (counter t.update_counts u : int ref);
-  ignore (counter t.query_counts q : int ref);
-  ignore (counter t.query_counts u : int ref)
+  apply_and_log t (Wal.Record.Collect { collect = newg; query = newg + 1 })
 
 let active_update_transactions t =
   Hashtbl.fold (fun _ c acc -> acc + !c) t.update_counts 0

@@ -35,9 +35,9 @@ val store : 'v t -> 'v Vstore.Store.t
 
 val attach_index : 'v t -> extract:('v -> string) -> unit
 (** Build (or rebuild) the node's secondary index over its current store
-    and remember [extract], so subsequent store swaps ({!replace_store})
-    re-attach automatically.  Called by [Cluster] when the cluster is
-    created with [~index]. *)
+    and remember [extract], so subsequent store swaps (a [Checkpoint]
+    record through {!apply}) re-attach automatically.  Called by
+    [Cluster] when the cluster is created with [~index]. *)
 
 val index : 'v t -> 'v Vindex.Index.t option
 (** The node's secondary index, when one is attached. *)
@@ -60,40 +60,34 @@ val u : _ t -> int
 val q : _ t -> int
 val g : _ t -> int
 
+val apply : 'v t -> 'v Wal.Record.t -> bool
+(** Apply one log record to the node, without logging it.  The
+    transaction records go through {!Wal.Recovery.redo} on the node's own
+    redo buffer, so a [Commit] installs its transaction's writes at the
+    final version.  [Advance_update v] and [Advance_query v] raise [u] or
+    [q] to [v] and open that version's update or query counter.
+    [Collect] sets [g], runs the Phase-3 store GC, and then drops the
+    query counter of the collected version and the update counter of the
+    version queries now read.  [Checkpoint] swaps in its restored store
+    (re-attaching the index), resets [u]/[q]/[g] to its numbers and opens
+    the counters a freshly recovered node has; older counter slots stay
+    so reads still in flight decrement in balance.  Version records that
+    would lower a number are ignored.  Returns [true] if a version number
+    moved or the store was swapped.
+
+    A backup advances its state only by applying the records its
+    partition's primary shipped ({!Replication}); the record is already
+    in its log, appended verbatim on receipt. *)
+
 val set_u : _ t -> int -> unit
-(** Raise the update version number (logged; initialises the new version's
-    update counter).  Ignores regressions. *)
+(** [apply] an [Advance_update] and log it if [u] moved. *)
 
 val set_q : _ t -> int -> unit
-(** Raise the query version number (logged; initialises the new version's
-    query counter).  Ignores regressions. *)
+(** [apply] an [Advance_query] and log it if [q] moved. *)
 
 val collect_garbage : _ t -> newg:int -> unit
-(** Set [g], run the Phase-3 store GC for version [newg] (renumber target
-    [newg + 1]), log it, and drop the query counter for [newg] and the
-    update counter for [newg + 1]. *)
-
-(** {1 Replica apply}
-
-    A backup site advances its state only by applying records shipped from
-    its partition's primary ({!Replication}).  These mirror {!set_u} /
-    {!set_q} / {!collect_garbage} {e without} the log append — the record
-    is already in the backup's log, appended verbatim on receipt — and
-    with identical counter-slot bookkeeping, so a promoted backup is
-    indistinguishable from a crash-recovered primary. *)
-
-val apply_advance_u : _ t -> int -> unit
-val apply_advance_q : _ t -> int -> unit
-
-val apply_collect : _ t -> collect:int -> query:int -> unit
-(** Apply a shipped [Collect] record: run the store GC and drop the dead
-    counter slots, exactly as {!collect_garbage} does. *)
-
-val replace_store : 'v t -> 'v Vstore.Store.t -> u:int -> q:int -> g:int -> unit
-(** Apply a shipped [Checkpoint] record: swap in the restored store, reset
-    the version numbers to the checkpoint's, and re-seed the counter slots
-    a fresh node would have.  Stale counter slots are kept so reads still
-    in flight on the old epoch decrement in balance. *)
+(** [apply] a [Collect] of version [newg] (renumber target [newg + 1])
+    and log it if [g] moved. *)
 
 (** {1 Transaction counters} *)
 
@@ -133,6 +127,7 @@ val create_recovered :
   ?lock_group:Lockmgr.Lock_table.group ->
   ?metrics:Sim.Metrics.t ->
   log:'v Wal.Log.t ->
+  pending:'v Wal.Recovery.pending ->
   store:'v Vstore.Store.t ->
   u:int ->
   q:int ->
@@ -141,7 +136,9 @@ val create_recovered :
   'v t
 (** Rebuild a node after a crash from its replayed log: the recovered store
     and version numbers survive, the counters restart at zero (the paper's
-    rule — all in-flight transactions died with the crash). *)
+    rule — all in-flight transactions died with the crash).  [pending] is
+    the redo buffer replay left: a backup that keeps applying its
+    primary's records completes the transactions in it. *)
 
 val active_update_transactions : _ t -> int
 (** Update subtransactions currently counted at this node (any version). *)

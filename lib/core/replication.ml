@@ -3,15 +3,16 @@ open Cluster_state
 let active cs = replicated cs
 
 let recover_from_log cs ~site log =
+  let pending = Wal.Recovery.pending () in
   let store, versions =
     Wal.Recovery.replay log
       ?bound:(Config.store_bound cs.config)
-      ~gc_renumber:cs.config.Config.gc_renumber ()
+      ~gc_renumber:cs.config.Config.gc_renumber ~pending ()
   in
   let nd =
     Node_state.create_recovered ~engine:cs.engine ~node_id:site
       ~config:cs.config ~lock_group:cs.lock_group ~metrics:cs.metrics ~log
-      ~store ~u:versions.Wal.Recovery.update_version
+      ~pending ~store ~u:versions.Wal.Recovery.update_version
       ~q:versions.Wal.Recovery.query_version
       ~g:versions.Wal.Recovery.collected_version ()
   in
@@ -27,61 +28,22 @@ let fresh_node cs ~site =
   attach_index_if_configured cs nd;
   nd
 
-(* ---- Backup side: append shipped records and apply them incrementally.
+(* ---- Backup side: append shipped records and apply them incrementally
+   with {!Node_state.apply}, the rule a primary's own version moves and
+   (through {!Wal.Recovery.redo}) crash replay share.  That one rule is
+   what makes a promoted backup indistinguishable from a crash-recovered
+   primary.  Every version or checkpoint record wakes the waiters on
+   cluster-wide version agreement, whether or not a number moved. *)
 
-   The apply rules are {!Wal.Recovery.replay} restated over a live node:
-   a transaction's writes are buffered in [b_pending] and hit the store
-   only at its [Commit] record, version records move the visible u/q/g,
-   and a [Checkpoint] swaps in a restored store.  Keeping the two in
-   lockstep is what makes a promoted backup indistinguishable from a
-   crash-recovered primary. *)
-
-let rec drop n l =
-  if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
-let apply_record cs b nd r =
+let apply_record cs nd r =
+  ignore (Node_state.apply nd r : bool);
   match r with
-  | Wal.Record.Begin { txn; _ } -> Hashtbl.replace b.b_pending txn []
-  | Wal.Record.Update { txn; key; value } ->
-      let writes = Option.value (Hashtbl.find_opt b.b_pending txn) ~default:[] in
-      Hashtbl.replace b.b_pending txn ((key, value) :: writes)
-  | Wal.Record.Commit { txn; final_version } ->
-      (match Hashtbl.find_opt b.b_pending txn with
-      | None -> ()
-      | Some writes ->
-          List.iter
-            (fun (key, value) ->
-              match value with
-              | Some v -> Vstore.Store.write (Node_state.store nd) key final_version v
-              | None -> Vstore.Store.delete (Node_state.store nd) key final_version)
-            (List.rev writes);
-          Hashtbl.remove b.b_pending txn)
-  | Wal.Record.Rollback { txn; keep } -> (
-      match Hashtbl.find_opt b.b_pending txn with
-      | None -> ()
-      | Some writes ->
-          Hashtbl.replace b.b_pending txn
-            (drop (List.length writes - keep) writes))
-  | Wal.Record.Abort { txn } -> Hashtbl.remove b.b_pending txn
-  | Wal.Record.Advance_update v ->
-      Node_state.apply_advance_u nd v;
+  | Wal.Record.Advance_update _ | Wal.Record.Advance_query _
+  | Wal.Record.Collect _ | Wal.Record.Checkpoint _ ->
       note_version_change cs
-  | Wal.Record.Advance_query v ->
-      Node_state.apply_advance_q nd v;
-      note_version_change cs
-  | Wal.Record.Collect { collect; query } ->
-      Node_state.apply_collect nd ~collect ~query;
-      note_version_change cs
-  | Wal.Record.Checkpoint { items; u; q; g } ->
-      let store =
-        Vstore.Store.restore
-          ?bound:(Config.store_bound cs.config)
-          ~gc_renumber:cs.config.Config.gc_renumber
-          (Vstore.Store.snapshot_of_items items)
-      in
-      Node_state.replace_store nd store ~u ~q ~g;
-      Hashtbl.reset b.b_pending;
-      note_version_change cs
+  | Wal.Record.Begin _ | Wal.Record.Update _ | Wal.Record.Commit _
+  | Wal.Record.Rollback _ | Wal.Record.Abort _ ->
+      ()
 
 let send_ack cs b =
   let nd = node cs b.b_site in
@@ -93,11 +55,11 @@ let send_ack cs b =
          upto = Wal.Log.length (Node_state.log nd);
        })
 
-let apply_batch cs b nd records =
+let apply_batch cs nd records =
   List.iter
     (fun r ->
       Wal.Log.append (Node_state.log nd) r;
-      apply_record cs b nd r)
+      apply_record cs nd r)
     records;
   (* The backup's disk image is the shipped prefix itself: an ack promises
      the records survive this backup's crash, so they are durable by fiat
@@ -112,8 +74,8 @@ let receive_ack_early cs b nd fresh =
   List.iter
     (fun r ->
       match r with
-      | Wal.Record.Advance_update v -> Node_state.apply_advance_u nd v
-      | Wal.Record.Advance_query v -> Node_state.apply_advance_q nd v
+      | Wal.Record.Advance_update _ | Wal.Record.Advance_query _ ->
+          ignore (Node_state.apply nd r : bool)
       | _ -> ())
     fresh;
   note_version_change cs;
@@ -122,13 +84,13 @@ let receive_ack_early cs b nd fresh =
     (Messages.Ship_ack
        { part = b.b_part; epoch = cs.repl.site_epoch.(b.b_site); upto = claimed });
   Sim.Engine.sleep 2.0;
-  if Node_state.alive nd && node cs b.b_site == nd then apply_batch cs b nd fresh
+  if Node_state.alive nd && node cs b.b_site == nd then apply_batch cs nd fresh
 
 let receive cs b nd fresh =
   match cs.config.Config.mutant with
   | Some Replica_ack_early when fresh <> [] -> receive_ack_early cs b nd fresh
   | _ ->
-      apply_batch cs b nd fresh;
+      apply_batch cs nd fresh;
       send_ack cs b
 
 let handle_ship cs site ~part ~epoch ~from_ ~records =
@@ -152,14 +114,15 @@ let handle_ship cs site ~part ~epoch ~from_ ~records =
                start the replica over from nothing. *)
             if from_ = 0 then begin
               cs.nodes.(site) <- fresh_node cs ~site;
-              Hashtbl.reset b.b_pending;
               cs.repl.site_epoch.(site) <- epoch;
               receive cs b (node cs site) records
             end
           end
           else if epoch = se then begin
             let len = Wal.Log.length (Node_state.log nd) in
-            if from_ <= len then receive cs b nd (drop (len - from_) records)
+            if from_ <= len then
+              receive cs b nd
+                (List.filteri (fun i _ -> i >= len - from_) records)
             else
               (* Gap: an earlier batch was lost.  Re-advertise real
                  progress so the primary's repair rewinds sooner. *)
@@ -367,16 +330,15 @@ let after_gc cs site =
 
 (* ---- Version-pinned read routing. *)
 
-(* A backup may serve a read pinned at [pin] only once it has applied
-   every record up to the advancement that published [pin] — its applied
-   query version is the witness ([Advance_query pin] precedes, in the
-   primary's log, every commit the pinned snapshot may still be missing
-   ... rather: every commit with final_version <= pin precedes the
-   round that retires pin, so applied-q >= pin means the snapshot below
-   pin is complete).  Routing round-robins over the primary and the
-   eligible backups; the counters stay wherever the read actually runs,
-   and the root's own pin (taken at the root partition's primary) is what
-   holds garbage collection off globally. *)
+(* A backup may serve a read pinned at [pin] once its applied query
+   version has reached [pin].  The primary logs [Advance_query pin] only
+   after every update at version [pin] or below has finished, so every
+   commit with final_version <= pin precedes that record in its log; a
+   backup applies the log in order, so applied q >= pin means its
+   snapshot at [pin] is complete.  Routing round-robins over the primary
+   and the eligible backups; the counters stay wherever the read actually
+   runs, and the root's own pin (taken at the root partition's primary)
+   is what holds garbage collection off globally. *)
 let route_read cs ~src ~part ~pin =
   let psite = primary_site cs part in
   if not (active cs) then psite
@@ -428,34 +390,6 @@ let shift_coord_acks cs ~old_site ~new_site =
               c.c_acks_q.(old_site) <- true)
       | _ -> ())
     cs.coords
-
-(* Rebuild the in-flight-transaction buffer a recovered backup needs to
-   keep applying records mid-transaction: exactly the pending table
-   {!Wal.Recovery.replay} would have had after its own log. *)
-let rebuild_pending b log =
-  Hashtbl.reset b.b_pending;
-  List.iter
-    (fun r ->
-      match r with
-      | Wal.Record.Begin { txn; _ } -> Hashtbl.replace b.b_pending txn []
-      | Wal.Record.Update { txn; key; value } ->
-          let writes =
-            Option.value (Hashtbl.find_opt b.b_pending txn) ~default:[]
-          in
-          Hashtbl.replace b.b_pending txn ((key, value) :: writes)
-      | Wal.Record.Commit { txn; _ } | Wal.Record.Abort { txn } ->
-          Hashtbl.remove b.b_pending txn
-      | Wal.Record.Rollback { txn; keep } -> (
-          match Hashtbl.find_opt b.b_pending txn with
-          | None -> ()
-          | Some writes ->
-              Hashtbl.replace b.b_pending txn
-                (drop (List.length writes - keep) writes))
-      | Wal.Record.Advance_update _ | Wal.Record.Advance_query _
-      | Wal.Record.Collect _ ->
-          ()
-      | Wal.Record.Checkpoint _ -> Hashtbl.reset b.b_pending)
-    (Wal.Log.records log)
 
 (* Promotion: WAL-replay recovery of the chosen backup's own log, exactly
    the path a crashed primary takes — counters restart at zero, in-flight
@@ -552,10 +486,10 @@ let recover_as_backup cs ~site =
   | Some b when cs.repl.site_epoch.(site) = cs.repl.ship_epoch.(part) ->
       (* Same generation: the current primary shipped every record this
          log holds, so it is a prefix of that primary's log and safe to
-         rebuild from directly. *)
+         rebuild from directly.  Replay leaves the writes of transactions
+         whose [Commit] has not arrived yet in the node's redo buffer. *)
       let log = Node_state.log old in
       ignore (recover_from_log cs ~site log : Wal.Recovery.versions);
-      rebuild_pending b log;
       b.b_insync <- false;
       Wal.Ship.rewind b.b_cursor ~upto:(Wal.Log.length log)
   | Some b ->
@@ -565,7 +499,6 @@ let recover_as_backup cs ~site =
          fork the replica, so rejoin empty and adopt the next from-zero
          ship. *)
       cs.nodes.(site) <- fresh_node cs ~site;
-      Hashtbl.reset b.b_pending;
       b.b_insync <- false;
       cs.repl.site_epoch.(site) <- -1;
       Wal.Ship.reset b.b_cursor
@@ -580,7 +513,6 @@ let recover_as_backup cs ~site =
               b_site = site;
               b_cursor = Wal.Ship.create ();
               b_insync = false;
-              b_pending = Hashtbl.create 16;
             };
           |]);
   Net.Network.set_down cs.net ~node:site false;

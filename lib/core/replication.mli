@@ -5,9 +5,10 @@
     WAL to its backups in [Ship] batches (event-driven — commits,
     advancement phases and GC poke the shipper, which ships at once).  A
     backup appends the shipped records to its own log and applies them
-    incrementally with exactly {!Wal.Recovery.replay}'s rules, so its
-    store tracks the primary's committed state and its log is always a
-    prefix of the primary's (per epoch).
+    one by one with {!Node_state.apply} — crash replay's
+    {!Wal.Recovery.redo} for transaction records, the primary's own rule
+    for version records — so its store tracks the primary's committed
+    state and its log is always a prefix of the primary's (per epoch).
 
     {b Version-pinned reads}: a backup serves a read pinned at version [v]
     only once its applied query version has reached [v]
@@ -107,8 +108,8 @@ val recover_from_log :
 (** WAL-replay recovery, shared by a crashed primary ({!Cluster.recover}),
     a promoted backup and a same-epoch backup: rebuild the store from
     [log], install a node built from the cluster's config at [site]
-    (counters at zero, index re-attached) and return the recovered
-    version numbers. *)
+    (counters at zero, index re-attached, replay's redo buffer kept) and
+    return the recovered version numbers. *)
 
 val on_crash : _ Cluster_state.t -> site:int -> unit
 (** Called by {!Cluster.crash} after the site is killed and marked down.

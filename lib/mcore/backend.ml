@@ -17,7 +17,8 @@
    - advancement: the same three phases with the same targets
      (advance-u to newu with the g >= newu-3 inference rule, advance-q
      to newu-1, collect to newu-2), the same stalled-round re-initiation
-     rule, and Node_state.collect_garbage's counter-slot cleanup.
+     rule, and the counter-slot cleanup Node_state.apply runs for a
+     Collect record.
 
    What is intentionally different: versions and counters live behind
    real spinlock latches (Latch) instead of the DES's accounting latch;
@@ -159,7 +160,7 @@ let set_q_locked s version =
     ignore (counter s.query_counts version : int ref)
   end
 
-(* Node_state.collect_garbage without the WAL record: bump g, run the
+(* Node_state.apply's Collect rule, with no WAL record: bump g, run the
    store's Phase-3 rules, drop the two dead counter slots. *)
 let collect_garbage_locked s ~newg =
   if newg > s.g then begin

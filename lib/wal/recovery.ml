@@ -12,42 +12,48 @@ let checkpoint log ~store ~u ~q ~g =
      storage before the truncated log is reused. *)
   Log.mark_all_durable log
 
-let replay log ?bound ?gc_renumber () =
+type 'v pending = (int, (string * 'v option) list) Hashtbl.t
+
+let pending () = Hashtbl.create 16
+
+let rec drop n l =
+  if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
+
+let redo pending store record =
+  match record with
+  | Record.Begin { txn; _ } -> Hashtbl.replace pending txn []
+  | Record.Update { txn; key; value } ->
+      let writes = Option.value (Hashtbl.find_opt pending txn) ~default:[] in
+      Hashtbl.replace pending txn ((key, value) :: writes)
+  | Record.Commit { txn; final_version } -> (
+      match Hashtbl.find_opt pending txn with
+      | None -> ()
+      | Some writes ->
+          List.iter
+            (fun (key, value) ->
+              match value with
+              | Some v -> Vstore.Store.write store key final_version v
+              | None -> Vstore.Store.delete store key final_version)
+            (List.rev writes);
+          Hashtbl.remove pending txn)
+  | Record.Rollback { txn; keep } -> (
+      (* Writes are kept newest-first: keeping the first [keep]
+         chronological records means dropping from the front. *)
+      match Hashtbl.find_opt pending txn with
+      | None -> ()
+      | Some writes ->
+          Hashtbl.replace pending txn (drop (List.length writes - keep) writes))
+  | Record.Abort { txn } -> Hashtbl.remove pending txn
+  | Record.Checkpoint _ -> Hashtbl.reset pending
+  | Record.Advance_update _ | Record.Advance_query _ | Record.Collect _ -> ()
+
+let replay log ?bound ?gc_renumber ?(pending = pending ()) () =
   let store = ref (Vstore.Store.create ?bound ?gc_renumber ()) in
-  let pending : (int, (string * 'v option) list) Hashtbl.t = Hashtbl.create 64 in
   let u = ref 1 and q = ref 0 and g = ref (-1) in
-  let apply txn final_version =
-    match Hashtbl.find_opt pending txn with
-    | None -> ()
-    | Some writes ->
-        List.iter
-          (fun (key, value) ->
-            match value with
-            | Some v -> Vstore.Store.write !store key final_version v
-            | None -> Vstore.Store.delete !store key final_version)
-          (List.rev writes);
-        Hashtbl.remove pending txn
-  in
   List.iter
     (fun record ->
+      redo pending !store record;
       match record with
-      | Record.Begin { txn; _ } -> Hashtbl.replace pending txn []
-      | Record.Update { txn; key; value } ->
-          let writes = Option.value (Hashtbl.find_opt pending txn) ~default:[] in
-          Hashtbl.replace pending txn ((key, value) :: writes)
-      | Record.Commit { txn; final_version } -> apply txn final_version
-      | Record.Rollback { txn; keep } -> (
-          (* Writes are kept newest-first: keeping the first [keep]
-             chronological records means dropping from the front. *)
-          match Hashtbl.find_opt pending txn with
-          | None -> ()
-          | Some writes ->
-              let rec drop n l =
-                if n <= 0 then l
-                else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-              in
-              Hashtbl.replace pending txn (drop (List.length writes - keep) writes))
-      | Record.Abort { txn } -> Hashtbl.remove pending txn
       | Record.Advance_update v -> if v > !u then u := v
       | Record.Advance_query v -> if v > !q then q := v
       | Record.Collect { collect; query } ->
@@ -59,10 +65,12 @@ let replay log ?bound ?gc_renumber () =
           store :=
             Vstore.Store.restore ?bound ?gc_renumber
               (Vstore.Store.snapshot_of_items items);
-          Hashtbl.reset pending;
           u := cu;
           q := cq;
-          g := cg)
+          g := cg
+      | Record.Begin _ | Record.Update _ | Record.Commit _ | Record.Rollback _
+      | Record.Abort _ ->
+          ())
     (Log.records log);
   (!store, { update_version = !u; query_version = !q; collected_version = !g })
 

@@ -22,10 +22,33 @@ val checkpoint :
     the node's version numbers.  Only valid at a quiescent point: no update
     transaction may be active (its earlier log records would be lost). *)
 
+type 'v pending
+(** The redo buffer: the logged writes of every transaction that has begun
+    but neither committed nor aborted, in log order. *)
+
+val pending : unit -> 'v pending
+(** An empty buffer. *)
+
+val redo : 'v pending -> 'v Vstore.Store.t -> 'v Record.t -> unit
+(** The one place a transaction record changes data.  [Begin] and [Update]
+    buffer a transaction's writes, [Rollback] drops all but the first
+    [keep], [Abort] discards them, and [Commit] installs them in the store
+    at the record's final version.  A [Checkpoint] empties the buffer (its
+    store swap, like the version records, is the caller's part). *)
+
 val replay :
-  'v Log.t -> ?bound:int -> ?gc_renumber:bool -> unit -> 'v Vstore.Store.t * versions
+  'v Log.t ->
+  ?bound:int ->
+  ?gc_renumber:bool ->
+  ?pending:'v pending ->
+  unit ->
+  'v Vstore.Store.t * versions
 (** Rebuild a store (with the given version bound, default unbounded) and
-    recover the node's version numbers. *)
+    recover the node's version numbers: {!redo} over every record, plus
+    the version records and the last [Checkpoint]'s store.  The writes of
+    transactions still in flight at the end of the log are left in
+    [pending] (a fresh buffer by default), so a caller that keeps
+    applying records after the log can pass one in. *)
 
 val committed_transactions : _ Log.t -> int list
 (** Transactions with a commit record, in commit order. *)

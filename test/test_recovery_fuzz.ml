@@ -13,7 +13,11 @@
    - the version counters (u, q, g) recover to exactly the
      last-logged/checkpointed values;
    - [committed_transactions] and [in_flight_transactions] match the
-     model's bookkeeping.
+     model's bookkeeping;
+   - live backup apply agrees with replay: the same prefix fed record by
+     record through [Ava3.Node_state.apply] on a fresh node, with the
+     same store bound, ends with the same store contents (every version
+     of every key) and the same u, q and g.
 
    On a mismatch the failing seed, prefix point and full record dump are
    written to fuzz-failure-<seed>.txt so CI can upload the artifact; the
@@ -260,13 +264,31 @@ let dump_failure ~seed ~kind ~prefix ~records message =
   Alcotest.failf "seed %d prefix %d: %s (details in %s)" seed prefix message
     path
 
+(* The fresh node's store is unbounded like replay's default one: overlap
+   GC lifts the three-version cap ({!Ava3.Config.store_bound}). *)
+let apply_config = { Ava3.Config.default with overlap_gc = true }
+
+let applied_node ~records ~prefix =
+  let engine = Sim.Engine.create ~trace:false () in
+  let nd =
+    Ava3.Node_state.create ~engine ~node_id:0 ~config:apply_config ()
+  in
+  List.iteri
+    (fun i r -> if i < prefix then ignore (Ava3.Node_state.apply nd r : bool))
+    records;
+  nd
+
 let check_prefix ~seed ~kind ~records ~prefix =
   let truncated : int Log.t = Log.create () in
   List.iteri (fun i r -> if i < prefix then Log.append truncated r) records;
   let model = model_create () in
   List.iteri (fun i r -> if i < prefix then model_apply model r) records;
   let fail fmt = Printf.ksprintf (dump_failure ~seed ~kind ~prefix ~records) fmt in
-  let store, versions = Recovery.replay truncated () in
+  let store, versions =
+    Recovery.replay truncated
+      ?bound:(Ava3.Config.store_bound apply_config)
+      ~gc_renumber:apply_config.gc_renumber ()
+  in
   (* Committed effects survive; uncommitted ones never surface. *)
   Array.iter
     (fun key ->
@@ -290,7 +312,23 @@ let check_prefix ~seed ~kind ~records ~prefix =
   if Recovery.committed_transactions truncated <> List.rev model.committed
   then fail "committed transaction list diverges from the reference";
   if Recovery.in_flight_transactions truncated <> model_in_flight model then
-    fail "in-flight transaction list diverges from the reference"
+    fail "in-flight transaction list diverges from the reference";
+  (* Live backup apply ends where replay does. *)
+  let nd = applied_node ~records ~prefix in
+  let contents s = Store.snapshot_items (Store.snapshot s) in
+  if contents (Ava3.Node_state.store nd) <> contents store then
+    fail "Node_state.apply: store contents differ from replay's";
+  let applied = Ava3.Node_state.(u nd, q nd, g nd) in
+  if
+    applied
+    <> (versions.Recovery.update_version, versions.Recovery.query_version,
+        versions.Recovery.collected_version)
+  then
+    let u, q, g = applied in
+    fail "Node_state.apply: versions (u=%d q=%d g=%d), replay has (u=%d \
+          q=%d g=%d)"
+      u q g versions.Recovery.update_version versions.Recovery.query_version
+      versions.Recovery.collected_version
 
 let test_crash_at_every_prefix () =
   let seeds = List.init 12 (fun i -> 1000 + (77 * i)) in
