@@ -98,7 +98,7 @@ val run_join :
   build:(int list * string * string) ->
   probe:(int list * string * string) ->
   'v Query_exec.join_result
-(** Grace hash join of two attribute ranges as one long read-only
+(** Hash join of two attribute ranges as one long read-only
     transaction; see {!Query_exec.run_join}.  Requires [~index] at
     {!create}. *)
 

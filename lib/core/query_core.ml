@@ -137,6 +137,24 @@ let complete t ~values =
     staleness = staleness_of t.cs ~version:t.version ~at:t.started_at;
   }
 
+let index nd =
+  match Node_state.index nd with
+  | Some ix -> ix
+  | None ->
+      invalid_arg
+        "Query_core: node has no secondary index (pass ~index to \
+         Cluster.create)"
+
+(* The [Config.Index_skip_visibility] mutant probes the newest entries
+   instead of the pin. *)
+let probe_index t nd ~lo ~hi =
+  let at =
+    match t.cs.config.Config.mutant with
+    | Some Index_skip_visibility -> max_int
+    | _ -> t.version
+  in
+  Vindex.Index.probe (index nd) ~lo ~hi at
+
 let on_error t e =
   (* A touched node died mid-query: release what we can and re-raise. *)
   (try finish t with _ -> ());

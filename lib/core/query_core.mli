@@ -66,6 +66,17 @@ val complete : 'v t -> values:(int * string * 'v option) list -> 'v result
 (** Success path: {!finish}, count the query against the root node,
     emit the completion trace, build the result. *)
 
+val index : 'v Node_state.t -> 'v Vindex.Index.t
+(** The node's secondary index.  Raises [Invalid_argument] if the cluster
+    carries none ([Cluster.create] without [~index]). *)
+
+val probe_index :
+  'v t -> 'v Node_state.t -> lo:string -> hi:string -> (string * 'v) list
+(** Probe the node's secondary index ({!index}) for attributes in
+    [\[lo, hi\]] at the query's pin — the one index read of both the flat
+    and the tree executor.  Under the [Index_skip_visibility] mutant the
+    probe runs at [max_int], serving each key's newest entry. *)
+
 val on_error : 'v t -> exn -> 'a
 (** Crash path: release what counters we can ({!finish}, errors
     swallowed) and re-raise [e]. *)

@@ -63,14 +63,6 @@ exception
     full_scan : int;
   }
 
-let require_index nd =
-  match Node_state.index nd with
-  | Some ix -> ix
-  | None ->
-      invalid_arg
-        "Query_exec: node has no secondary index (pass ~index to \
-         Cluster.create)"
-
 (* One attribute-range select at the serving node.  Returns the result
    rows plus, under [`Both_check], the full-scan reference computed
    back-to-back at the same pinned version (no yield between the two
@@ -83,20 +75,14 @@ let require_index nd =
    analytical predicate selecting few rows pays O(matches) instead of
    O(items).  [`Both_check] charges as the index plan; its reference scan
    is oracle overhead, not workload. *)
-let select_local cs ~(plan : select_plan) nd ~lo ~hi v =
+let select_local cs q ~(plan : select_plan) nd ~lo ~hi =
   let read_service = cs.config.Config.read_service_time in
-  (* The [Config.Index_skip_visibility] mutant probes the newest entries
-     instead of the pin; the [`Both_check] reference scan keeps the pin. *)
-  let probe_at =
-    match cs.config.Config.mutant with
-    | Some Index_skip_visibility -> max_int
-    | _ -> v
-  in
+  let v = Query_core.version q in
   Sim.Engine.sleep read_service;
-  let ix = require_index nd in
+  let ix = Query_core.index nd in
   match plan with
   | `Index ->
-      let rows = Vindex.Index.probe ix ~lo ~hi probe_at in
+      let rows = Query_core.probe_index q nd ~lo ~hi in
       Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
       (rows, None)
   | `Full_scan ->
@@ -111,7 +97,9 @@ let select_local cs ~(plan : select_plan) nd ~lo ~hi v =
       in
       (rows, None)
   | `Both_check ->
-      let rows = Vindex.Index.probe ix ~lo ~hi probe_at in
+      (* The [Index_skip_visibility] mutant bends the probe only; the
+         reference scan keeps the pin. *)
+      let rows = Query_core.probe_index q nd ~lo ~hi in
       let reference = Vindex.Index.full_scan ix ~lo ~hi v in
       Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
       (rows, Some reference)
@@ -121,7 +109,7 @@ let select_local cs ~(plan : select_plan) nd ~lo ~hi v =
    the whole query on an index/full-scan divergence. *)
 let select_part cs q ~root ~root_site ~plan v (n, lo, hi) =
   let rows, reference =
-    if n = root then select_local cs ~plan (Query_core.root_node q) ~lo ~hi v
+    if n = root then select_local cs q ~plan (Query_core.root_node q) ~lo ~hi
     else
       let site =
         if replicated cs && n < nparts cs then
@@ -129,7 +117,7 @@ let select_part cs q ~root ~root_site ~plan v (n, lo, hi) =
         else n
       in
       Net.Network.call cs.net ~src:root_site ~dst:site (fun () ->
-          select_local cs ~plan (Query_core.visit q site) ~lo ~hi v)
+          select_local cs q ~plan (Query_core.visit q site) ~lo ~hi)
   in
   (match reference with
   | Some reference when rows <> reference ->
@@ -163,24 +151,19 @@ type 'v join_result = {
       (** the underlying read-only transaction; [values] holds every build
           then probe row the join consumed, in fan-out order *)
   pairs : ('v join_row * 'v join_row) list;
-      (** matched (build, probe) pairs, sorted by (build, probe) row id *)
+      (** matched (build, probe) pairs, in (build, probe) row-id order *)
 }
 
 let row_compare (an, ak, _) (bn, bk, _) =
   match Int.compare an bn with 0 -> String.compare ak bk | c -> c
 
-let pair_compare (a, b) (c, d) =
-  match row_compare a c with 0 -> row_compare b d | order -> order
-
-(* Grace hash join of two attribute ranges, executed as one long read-only
+(* Hash join of two attribute ranges, executed as one long read-only
    transaction: both sides' per-partition rows are fetched under a single
    pin (the paper's motivating decision-support query), then joined at the
    root on the indexed attribute.  The join operator itself charges one
-   read-service per input row; its sorted output makes the result
-   independent of the bucket count and of the access-path plan whenever
-   the inputs match. *)
-let join_buckets = 8
-
+   read-service per input row; its output is ordered by (build, probe)
+   row id, so it is independent of the access-path plan whenever the
+   inputs match. *)
 let run_join cs ~root ~(plan : select_plan) ~build:(bparts, blo, bhi)
     ~probe:(pparts, plo, phi) =
   let q = Query_core.start cs ~root ~kind:`Join in
@@ -199,11 +182,10 @@ let run_join cs ~root ~(plan : select_plan) ~build:(bparts, blo, bhi)
     Sim.Engine.sleep
       (cs.config.Config.read_service_time
       *. float_of_int (List.length build_rows + List.length probe_rows));
-    let ix = require_index (Query_core.root_node q) in
+    let ix = Query_core.index (Query_core.root_node q) in
     let key_of (_, _, value) = Vindex.Index.extract ix value in
-    Vindex.Join.hash_join ~partitions:join_buckets
-      ~compare:pair_compare ~build:build_rows ~probe:probe_rows
-      ~build_key:key_of ~probe_key:key_of
+    Vindex.Join.hash_join ~compare_build:row_compare ~compare_probe:row_compare
+      ~build:build_rows ~probe:probe_rows ~build_key:key_of ~probe_key:key_of
     |> fun pairs -> (build_rows, probe_rows, pairs)
   with
   | build_rows, probe_rows, pairs ->

@@ -80,7 +80,7 @@ type 'v join_result = {
       (** the underlying read-only transaction; [values] holds every build
           then probe row the join consumed, in fan-out order *)
   pairs : ('v join_row * 'v join_row) list;
-      (** matched (build, probe) pairs, sorted by (build, probe) row id *)
+      (** matched (build, probe) pairs, in (build, probe) row-id order *)
 }
 
 val run_join :
@@ -90,9 +90,9 @@ val run_join :
   build:(int list * string * string) ->
   probe:(int list * string * string) ->
   'v join_result
-(** Grace hash join of two attribute ranges — each side a (partitions,
+(** Hash join of two attribute ranges — each side a (partitions,
     attr-lo, attr-hi) fan-out — executed as one long read-only transaction
     under a single pinned version and joined at the root on the indexed
-    attribute, over 8 hash buckets.  The sorted output is independent of
-    the bucket count and, whenever the per-side inputs match, of the
-    access-path [plan]. *)
+    attribute ({!Vindex.Join.hash_join}).  The pairs come out in (build,
+    probe) row-id order, so whenever the per-side inputs hold the same
+    rows they are independent of the access-path [plan]. *)

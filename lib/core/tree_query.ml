@@ -52,22 +52,7 @@ let run cs ~plan =
         List.concat_map
           (fun (lo, hi) ->
             Sim.Engine.sleep read_service;
-            let ix =
-              match Node_state.index nd with
-              | Some ix -> ix
-              | None ->
-                  invalid_arg
-                    "Tree_query: plan has selects but the cluster has no \
-                     secondary index (pass ~index to Cluster.create)"
-            in
-            (* The [Config.Index_skip_visibility] mutant probes the newest
-               entries instead of the pin. *)
-            let rows =
-              Vindex.Index.probe ix ~lo ~hi
-                (match cs.config.Config.mutant with
-                | Some Index_skip_visibility -> max_int
-                | _ -> v)
-            in
+            let rows = Query_core.probe_index q nd ~lo ~hi in
             Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
             List.map (fun (key, value) -> (p.at, key, Some value)) rows)
           p.selects

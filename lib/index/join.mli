@@ -1,28 +1,31 @@
-(** Grace hash join over in-memory row lists.
+(** In-memory hash join over row lists.
 
-    Both operators emit the same rows in the same order (the caller's
-    [compare]), so a hash join over index-probe inputs, a hash join over
-    full-scan inputs, and the nested-loop reference are byte-identical
-    whenever their inputs are — the property the indexed-vs-full-scan
+    Both operators emit the same pairs in the same order — ascending by
+    build row ([compare_build]), then by probe row ([compare_probe]) — so a
+    hash join over index-probe inputs, a hash join over full-scan inputs,
+    and the nested-loop reference are byte-identical whenever their inputs
+    hold the same rows, in any order: the property the indexed-vs-full-scan
     equivalence oracle checks end to end. *)
 
 val hash_join :
-  partitions:int ->
-  compare:('a * 'b -> 'a * 'b -> int) ->
+  compare_build:('a -> 'a -> int) ->
+  compare_probe:('b -> 'b -> int) ->
   build:'a list ->
   probe:'b list ->
   build_key:('a -> string) ->
   probe_key:('b -> string) ->
   ('a * 'b) list
-(** Partition both inputs into [partitions] buckets by hashed join key,
-    build a hash table per bucket from the build side, stream the probe
-    side through it, and sort the matches with [compare]. *)
+(** Sort each side once, hash the probe side by join key into buckets that
+    keep its order, and walk the sorted build side against them: the
+    matched pairs come out in order, and none is sorted. *)
 
 val nested_loop :
-  compare:('a * 'b -> 'a * 'b -> int) ->
+  compare_build:('a -> 'a -> int) ->
+  compare_probe:('b -> 'b -> int) ->
   build:'a list ->
   probe:'b list ->
   build_key:('a -> string) ->
   probe_key:('b -> string) ->
   ('a * 'b) list
-(** O(|build| × |probe|) reference implementation with identical output. *)
+(** O(|build| × |probe|) reference implementation with identical output:
+    every matching pair, sorted. *)

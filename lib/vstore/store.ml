@@ -161,15 +161,28 @@ let rec spill_le spill v =
   | [] -> None
   | e :: rest -> if e.version <= v then value_of e.body else spill_le rest v
 
+type 'v handle = 'v item
+
+let handle = find_item
+
+(* Slots are descending: the first slot with version <= v wins. *)
+let read_handle_le item v =
+  if item.n > 0 && item.v0 <= v then value_of item.b0
+  else if item.n > 1 && item.v1 <= v then value_of item.b1
+  else if item.n > 2 && item.v2 <= v then value_of item.b2
+  else spill_le item.spill v
+
+let fold_values f acc item =
+  let body acc = function Value value -> f acc value | Tombstone -> acc in
+  let acc = if item.n > 0 then body acc item.b0 else acc in
+  let acc = if item.n > 1 then body acc item.b1 else acc in
+  let acc = if item.n > 2 then body acc item.b2 else acc in
+  List.fold_left (fun acc e -> body acc e.body) acc item.spill
+
 let read_le t key v =
   match find_item t key with
   | None -> None
-  | Some item ->
-      (* Slots are descending: the first slot with version <= v wins. *)
-      if item.n > 0 && item.v0 <= v then value_of item.b0
-      else if item.n > 1 && item.v1 <= v then value_of item.b1
-      else if item.n > 2 && item.v2 <= v then value_of item.b2
-      else spill_le item.spill v
+  | Some item -> read_handle_le item v
 
 let rec spill_exact spill v =
   match spill with

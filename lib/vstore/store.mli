@@ -67,6 +67,31 @@ val scan_all : 'v t -> version -> (string * 'v) list
     O(items) by construction — the reference plan a secondary-index probe
     ({!Index.probe}) must match byte-for-byte at the same version. *)
 
+(** {2 Item handles}
+
+    A handle is the store's own record for one item: reading through it
+    skips the key lookup.  Derived structures (lib/index) keep one per
+    posting.  A handle stays the item's record for as long as the item has
+    a live value entry: the store discards a record only when it holds no
+    value entry (it is empty, or a lone tombstone that {!gc} or
+    {!prune_below} removes), and it notifies the listener
+    ({!set_listener}) with the key when it does.  A listener that drops
+    its handle for a key once the key has no live value entry therefore
+    never holds a discarded record: a later write of the key makes a new
+    record, and notifies again. *)
+
+type 'v handle
+
+val handle : 'v t -> string -> 'v handle option
+(** The item's current record, or [None] if the key is unknown. *)
+
+val read_handle_le : 'v handle -> version -> 'v option
+(** {!read_le} through a handle: the same slot code, without the lookup. *)
+
+val fold_values : ('a -> 'v -> 'a) -> 'a -> 'v handle -> 'a
+(** Fold over the values of the item's live value entries (tombstones
+    skipped), newest version first. *)
+
 (** {1 Writes} *)
 
 val write : 'v t -> string -> version -> 'v -> unit

@@ -148,6 +148,30 @@ let test_listener_counts () =
       no_msgs (label "index audit") (Index.check ix ~version:2))
     [ false; true ]
 
+(* A posting holds the key's record.  Garbage collection removes a key
+   reduced to a lone tombstone, and a later write makes a new record for
+   it: the old record's postings must be gone by then, and the new ones
+   must point at the new record — with the same attribute as before, so
+   the attribute diff alone would leave an old posting in place. *)
+let test_handle_lifetime () =
+  let st : int Store.t = Store.create ~bound:3 () in
+  let ix = Index.attach st ~extract in
+  Store.write st "k" 0 5;
+  Store.write st "other" 0 6;
+  Store.delete st "k" 1;
+  Store.gc st ~collect:0 ~query:1;
+  check_bool "lone tombstone removed" true (Store.handle st "k" = None);
+  no_msgs "audit clean after removal" (Index.check ix ~version:1);
+  Store.write st "k" 2 1005;
+  let lo, hi = full_range in
+  check_bool "old pin no longer sees k" true
+    (Index.probe ix ~lo ~hi 1 = [ ("other", 6) ]);
+  check_bool "new pin sees the new record" true
+    (Index.probe ix ~lo ~hi 2 = [ ("k", 1005); ("other", 6) ]
+    && Index.probe ix ~lo:"a005" ~hi:"a005" 2 = [ ("k", 1005) ]);
+  no_msgs "audit clean at the old pin" (Index.check ix ~version:1);
+  no_msgs "audit clean at the new pin" (Index.check ix ~version:2)
+
 (* The shared attribute extractor equals its Printf reference. *)
 let test_default_extract () =
   let reference v = Printf.sprintf "a%03d" (((v mod 1000) + 1000) mod 1000) in
@@ -174,9 +198,10 @@ let test_probe_edges () =
     (Index.probe ix ~lo:"a000" ~hi:"a999" (-1) = [])
 
 let test_join_agreement () =
-  (* hash_join output is independent of the partition count and identical
-     to the nested-loop reference, including duplicate join keys and rows
-     matching nothing. *)
+  (* hash_join's output depends only on the rows of its inputs, not on
+     their order, and equals the nested-loop reference: duplicate join
+     keys, rows matching nothing, reversed and shuffled sides, an empty
+     side. *)
   let build =
     List.init 30 (fun i -> (i mod 3, Printf.sprintf "b%02d" i, i * 13))
   in
@@ -184,26 +209,57 @@ let test_join_agreement () =
     List.init 41 (fun i -> (i mod 4, Printf.sprintf "p%02d" i, i * 7))
   in
   let key_of (_, _, v) = extract (v mod 40) in
-  let compare = compare in
-  let reference =
-    Join.nested_loop ~compare ~build ~probe ~build_key:key_of
-      ~probe_key:key_of
+  let compare_build = compare and compare_probe = compare in
+  let nested ~build ~probe =
+    Join.nested_loop ~compare_build ~compare_probe ~build ~probe
+      ~build_key:key_of ~probe_key:key_of
   in
+  let hashed ~build ~probe =
+    Join.hash_join ~compare_build ~compare_probe ~build ~probe
+      ~build_key:key_of ~probe_key:key_of
+  in
+  let reference = nested ~build ~probe in
   check_bool "join produces matches" true (reference <> []);
+  let matches b = List.length (List.filter (fun (b', _) -> b' = b) reference) in
+  check_bool "a build row matches several probe rows" true
+    (List.exists (fun (b, _) -> matches b > 1) reference);
+  let shuffle seed rows =
+    let rng = Random.State.make [| seed |] in
+    List.map (fun r -> (Random.State.bits rng, r)) rows
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
   List.iter
-    (fun partitions ->
-      let hashed =
-        Join.hash_join ~partitions ~compare ~build ~probe ~build_key:key_of
-          ~probe_key:key_of
-      in
-      check_bool
-        (Printf.sprintf "hash_join(%d) = nested_loop" partitions)
-        true (hashed = reference))
-    [ 1; 2; 5; 16 ];
-  check_bool "empty build side" true
-    (Join.hash_join ~partitions:4 ~compare ~build:[] ~probe
-       ~build_key:key_of ~probe_key:key_of
-    = [])
+    (fun (what, build, probe) ->
+      check_bool (what ^ ": hash_join = nested_loop") true
+        (hashed ~build ~probe = nested ~build ~probe);
+      check_bool (what ^ ": same pairs as the sorted inputs") true
+        (hashed ~build ~probe = reference))
+    [
+      ("sorted", build, probe);
+      ("reversed", List.rev build, List.rev probe);
+      ("shuffled", shuffle 1 build, shuffle 2 probe);
+      ("reversed build, shuffled probe", List.rev build, shuffle 3 probe);
+    ];
+  (* Several build rows on one join key, each matching several probe
+     rows: pairs stay grouped by build row, probe rows ascending. *)
+  let build = [ (0, "y", 1); (0, "x", 41); (1, "x", 81) ]
+  and probe = [ (2, "q", 1); (0, "p", 1); (1, "z", 2) ] in
+  check_bool "duplicate join keys" true
+    (hashed ~build ~probe
+    = [
+        ((0, "x", 41), (0, "p", 1));
+        ((0, "x", 41), (2, "q", 1));
+        ((0, "y", 1), (0, "p", 1));
+        ((0, "y", 1), (2, "q", 1));
+        ((1, "x", 81), (0, "p", 1));
+        ((1, "x", 81), (2, "q", 1));
+      ]
+    && hashed ~build ~probe = nested ~build ~probe);
+  check_bool "empty build side" true (hashed ~build:[] ~probe = []);
+  check_bool "empty probe side" true (hashed ~build ~probe:[] = []);
+  check_bool "nested_loop agrees on empty sides" true
+    (nested ~build:[] ~probe = [] && nested ~build ~probe:[] = [])
 
 (* {1 Cluster-level behaviour} *)
 
@@ -480,6 +536,7 @@ let () =
           Alcotest.test_case "attach bootstrap" `Quick test_attach_bootstrap;
           Alcotest.test_case "listener paths" `Quick test_listener_paths;
           Alcotest.test_case "listener counts" `Quick test_listener_counts;
+          Alcotest.test_case "handle lifetime" `Quick test_handle_lifetime;
           Alcotest.test_case "default extract" `Quick test_default_extract;
           Alcotest.test_case "probe edges" `Quick test_probe_edges;
           Alcotest.test_case "join agreement" `Quick test_join_agreement;
