@@ -87,7 +87,9 @@ let check_time name v =
 
 let validate t =
   if t.tree_arity < 0 then
-    invalid "tree_arity must be >= 0 (got %d); 0 means flat broadcast"
+    invalid
+      "tree_arity must be >= 0 (got %d); 0 makes every site a direct child \
+       of the coordinator"
       t.tree_arity;
   (* rpc_timeout = infinity is the documented no-timeout default; zero,
      negative, and NaN would time every call out instantly or never
@@ -111,15 +113,17 @@ let validate t =
     invalid "advancement_retry must be a finite positive period (got %g)"
       t.advancement_retry;
   if t.partition_aware && t.tree_arity <= 0 then
-    invalid "partition_aware requires tree_arity > 0 (hierarchical rounds)";
+    invalid
+      "partition_aware requires tree_arity > 0 (it has not been run with \
+       depth-one rounds)";
   if t.replicas < 0 then
     invalid "replicas must be >= 0 (got %d); 0 means single-copy partitions"
       t.replicas;
   if t.replicas > 0 && t.tree_arity > 0 then
     invalid
-      "replicas requires tree_arity = 0: replication runs over flat \
-       advancement rounds (failover rewrites the round's participant set, \
-       which hierarchical relay trees do not support yet)";
+      "replicas requires tree_arity = 0: replication runs over depth-one \
+       advancement rounds (failover rewrites one position of the round's \
+       layout, which deeper relay trees do not support yet)";
   if
     Float.is_nan t.replica_catchup_timeout
     || t.replica_catchup_timeout <= 0.0
@@ -146,7 +150,7 @@ let validate t =
         "group_commit_window > 0 (without a window every commit forces \
          directly)"
   | Some (Relay_ack_early as m) when t.tree_arity <= 0 ->
-      requires m "tree_arity > 0 (flat rounds have no relays)"
+      requires m "tree_arity > 0 (depth-one rounds have no relay with children)"
   | Some (Replica_ack_early as m) when t.replicas <= 0 ->
       requires m "replicas > 0 (there is no backup to acknowledge early)"
   | _ -> ()

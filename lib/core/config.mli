@@ -112,13 +112,13 @@ type t = {
           an [O(N)] coordinator broadcast pays [O(N)] at the sender.
           Default [0.] — departure is immediate, as in earlier builds. *)
   tree_arity : int;
-      (** Hierarchical advancement: fan advance/GC rounds through a relay
-          tree of this arity instead of a flat coordinator broadcast, with
-          acknowledgments aggregated bottom-up ({!Messages.t}'s [Relay] /
-          [Relay_ack]).  Cuts the coordinator's per-round traffic from
-          [O(N)] messages to [O(arity)] at depth [O(log_arity N)].  [0]
-          (default) keeps the paper's flat rounds — bit-identical to the
-          pre-tree protocol. *)
+      (** Arity of the relay tree every advance/GC round fans out through,
+          with acknowledgments aggregated bottom-up ({!Messages.t}'s
+          [Relay] / [Relay_ack]).  [0] (default) puts every participant
+          directly under the coordinator — a depth-one tree, the paper's
+          broadcast round.  A positive arity cuts the coordinator's
+          per-round traffic from [O(N)] messages to [O(arity)] at depth
+          [O(log_arity N)]. *)
   partition_aware : bool;
       (** With [tree_arity > 0]: exclude sites that host no data items from
           the Phase 1/2 acknowledgment barriers (they still receive every

@@ -3,11 +3,12 @@
     These are the only messages AVA3 itself adds to the system; user
     transactions travel over the R*-style RPC path instead.
 
-    With hierarchical advancement ([Config.tree_arity > 0]) the phase
-    messages travel wrapped in [Relay] frames down a coordinator-rooted
-    relay tree, and acknowledgments travel back up aggregated in
-    [Relay_ack] frames; with a flat round (the default) neither wrapper
-    ever appears on the wire.
+    A coordinator sends the phase messages to its own site plain and to
+    every other site wrapped in [Relay] frames down a coordinator-rooted
+    relay tree ([Config.tree_arity]; the default [0] is a depth-one tree,
+    every site a direct child).  Acknowledgments travel back up
+    aggregated in [Relay_ack] frames; only the coordinator's own share is
+    acknowledged plain.
 
     With replication ([Config.replicas > 0]) the [Ship] / [Ship_ack] pair
     carries asynchronous WAL shipping from each partition's primary to its

@@ -369,16 +369,21 @@ let route_read cs ~src ~part ~pin =
 
 (* ---- Failover. *)
 
-(* Transfer a mid-flight flat round's expectations from the dead primary
-   to its successor: the old site can never acknowledge again, the new
-   one now must.  Setting the new slot false before the old one true
-   keeps [all_acked] from flickering complete in between (everything here
-   is synchronous anyway, but the order costs nothing). *)
+(* Transfer a mid-flight round's expectations from the dead primary to its
+   successor: the old site can never acknowledge again, the new one now
+   must, and takes the old one's position in the round's layout so the
+   coordinator's retransmissions reach it.  The layout is replaced, not
+   edited, since frames already sent share it.  Setting the new slot
+   false before the old one true keeps [all_acked] from flickering
+   complete in between (everything here is synchronous anyway, but the
+   order costs nothing). *)
 let shift_coord_acks cs ~old_site ~new_site =
   Array.iter
     (fun c ->
       match c with
-      | Some c when c.c_nparts = 0 && not c.c_abandoned -> (
+      | Some c when not c.c_abandoned -> (
+          c.c_sites <-
+            Array.map (fun s -> if s = old_site then new_site else s) c.c_sites;
           match c.c_phase with
           | `Collect_u ->
               c.c_acks_u.(new_site) <- false;

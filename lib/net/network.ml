@@ -195,21 +195,6 @@ let send t ~src ~dst msg =
   if t.down.(src) || t.link_down.(src).(dst) then t.dropped <- t.dropped + 1
   else transmit t ~src ~dst (fun () -> deliver t ~src ~dst msg)
 
-(* Inlined [send] loop: the per-destination node checks and row lookups are
-   hoisted out, but counters, drop decisions, and latency-RNG draw order are
-   exactly those of [send] applied to destinations 0..n-1. *)
-let broadcast t ~src msg =
-  check_node t src;
-  let src_down = t.down.(src) in
-  let link_down_row = t.link_down.(src) in
-  let link_sent_row = t.link_sent.(src) in
-  t.sent <- t.sent + t.nodes;
-  for dst = 0 to t.nodes - 1 do
-    link_sent_row.(dst) <- link_sent_row.(dst) + 1;
-    if src_down || link_down_row.(dst) then t.dropped <- t.dropped + 1
-    else transmit t ~src ~dst (fun () -> deliver t ~src ~dst msg)
-  done
-
 (* RPC with timeout-based failure detection.  The caller has no oracle: a
    down destination, a cut link, or a crash mid-flight all look the same —
    silence — and surface only as [Rpc_timeout] once [timeout] simulated

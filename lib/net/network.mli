@@ -6,7 +6,11 @@
     block (acquire locks, await conditions) without stalling the network.
 
     Nodes can be marked down, in which case messages addressed to them are
-    counted as dropped; upper layers decide what a crash means for state. *)
+    counted as dropped; upper layers decide what a crash means for state.
+
+    There is no broadcast primitive: a fan-out is one {!send} per
+    destination, so its counters and latency draws follow the sender's
+    loop order. *)
 
 type 'm t
 
@@ -28,9 +32,9 @@ val create :
     [send_occupancy] (default [0.]) models sender-side serialization:
     each remote message reserves the source node's transmitter for that
     long before departing, so a node fanning out to [n] destinations pays
-    [n *. send_occupancy] at the sender — the cost that makes O(n)
-    coordinator broadcasts slow in real clusters and that hierarchical
-    (tree) dissemination avoids.  Self-messages bypass the transmitter.
+    [n *. send_occupancy] at the sender — the cost that makes a
+    coordinator addressing all O(n) sites directly slow in real clusters
+    and that a wider relay tree avoids.  Self-messages bypass the transmitter.
     At the default [0.] departure is immediate and behavior (including
     RNG draws and event order) is identical to earlier builds.
 
@@ -61,10 +65,6 @@ val set_handler : 'm t -> node:int -> (src:int -> 'm -> unit) -> unit
 
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 (** Asynchronous send; the caller continues immediately. *)
-
-val broadcast : 'm t -> src:int -> 'm -> unit
-(** Send to every node, including [src] itself (the paper's advancement
-    messages go "to every node, including itself"). *)
 
 val call : ?timeout:float -> _ t -> src:int -> dst:int -> (unit -> 'r) -> 'r
 (** Remote procedure call: after one network latency the thunk runs at the

@@ -165,6 +165,78 @@ let test_partition_aware_matches_flat () =
     true
     (tree.coord_egress < flat.coord_egress)
 
+(* [tree_arity = 0] is the depth-one relay tree: every site a direct child
+   of the coordinator.  With [nodes - 1] children the explicit arity builds
+   the same tree, so the two runs must agree event for event — here under
+   retransmission, where long updates hold Phase 1 past several retry
+   periods and every participant sees duplicate frames while its local
+   share still waits on the update barrier or its force. *)
+let retransmission_run ?(advancement_retry = 2.0) ~tree_arity () =
+  let nodes = 5 in
+  let engine = Sim.Engine.create ~seed:0xD0B1EL () in
+  let config =
+    {
+      Ava3.Config.default with
+      tree_arity;
+      advancement_retry;
+      disk_force_latency = 0.5;
+      write_service_time = 3.0;
+    }
+  in
+  let db : int Ava3.Cluster.t =
+    Ava3.Cluster.create ~engine ~config ~latency:(Net.Latency.Constant 1.0)
+      ~nodes ()
+  in
+  let key s j = Printf.sprintf "s%d-%d" s j in
+  for s = 0 to nodes - 1 do
+    Ava3.Cluster.load db ~node:s (List.init 4 (fun j -> (key s j, j)))
+  done;
+  Ava3.Cluster.start_periodic_advancement db ~coordinator:0 ~period:15.0
+    ~until:150.0;
+  for i = 0 to 23 do
+    let root = i mod nodes in
+    let write s =
+      Ava3.Update_exec.Write { node = s; key = key s (i mod 4); value = i }
+    in
+    Sim.Engine.schedule engine ~delay:(6.0 *. float_of_int i) (fun () ->
+        ignore
+          (Ava3.Cluster.run_update db ~root
+             ~ops:
+               [
+                 write root;
+                 write ((root + 1) mod nodes);
+                 write ((root + 3) mod nodes);
+               ]))
+  done;
+  Sim.Engine.run engine;
+  let trace =
+    List.map
+      (Format.asprintf "%a" Sim.Trace.pp_entry)
+      (Sim.Trace.entries (Sim.Engine.trace engine))
+  in
+  ( Ava3.Cluster.stats db,
+    Sim.Metrics.to_json (Ava3.Cluster.metrics_snapshot db),
+    trace )
+
+let test_depth_one_is_arity_zero () =
+  let stats0, metrics0, trace0 = retransmission_run ~tree_arity:0 () in
+  let stats1, metrics1, trace1 = retransmission_run ~tree_arity:4 () in
+  let line st = Format.asprintf "%a" Ava3.Cluster.pp_stats st in
+  Alcotest.(check string) "Cluster.stats" (line stats0) (line stats1);
+  Alcotest.(check bool) "Cluster.stats record" true (stats0 = stats1);
+  Alcotest.(check string) "metrics snapshot" metrics0 metrics1;
+  Alcotest.(check (list string)) "trace" trace0 trace1;
+  (* Guard against a vacuous pass: without retransmission the same run
+     sends fewer messages. *)
+  let quiet, _, _ =
+    retransmission_run ~advancement_retry:1000.0 ~tree_arity:0 ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the run retransmits (%d vs %d messages)"
+       stats0.Ava3.Cluster.messages quiet.Ava3.Cluster.messages)
+    true
+    (stats0.Ava3.Cluster.messages > quiet.Ava3.Cluster.messages)
+
 let () =
   Alcotest.run "hierarchy"
     [
@@ -174,5 +246,7 @@ let () =
             test_tree_matches_flat;
           Alcotest.test_case "tree == flat (partition-aware)" `Quick
             test_partition_aware_matches_flat;
+          Alcotest.test_case "arity 0 == arity nodes-1 under retransmission"
+            `Quick test_depth_one_is_arity_zero;
         ] );
     ]

@@ -64,18 +64,6 @@ let test_self_latency_zero () =
   Sim.Engine.run e;
   check_float "self delivery immediate" 0.0 !at
 
-let test_broadcast () =
-  let e = Sim.Engine.create () in
-  let net : unit Net.Network.t = Net.Network.create ~engine:e ~nodes:4 () in
-  let hits = ref 0 in
-  for n = 0 to 3 do
-    Net.Network.set_handler net ~node:n (fun ~src:_ () -> incr hits)
-  done;
-  Net.Network.broadcast net ~src:2 ();
-  Sim.Engine.run e;
-  check_int "all nodes including self" 4 !hits;
-  check_int "counted" 4 (Net.Network.messages_sent net)
-
 let test_call_roundtrip () =
   let e = Sim.Engine.create () in
   let net : unit Net.Network.t =
@@ -376,7 +364,6 @@ let () =
           Alcotest.test_case "send delivers" `Quick test_send_delivers;
           Alcotest.test_case "fifo per link" `Quick test_fifo_per_link;
           Alcotest.test_case "self latency zero" `Quick test_self_latency_zero;
-          Alcotest.test_case "broadcast" `Quick test_broadcast;
           Alcotest.test_case "link stats" `Quick test_link_stats;
         ] );
       ( "rpc",
