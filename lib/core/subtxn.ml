@@ -57,10 +57,7 @@ let check_live t =
 
 let start cs ~txn_id ~state ~node:nd ~carried =
   check_alive nd;
-  if cs.config.Config.piggyback_version && carried > Node_state.u nd then begin
-    Node_state.set_u nd carried;
-    note_version_change cs
-  end;
+  if cs.config.Config.piggyback_version then raise_u cs nd carried;
   (* §3.4 step 1, atomic: version lookup and counter increment. *)
   let v = Node_state.u nd in
   let session =
@@ -236,10 +233,7 @@ let commit cs t ~final_version =
   else begin
     if not t.commit_submitted then begin
       if version t < final_version then begin
-        if Node_state.u t.sub_node < final_version then begin
-          Node_state.set_u t.sub_node final_version;
-          note_version_change cs
-        end;
+        raise_u cs t.sub_node final_version;
         move_to cs t ~newv:final_version ~at_commit:true
       end;
       Wal.Scheme.commit (Node_state.scheme t.sub_node) t.session

@@ -529,6 +529,61 @@ let test_advancement_survives_participant_crash () =
   no_violations db
 
 
+(* A site that loses its unforced Collect record in a crash comes back
+   with [g] one round behind its [u].  A commit decided in a later version
+   (or, with [piggyback_version], the subtransaction's start) then raises
+   its [u]; it must collect first, as Phase 1 would, or the item it writes
+   holds a fourth live version ([Vstore.Store.Version_bound_exceeded]). *)
+let recovered_site_run ~piggyback_version =
+  let config =
+    { Ava3.Config.default with disk_force_latency = 0.5; piggyback_version }
+  in
+  let db =
+    with_cluster ~config (fun db ->
+        Cluster.load db ~node:0 [ ("r", 0) ];
+        Cluster.load db ~node:1 [ ("k", 0) ];
+        expect_commit db ~root:1
+          ~ops:[ Update.Write { node = 1; key = "k"; value = 1 } ];
+        ignore (Cluster.advance_and_wait db ~coordinator:2);
+        Cluster.crash db ~node:1;
+        Cluster.recover db ~node:1;
+        let n1 = Cluster.node db 1 in
+        check_int "u replayed" 2 (Node_state.u n1);
+        check_int "q replayed" 1 (Node_state.q n1);
+        check_int "Collect record lost" (-1) (Node_state.g n1);
+        expect_commit db ~root:1
+          ~ops:[ Update.Write { node = 1; key = "k"; value = 2 } ];
+        (* Round 3 reaches node 0 but not node 1. *)
+        let net = Cluster.network db in
+        Net.Network.set_link_down net ~src:2 ~dst:1 true;
+        (match Cluster.advance db ~coordinator:2 with
+        | `Started 3 -> ()
+        | _ -> Alcotest.fail "round 3 should start");
+        Sim.Engine.sleep 5.0;
+        check_int "node 0 in version 3" 3 (Node_state.u (Cluster.node db 0));
+        check_int "node 1 still in version 2" 2 (Node_state.u n1);
+        expect_commit db ~root:0
+          ~ops:
+            [
+              Update.Write { node = 0; key = "r"; value = 3 };
+              Update.Write { node = 1; key = "k"; value = 3 };
+            ];
+        check_int "node 1 raised to version 3" 3 (Node_state.u n1);
+        check_bool "node 1 collected before raising" true
+          (Node_state.g n1 >= 0);
+        Net.Network.set_link_down net ~src:2 ~dst:1 false;
+        Sim.Engine.sleep 300.0;
+        check_bool "round 3 completes" false
+          (Cluster.advancement_in_progress db))
+  in
+  check_bool "at most three versions of any item" true
+    ((Cluster.stats db).Cluster.max_versions_ever <= 3);
+  no_violations db
+
+let test_recovered_site_collects_before_later_commit () =
+  recovered_site_run ~piggyback_version:false;
+  recovered_site_run ~piggyback_version:true
+
 let test_checkpoint_then_crash () =
   let db =
     with_cluster (fun db ->
@@ -1154,6 +1209,8 @@ let () =
             test_advancement_survives_participant_crash;
           Alcotest.test_case "checkpoint then crash" `Quick
             test_checkpoint_then_crash;
+          Alcotest.test_case "recovered site collects before later commit"
+            `Quick test_recovered_site_collects_before_later_commit;
           Alcotest.test_case "checkpoint refused during txn" `Quick
             test_checkpoint_refused_during_txn;
           Alcotest.test_case "advancement survives partition" `Quick
