@@ -92,9 +92,7 @@ let attach base ~extract =
      checkpoint restore), then subscribe to everything after.  Keys go in
      ascending order, so each bucket's nodes are built in the order probes
      walk them. *)
-  List.iter
-    (fun (pkey, _) -> refresh t pkey)
-    (Store.snapshot_items (Store.snapshot base));
+  Store.iter (fun pkey _ -> refresh t pkey) base;
   t.updates <- 0;
   Store.set_listener base (Some (refresh t));
   t

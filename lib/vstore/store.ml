@@ -596,16 +596,16 @@ let scan_all t version =
 let item_count t = Hashtbl.length t.items
 
 let iter f t =
-  Hashtbl.iter
-    (fun key item ->
+  String_set.iter
+    (fun key ->
       let summary =
         List.rev_map
           (fun e ->
             (e.version, match e.body with Value _ -> `Value | Tombstone -> `Tombstone))
-          (entries_desc item)
+          (entries_desc (Hashtbl.find t.items key))
       in
       f key summary)
-    t.items
+    t.key_order
 
 let live_versions t key =
   match find_item t key with None -> 0 | Some item -> live_count item

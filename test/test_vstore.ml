@@ -241,6 +241,24 @@ let test_range_basic () =
   Alcotest.(check (list (pair string int))) "inverted range" []
     (Store.range s ~lo:"d" ~hi:"b" 0)
 
+(* [iter] walks the keys in [range]'s order, each with its live entries
+   oldest first (the index bootstraps through it). *)
+let test_iter_ordered () =
+  let s : int Store.t = Store.create ~bound:3 () in
+  List.iter (fun (k, v) -> Store.write s k 0 v)
+    [ ("b", 2); ("a", 1); ("d", 4); ("c", 3) ];
+  Store.write s "b" 1 20;
+  Store.delete s "c" 1;
+  let seen = ref [] in
+  Store.iter (fun k entries -> seen := (k, entries) :: !seen) s;
+  Alcotest.(check (list string))
+    "ascending keys" [ "a"; "b"; "c"; "d" ]
+    (List.rev_map fst !seen);
+  Alcotest.(check bool)
+    "entries oldest first" true
+    (List.assoc "b" !seen = [ (0, `Value); (1, `Value) ]
+    && List.assoc "c" !seen = [ (0, `Value); (1, `Tombstone) ])
+
 let test_range_versions () =
   let s : int Store.t = Store.create ~bound:3 () in
   Store.write s "a" 0 1;
@@ -641,6 +659,7 @@ let () =
           Alcotest.test_case "range across tombstones" `Quick
             test_range_across_tombstones;
           Alcotest.test_case "range versions" `Quick test_range_versions;
+          Alcotest.test_case "iter in key order" `Quick test_iter_ordered;
           Alcotest.test_case "range after gc" `Quick test_range_after_gc;
           Alcotest.test_case "range straddling gc, both rules" `Quick
             test_range_gc_straddle_both_rules;
