@@ -430,16 +430,22 @@ let oracle_run ~seed ~gc_renumber =
     let a = Sim.Rng.int rng 1000 and b = Sim.Rng.int rng 1000 in
     (extract (min a b), extract (max a b))
   in
-  (* Updates: single-node and cross-node writes over the shared keyspace. *)
-  for u = 0 to 29 do
+  (* Updates: single-node and cross-node writes over the shared keyspace,
+     and deletes of each node's first three keys, which half the ops
+     address: GC removes an indexed key's lone tombstone, and a later write
+     re-creates the key. *)
+  for u = 0 to 47 do
     Sim.Engine.schedule engine
       ~delay:(Sim.Rng.float rng (horizon *. 0.85))
       (fun () ->
         let root = Sim.Rng.int rng nodes in
         let op () =
           let node = Sim.Rng.int rng nodes in
-          let key = Printf.sprintf "n%d-k%d" node (Sim.Rng.int rng keys) in
-          Update.Write { node; key; value = (u * 37) mod 1000 }
+          let hot = Sim.Rng.bool rng in
+          let i = if hot then Sim.Rng.int rng 3 else Sim.Rng.int rng keys in
+          let key = Printf.sprintf "n%d-k%d" node i in
+          if hot && Sim.Rng.int rng 3 = 0 then Update.Delete { node; key }
+          else Update.Write { node; key; value = (u * 37) mod 1000 }
         in
         let ops = if u mod 3 = 0 then [ op (); op () ] else [ op () ] in
         ignore (Flat_txn.run sessions.(root) ops))
