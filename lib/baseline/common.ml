@@ -47,9 +47,6 @@ let locking ~engine ~nodes store =
 
 exception Deadlocked
 
-let at_node l ~root ~node f =
-  if node = root then f () else Net.Network.call l.net ~src:root ~dst:node f
-
 let lock l ~txn ~touched ~node ~key mode =
   Hashtbl.replace touched node ();
   match Lockmgr.Lock_table.acquire l.locks.(node) ~owner:txn ~key mode with
@@ -70,11 +67,11 @@ let attempt l ~root ~ops ~install =
   let buffered : (int * string, int) Hashtbl.t = Hashtbl.create 8 in
   let run_op = function
     | Workload.Db_intf.Read { node; key } ->
-        at_node l ~root ~node (fun () ->
+        Net.Network.run_at l.net ~src:root ~dst:node (fun () ->
             lock l ~txn ~touched ~node ~key Lockmgr.Lock_table.Shared;
             Sim.Engine.sleep read_time)
     | Workload.Db_intf.Write { node; key; value } ->
-        at_node l ~root ~node (fun () ->
+        Net.Network.run_at l.net ~src:root ~dst:node (fun () ->
             lock l ~txn ~touched ~node ~key Lockmgr.Lock_table.Exclusive;
             Sim.Engine.sleep write_time;
             Hashtbl.replace buffered (node, key) value)
@@ -84,7 +81,7 @@ let attempt l ~root ~ops ~install =
       let write = install () in
       Hashtbl.iter
         (fun n () ->
-          at_node l ~root ~node:n (fun () ->
+          Net.Network.run_at l.net ~src:root ~dst:n (fun () ->
               Hashtbl.iter
                 (fun (wn, key) value -> if wn = n then write ~node:n key value)
                 buffered;

@@ -46,9 +46,6 @@ val locking : engine:Sim.Engine.t -> nodes:int -> (unit -> 's) -> 's locking
 
 exception Deadlocked
 
-val at_node : 's locking -> root:int -> node:int -> (unit -> 'a) -> 'a
-(** Run locally when [node] is the root, otherwise as an RPC from it. *)
-
 val lock :
   's locking ->
   txn:int ->

@@ -53,7 +53,7 @@ let submit_query t ~root ~reads =
   Hashtbl.replace t.active_snapshots qid snapshot;
   let t0 = Sim.Engine.now t.locking.engine in
   let read_one (node, key) =
-    Common.at_node t.locking ~root ~node (fun () ->
+    Net.Network.run_at t.locking.net ~src:root ~dst:node (fun () ->
         Sim.Engine.sleep Common.read_time;
         ignore (Vstore.Store.read_le (stores t).(node) key snapshot))
   in

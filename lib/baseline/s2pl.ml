@@ -22,7 +22,7 @@ let submit_query (t : t) ~root ~reads =
   let touched = Hashtbl.create 4 in
   let t0 = Sim.Engine.now t.engine in
   let read_one (node, key) =
-    Common.at_node t ~root ~node (fun () ->
+    Net.Network.run_at t.net ~src:root ~dst:node (fun () ->
         Common.lock t ~txn ~touched ~node ~key Lockmgr.Lock_table.Shared;
         Sim.Engine.sleep Common.read_time;
         ignore (Hashtbl.find_opt t.stores.(node) key))

@@ -77,7 +77,7 @@ let submit_query t ~root ~reads =
   let t0 = Sim.Engine.now t.locking.engine in
   let pinned = ref [] in
   let read_one (n, key) =
-    Common.at_node t.locking ~root ~node:n (fun () ->
+    Net.Network.run_at t.locking.net ~src:root ~dst:n (fun () ->
         pin (node t n) key;
         pinned := (n, key) :: !pinned;
         Sim.Engine.sleep Common.read_time;

@@ -60,7 +60,6 @@ let start cs ~root ~kind =
 
 let version t = t.version
 let root_node t = t.root_node
-let txn_id t = t.txn_id
 
 (* First visit to a child node (flat executors): catch its query version
    up (§3.3 step 2 — advancement has begun but this node has not heard
@@ -92,7 +91,6 @@ let visit t n =
    race with [finish] (the caller timed out and closed the query) never
    pairs a decrement with an increment that did not happen. *)
 let enter_subquery t n =
-  let n = home_site t.cs n in
   let nd = node t.cs n in
   if not (Node_state.alive nd) then raise (Net.Network.Node_down n);
   if !(t.closed) then (nd, false)
@@ -124,19 +122,6 @@ let finish t =
       t.child_nodes;
   Node_state.decr_query_count t.root_node ~version:t.version
 
-let complete t ~values =
-  finish t;
-  note t.cs
-    (Sim.Event.Query_done { query = t.txn_id; root = t.root; kind = t.kind });
-  {
-    txn_id = t.txn_id;
-    version = t.version;
-    values;
-    started_at = t.started_at;
-    finished_at = now t.cs;
-    staleness = staleness_of t.cs ~version:t.version ~at:t.started_at;
-  }
-
 let index nd =
   match Node_state.index nd with
   | Some ix -> ix
@@ -155,7 +140,76 @@ let probe_index t nd ~lo ~hi =
   in
   Vindex.Index.probe (index nd) ~lo ~hi at
 
-let on_error t e =
-  (* A touched node died mid-query: release what we can and re-raise. *)
-  (try finish t with _ -> ());
-  raise e
+(* Cost model: one probe charge up front (as a point read sleeps before
+   it reads), then one read-service per row the chosen access path
+   touches — result rows for the index plan, {e every item visible at the
+   pin} for the full-scan plan.  That asymmetry is the point of the
+   index: an analytical predicate selecting few rows pays O(matches)
+   instead of O(items).  [`Both_check] charges as the index plan; its
+   reference scan, computed back-to-back at the same pin with no yield
+   between the two plans, is oracle overhead, not workload. *)
+let select t ~plan nd ~lo ~hi =
+  let read_service = t.cs.config.Config.read_service_time in
+  Sim.Engine.sleep read_service;
+  let ix = index nd in
+  match plan with
+  | `Index ->
+      let rows = probe_index t nd ~lo ~hi in
+      Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
+      (rows, None)
+  | `Full_scan ->
+      let visited = Vstore.Store.scan_all (Node_state.store nd) t.version in
+      Sim.Engine.sleep (read_service *. float_of_int (List.length visited));
+      let rows =
+        List.filter
+          (fun (_, value) ->
+            let a = Vindex.Index.extract ix value in
+            lo <= a && a <= hi)
+          visited
+      in
+      (rows, None)
+  | `Both_check ->
+      (* The [Index_skip_visibility] mutant bends the probe only; the
+         reference scan keeps the pin. *)
+      let rows = probe_index t nd ~lo ~hi in
+      let reference = Vindex.Index.full_scan ix ~lo ~hi t.version in
+      Sim.Engine.sleep (read_service *. float_of_int (List.length rows));
+      (rows, Some reference)
+
+let run cs ~root ~kind body =
+  let t = start cs ~root ~kind in
+  match body t with
+  | values, extra ->
+      finish t;
+      note t.cs
+        (Sim.Event.Query_done
+           { query = t.txn_id; root = t.root; kind = t.kind });
+      ( {
+          txn_id = t.txn_id;
+          version = t.version;
+          values;
+          started_at = t.started_at;
+          finished_at = now t.cs;
+          staleness = staleness_of t.cs ~version:t.version ~at:t.started_at;
+        },
+        extra )
+  | exception e ->
+      (* A touched node died mid-query: release what we can and re-raise. *)
+      (try finish t with _ -> ());
+      raise e
+
+(* The flat executors' routing rule.  The root partition is read at the
+   pinned root node without a visit, which would take a second counter
+   there.  Any other partition is read over RPC at the site that serves
+   it, visited first; with replication that is the primary or a backup
+   caught up to the pin, chosen by {!Replication.route_read}. *)
+let fetch t n f =
+  if home_site t.cs n = t.root then f t.root_node
+  else
+    let site =
+      if replicated t.cs && n < nparts t.cs then
+        Replication.route_read t.cs ~src:t.root ~part:n ~pin:t.version
+      else n
+    in
+    Net.Network.run_at t.cs.net ~src:t.root ~dst:site (fun () ->
+        f (visit t site))

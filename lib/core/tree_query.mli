@@ -7,7 +7,9 @@
     node's query counter.  The root's counter, released last, is what keeps
     the snapshot safe from garbage collection anywhere in the system.
 
-    Plans must visit each node at most once. *)
+    Plans must visit each partition at most once.  [run] resolves every
+    plan node to its partition's current primary site before it starts,
+    so tree subqueries are served by primaries and follow a failover. *)
 
 type plan = {
   at : int;
@@ -19,14 +21,13 @@ type plan = {
   children : plan list;
 }
 
-val plan_nodes : plan -> int list
-
 val reads : ?selects:(string * string) list -> int -> string list -> plan list -> plan
 (** [reads at keys children] — plan constructor; [selects] defaults
     empty. *)
 
 val run : 'v Cluster_state.t -> plan:plan -> 'v Query_exec.result
 (** Execute the subquery tree (inside a simulation process); values arrive
-    in tree preorder — each node's point reads, then its index-probe rows,
-    then its children's.  Raises [Invalid_argument] on duplicate nodes and
-    [Net.Network.Node_down] if a touched node is down. *)
+    as (site, key, value) in tree preorder — each node's point reads, then
+    its index-probe rows, then its children's.  Raises [Invalid_argument]
+    on duplicate partitions and [Net.Network.Node_down] if a touched node
+    is down. *)

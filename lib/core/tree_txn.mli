@@ -10,8 +10,11 @@
     down, triggering commit-time moveToFutures at participants that ran
     behind.
 
-    Plans must visit each node at most once (the paper's [T_i] is {e the}
-    subtransaction of [T] at node [i]); [run] rejects duplicate nodes.
+    Plans must visit each partition at most once (the paper's [T_i] is
+    {e the} subtransaction of [T] at partition [i]).  [run] resolves every
+    plan node to its partition's current primary site before it starts, so
+    a plan follows a failover, and rejects a plan that reaches one site
+    twice.
 
     The flat, root-driven executor ({!Update_exec}) remains the convenient
     API for workloads; this module exists to execute the paper's model
@@ -25,13 +28,10 @@ type 'v step =
   | Pause of float
 
 type 'v plan = {
-  at : int;  (** node this subtransaction runs on *)
+  at : int;  (** partition this subtransaction runs on *)
   work : 'v step list;  (** executed at [at], in order *)
   children : 'v plan list;  (** dispatched concurrently after [work] *)
 }
-
-val plan_nodes : _ plan -> int list
-(** All nodes the plan touches (preorder). *)
 
 type 'v commit_info = {
   txn_id : int;
@@ -54,4 +54,4 @@ type 'v outcome = 'v commit_info txn_outcome
 
 val run : 'v Cluster_state.t -> plan:'v plan -> 'v outcome
 (** Execute the tree (inside a simulation process).  Raises
-    [Invalid_argument] if the plan visits a node twice. *)
+    [Invalid_argument] if the plan visits a partition twice. *)

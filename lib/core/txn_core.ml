@@ -88,15 +88,14 @@ let sub_versions t =
 
 let at_node t n f =
   let n = site_of t.cs n in
-  if n = t.root then f (sub t n)
-  else Net.Network.call t.cs.net ~src:t.root ~dst:n (fun () -> f (sub t n))
+  Net.Network.run_at t.cs.net ~src:t.root ~dst:n (fun () -> f (sub t n))
 
 let at_sub_nodes t f =
   List.map
     (fun s ->
-      let n = Node_state.id (Subtxn.node s) in
-      if n = t.root then f s
-      else Net.Network.call t.cs.net ~src:t.root ~dst:n (fun () -> f s))
+      Net.Network.run_at t.cs.net ~src:t.root
+        ~dst:(Node_state.id (Subtxn.node s))
+        (fun () -> f s))
     (sub_list t)
 
 type 'v savepoint = { sp_subs : (int * 'v Subtxn.savepoint) list }

@@ -1,17 +1,18 @@
 (** Shared lifecycle of a distributed update transaction — the runtime
-    under both the flat executor ({!Update_exec}) and the R*-style tree
-    executor ({!Tree_txn}).
+    under the flat executor ({!Update_exec}), the R*-style tree executor
+    ({!Tree_txn}) and the interactive transactions of [Session].
 
-    A [Txn_core.t] owns what the two drivers used to duplicate: the
-    subtransaction registry keyed by node, the carried-version
+    A [Txn_core.t] owns what the drivers would otherwise duplicate: the
+    subtransaction registry keyed by site, the carried-version
     computation for §10 piggybacking, the orphaned-dispatch guard, the
     prepared-version maximum with mismatch accounting, the commit
-    bookkeeping, and [abort_all] with its reason pretty-printer.  The
-    drivers differ only in {e routing}: the flat executor ships each
-    operation from the root, the tree executor fans subtransactions out
-    along plan edges — both express that with {!at_node}/{!register}
-    plus their own traversal, and end by running the shared decision
-    logic. *)
+    bookkeeping, and [abort_all].  Every driver addresses partitions,
+    which resolve to their current primary sites, and reaches a site
+    through [Net.Network.run_at].  The drivers differ only in the order
+    they visit sites: the flat executor and [Session] ship each
+    operation from the root ({!at_node}), the tree executor fans
+    subtransactions out along plan edges ({!register}); all end by
+    running the shared decision logic. *)
 
 type abort_reason = Subtxn.abort_reason
 

@@ -270,3 +270,6 @@ let call ?timeout t ~src ~dst thunk =
               end))
   in
   match outcome with Ok v -> v | Error e -> raise e
+
+let run_at t ~src ~dst thunk =
+  if src = dst then thunk () else call t ~src ~dst thunk

@@ -86,6 +86,11 @@ val call : ?timeout:float -> _ t -> src:int -> dst:int -> (unit -> 'r) -> 'r
     holds; a successful reply, by contrast, is never delivered to a
     crashed or already-timed-out caller. *)
 
+val run_at : _ t -> src:int -> dst:int -> (unit -> 'r) -> 'r
+(** Run the thunk at [dst] on behalf of [src]: in place when they are the
+    same node, as a {!call} with the default timeout otherwise.  The one
+    way the database layers reach another site. *)
+
 exception Node_down of int
 
 exception Rpc_timeout of int

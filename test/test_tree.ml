@@ -94,19 +94,35 @@ let test_tree_children_run_concurrently () =
   in
   ignore db
 
+(* A plan naming one node twice is rejected by both executors, whether
+   the repeat is a child of the root or a grandchild repeating a node of
+   another branch (the check walks every level of the tree).  Without the
+   repeat the same shape runs. *)
 let test_tree_rejects_duplicate_nodes () =
+  let leaf at = { Tree.at; work = []; children = [] } in
+  let shallow = { (leaf 0) with children = [ leaf 0 ] } in
+  let deep =
+    {
+      (leaf 0) with
+      children =
+        [ { (leaf 2) with children = [ leaf 3 ] }; { (leaf 1) with children = [ leaf 3 ] } ];
+    }
+  in
+  let rec query (p : int Tree.plan) = Tq.reads p.at [] (List.map query p.children) in
   let _ =
     with_cluster (fun db ->
-        let plan =
-          {
-            Tree.at = 0;
-            work = [];
-            children = [ { Tree.at = 0; work = []; children = [] } ];
-          }
-        in
-        match Cluster.run_tree_update db ~plan with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "duplicate node accepted")
+        List.iter
+          (fun (what, plan) ->
+            (match Cluster.run_tree_update db ~plan with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail (what ^ ": tree update accepted it"));
+            match Cluster.run_tree_query db ~plan:(query plan) with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail (what ^ ": tree query accepted it"))
+          [ ("root repeated", shallow); ("grandchild repeats a branch", deep) ];
+        let distinct = { deep with children = [ List.hd deep.children; leaf 1 ] } in
+        ignore (committed (Cluster.run_tree_update db ~plan:distinct));
+        ignore (Cluster.run_tree_query db ~plan:(query distinct)))
   in
   ()
 
@@ -196,20 +212,6 @@ let test_tree_abort_rolls_back_all_branches () =
   in
   Alcotest.(check (list string)) "invariants" [] (Cluster.check_invariants db)
 
-
-let test_plan_nodes () =
-  let plan =
-    {
-      Tree.at = 0;
-      work = [];
-      children =
-        [
-          { Tree.at = 2; work = []; children = [ { Tree.at = 3; work = []; children = [] } ] };
-          { Tree.at = 1; work = []; children = [] };
-        ];
-    }
-  in
-  Alcotest.(check (list int)) "preorder" [ 0; 2; 3; 1 ] (Tree.plan_nodes plan)
 
 let test_deep_tree () =
   (* A three-level chain: grandchild's prepared version propagates to the
@@ -391,7 +393,6 @@ let () =
             test_tree_version_mismatch_repair;
           Alcotest.test_case "abort rolls back branches" `Quick
             test_tree_abort_rolls_back_all_branches;
-          Alcotest.test_case "plan nodes preorder" `Quick test_plan_nodes;
           Alcotest.test_case "deep tree version propagation" `Quick
             test_deep_tree;
         ] );
