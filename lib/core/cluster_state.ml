@@ -36,7 +36,7 @@ type 'v repl = {
   ship_epoch : int array;
   site_epoch : int array;
   mutable rr : int;
-  repl_changed : Sim.Condition.t;
+  repl_changed : Sim.Condition.t array;
   mutable demotions : int;
   mutable promotions : int;
   mutable backup_reads : int;
@@ -95,7 +95,7 @@ let create ~engine ~config ~nodes ?(latency = Net.Latency.Constant 1.0)
       ship_epoch = Array.make nodes 0;
       site_epoch = Array.make sites 0;
       rr = 0;
-      repl_changed = Sim.Condition.create ();
+      repl_changed = Array.init nodes (fun _ -> Sim.Condition.create ());
       demotions = 0;
       promotions = 0;
       backup_reads = 0;
@@ -175,7 +175,7 @@ let backup_at t s =
   let p = part_of_site t s in
   Array.to_seq t.repl.backups_of.(p) |> Seq.find (fun b -> b.b_site = s)
 
-let note_repl_change t = Sim.Condition.broadcast t.repl.repl_changed
+let note_repl_change t p = Sim.Condition.broadcast t.repl.repl_changed.(p)
 
 let note t event =
   Sim.Metrics.record t.metrics event;

@@ -73,9 +73,10 @@ type 'v repl = {
       (** site -> generation of the log that site holds; a backup whose
           epoch trails its partition's [ship_epoch] needs a full resync *)
   mutable rr : int;  (** round-robin read-routing counter *)
-  repl_changed : Sim.Condition.t;
-      (** broadcast on every ship ack, demotion, promotion — what
-          catch-up gates wait on *)
+  repl_changed : Sim.Condition.t array;
+      (** partition -> broadcast on the partition's ship acks, demotions
+          and promotions, and at a catch-up gate's deadline — what the
+          partition's catch-up gates wait on *)
   mutable demotions : int;
   mutable promotions : int;
   mutable backup_reads : int;
@@ -149,7 +150,8 @@ val backups : 'v t -> int -> 'v backup array
 val backup_at : 'v t -> int -> 'v backup option
 (** The backup record whose site this is, if the site currently is one. *)
 
-val note_repl_change : _ t -> unit
+val note_repl_change : _ t -> int -> unit
+(** [note_repl_change t p] wakes the catch-up gates of partition [p]. *)
 
 val note : _ t -> Sim.Event.t -> unit
 (** Record a protocol event in the metrics registry and append it to the

@@ -213,7 +213,7 @@ let handle_ship_ack cs site ~src ~part ~epoch ~upto =
             flush cs part
           end;
           maybe_resync cs part b;
-          note_repl_change cs
+          note_repl_change cs part
         end)
       (backups cs part)
 
@@ -225,7 +225,7 @@ let demote cs b ~why =
     cs.repl.demotions <- cs.repl.demotions + 1;
     note cs
       (Sim.Event.Backup_demoted { part = b.b_part; site = b.b_site; why });
-    note_repl_change cs;
+    note_repl_change cs b.b_part;
     (* Waiters on cluster-wide version agreement no longer count this
        backup; wake them so they re-evaluate. *)
     note_version_change cs
@@ -235,37 +235,38 @@ let demote cs b ~why =
    primary-log prefix [tip]; a backup still lagging when the catch-up
    timeout expires is demoted instead of stalling the caller (partition
    tolerance).  Dead backups never gate — the all-dead partition degrades
-   to single-copy operation.  [valid] is re-checked at every wake-up: if
-   the gating primary crashed (and was perhaps replaced by promotion,
-   which resets the survivors' cursors), the wait is moot and must bail
-   out without demoting — the laggards it would see belong to the
-   successor now. *)
+   to single-copy operation.  The wait parks on [p]'s own condition, so
+   only [p]'s acks, demotions and promotions wake it, plus the one event
+   each wait schedules to broadcast that condition at its deadline (any
+   other gate of [p] parked then re-checks and parks again).  [valid] is
+   re-checked at every wake-up: if the gating primary crashed (and was
+   perhaps replaced by promotion, which resets the survivors' cursors),
+   the wait is moot and must bail out without demoting — the laggards it
+   would see belong to the successor now. *)
 let await_catchup cs p ~tip ~valid =
-  let lagging () =
-    Array.to_list (backups cs p)
-    |> List.filter (fun b ->
-           b.b_insync
-           && Node_state.alive (node cs b.b_site)
-           && Wal.Ship.acked b.b_cursor < tip)
+  let lags b =
+    b.b_insync
+    && Node_state.alive (node cs b.b_site)
+    && Wal.Ship.acked b.b_cursor < tip
   in
+  let lagging () = Array.exists lags (backups cs p) in
   flush cs p;
-  if lagging () <> [] then begin
-    let deadline = now cs +. cs.config.Config.replica_catchup_timeout in
+  if lagging () then begin
+    let timeout = cs.config.Config.replica_catchup_timeout in
+    let deadline = now cs +. timeout in
+    let changed = cs.repl.repl_changed.(p) in
+    Sim.Engine.schedule cs.engine ~delay:timeout (fun () ->
+        Sim.Condition.broadcast changed);
     let rec wait () =
-      if valid () then
-        match lagging () with
-        | [] -> ()
-        | lag ->
-            let remaining = deadline -. now cs in
-            if remaining <= 0.0 then
-              List.iter (demote cs ~why:"catch-up timeout") lag
-            else begin
-              ignore
-                (Sim.Condition.await_timeout cs.repl.repl_changed
-                   ~timeout:remaining
-                  : [ `Signaled | `Timeout ]);
-              wait ()
-            end
+      if valid () && lagging () then
+        if now cs >= deadline then
+          Array.iter
+            (fun b -> if lags b then demote cs b ~why:"catch-up timeout")
+            (backups cs p)
+        else begin
+          Sim.Condition.await changed;
+          wait ()
+        end
     in
     wait ()
   end
@@ -454,7 +455,7 @@ let promote cs ~part ~old_site =
              g = versions.Wal.Recovery.collected_version;
            });
       note_version_change cs;
-      note_repl_change cs;
+      note_repl_change cs part;
       poke cs part;
       `Promoted new_site
 

@@ -1,52 +1,20 @@
-(* Each waiter is a thunk returning whether it actually accepted the wakeup:
-   a waiter whose timeout already fired declines, so [signal] keeps looking
-   for a live waiter instead of losing the signal. *)
-type waiter = unit -> bool
+(* Waiters are the parked processes' resume functions, oldest first; a
+   broadcast takes the whole queue at once, so a waiter that parks again
+   while the broadcast runs waits for the next one. *)
+type t = { queue : (unit -> unit) Queue.t }
 
-type t = { mutable queue : waiter list (* oldest first *) }
+let create () = { queue = Queue.create () }
 
-let create () = { queue = [] }
-
-let waiters t = List.length t.queue
-
-let add_waiter t w = t.queue <- t.queue @ [ w ]
-
-let await t =
-  Engine.suspend (fun resume ->
-      add_waiter t (fun () ->
-          resume ();
-          true))
+let await t = Engine.suspend (fun resume -> Queue.push resume t.queue)
 
 let await_until t ~pred =
   while not (pred ()) do
     await t
   done
 
-let await_timeout t ~timeout =
-  let engine = Engine.current () in
-  Engine.suspend (fun resume ->
-      let fired = ref false in
-      add_waiter t (fun () ->
-          if !fired then false
-          else begin
-            fired := true;
-            resume `Signaled;
-            true
-          end);
-      Engine.schedule engine ~delay:timeout (fun () ->
-          if not !fired then begin
-            fired := true;
-            resume `Timeout
-          end))
-
-let signal t =
-  let rec wake = function
-    | [] -> t.queue <- []
-    | w :: rest -> if w () then t.queue <- rest else wake rest
-  in
-  wake t.queue
-
 let broadcast t =
-  let all = t.queue in
-  t.queue <- [];
-  List.iter (fun w -> ignore (w () : bool)) all
+  if not (Queue.is_empty t.queue) then begin
+    let all = Queue.create () in
+    Queue.transfer t.queue all;
+    Queue.iter (fun resume -> resume ()) all
+  end

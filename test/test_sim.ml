@@ -237,19 +237,27 @@ let test_suspended_count_tracks () =
 
 (* {1 Condition} *)
 
-let test_condition_signal () =
+let test_condition_broadcast_fifo () =
   let e = Sim.Engine.create () in
   let c = Sim.Condition.create () in
   let woke = ref [] in
   for i = 1 to 3 do
     Sim.Engine.spawn e (fun () ->
         Sim.Condition.await c;
-        woke := i :: !woke)
+        woke := (i, Sim.Engine.now e) :: !woke;
+        (* Parking again waits for the next broadcast, not this one. *)
+        if i = 2 then begin
+          Sim.Condition.await c;
+          woke := (20, Sim.Engine.now e) :: !woke
+        end)
   done;
-  Sim.Engine.schedule e ~delay:1.0 (fun () -> Sim.Condition.signal c);
+  Sim.Engine.schedule e ~delay:1.0 (fun () -> Sim.Condition.broadcast c);
   Sim.Engine.schedule e ~delay:2.0 (fun () -> Sim.Condition.broadcast c);
   Sim.Engine.run e;
-  Alcotest.(check (list int)) "fifo then rest" [ 1; 2; 3 ] (List.rev !woke)
+  Alcotest.(check (list (pair int (float 0.0))))
+    "oldest first, re-parked waiter on the next broadcast"
+    [ (1, 1.0); (2, 1.0); (3, 1.0); (20, 2.0) ]
+    (List.rev !woke)
 
 let test_condition_await_until () =
   let e = Sim.Engine.create () in
@@ -266,41 +274,6 @@ let test_condition_await_until () =
       Sim.Condition.broadcast c);
   Sim.Engine.run e;
   check_bool "woke after predicate" true !done_
-
-let test_condition_timeout () =
-  let e = Sim.Engine.create () in
-  let c = Sim.Condition.create () in
-  let outcome = ref `Signaled in
-  Sim.Engine.spawn e (fun () ->
-      outcome := Sim.Condition.await_timeout c ~timeout:5.0);
-  Sim.Engine.run e;
-  check_bool "timed out" true (!outcome = `Timeout);
-  check_float "time advanced to timeout" 5.0 (Sim.Engine.now e)
-
-let test_condition_timeout_signal_first () =
-  let e = Sim.Engine.create () in
-  let c = Sim.Condition.create () in
-  let outcome = ref `Timeout in
-  Sim.Engine.spawn e (fun () ->
-      outcome := Sim.Condition.await_timeout c ~timeout:5.0);
-  Sim.Engine.schedule e ~delay:1.0 (fun () -> Sim.Condition.signal c);
-  Sim.Engine.run e;
-  check_bool "signaled" true (!outcome = `Signaled)
-
-let test_dead_waiter_does_not_eat_signal () =
-  let e = Sim.Engine.create () in
-  let c = Sim.Condition.create () in
-  let first = ref `Signaled and second = ref false in
-  Sim.Engine.spawn e (fun () ->
-      first := Sim.Condition.await_timeout c ~timeout:1.0);
-  Sim.Engine.spawn e (fun () ->
-      Sim.Condition.await c;
-      second := true);
-  (* Signal after the first waiter timed out: must reach the second. *)
-  Sim.Engine.schedule e ~delay:2.0 (fun () -> Sim.Condition.signal c);
-  Sim.Engine.run e;
-  check_bool "first timed out" true (!first = `Timeout);
-  check_bool "second woke" true !second
 
 (* {1 Trace} *)
 
@@ -488,13 +461,9 @@ let () =
         ] );
       ( "condition",
         [
-          Alcotest.test_case "signal and broadcast" `Quick test_condition_signal;
+          Alcotest.test_case "broadcast wakes oldest first" `Quick
+            test_condition_broadcast_fifo;
           Alcotest.test_case "await_until" `Quick test_condition_await_until;
-          Alcotest.test_case "timeout" `Quick test_condition_timeout;
-          Alcotest.test_case "signal before timeout" `Quick
-            test_condition_timeout_signal_first;
-          Alcotest.test_case "dead waiter skipped" `Quick
-            test_dead_waiter_does_not_eat_signal;
         ] );
       ( "trace",
         [
