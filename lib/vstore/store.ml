@@ -482,16 +482,16 @@ let gc t ~collect ~query =
      every item with an entry at or below [collect] is a candidate (each
      untouched item gets renumbered every round).  Under the in-place rule,
      steady state guarantees at most one entry below [collect] per item, so
-     only items actually written in [collect] or [query] need work. *)
+     only items actually written in [collect] or [query] need work: those
+     two sets are looked up directly instead of folding over every
+     version. *)
   let candidate_versions =
-    Hashtbl.fold
-      (fun v _ acc ->
-        if
-          (if t.gc_renumber then v <= collect
-           else v = collect || v = query)
-        then v :: acc
-        else acc)
-      t.by_version []
+    if t.gc_renumber then
+      Hashtbl.fold
+        (fun v _ acc -> if v <= collect then v :: acc else acc)
+        t.by_version []
+    else if query = collect then [ collect ]
+    else [ collect; query ]
   in
   let keys = Hashtbl.create 64 in
   List.iter
