@@ -11,7 +11,7 @@
 module Cluster = Ava3.Cluster
 
 let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
-    ~with_index ~with_sessions =
+    ~with_index ~with_sessions ~replicas =
   let engine = Sim.Engine.create ~seed:(Int64.of_int seed) ~trace:false () in
   let config =
     {
@@ -37,6 +37,10 @@ let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
         (if seed mod 3 = 1 then 0.5 *. float_of_int (1 + (seed mod 4)) else 0.0);
       group_commit_batch = 4 + (seed mod 13);
       rpc_batch_window = (if seed mod 6 = 1 then 0.5 else 0.0);
+      (* --replicas: one backup per partition.  Crashes and link cuts
+         below name sites 0 .. nodes-1, the partitions' initial primaries,
+         so a crash fails its partition over to the backup. *)
+      replicas = (if replicas then 1 else 0);
     }
   in
   (* Fail fast on a nonsensical knob combination before any cluster
@@ -280,7 +284,7 @@ let configurations =
 let () =
   let seeds = ref 200 and from = ref 1 and verbose = ref false in
   let hot_theta = ref 0.0 and with_index = ref false in
-  let with_sessions = ref false in
+  let with_sessions = ref false and replicas = ref false in
   let spec =
     [
       ("--seeds", Arg.Set_int seeds, "number of seeds to run (default 200)");
@@ -294,11 +298,15 @@ let () =
       ( "--sessions",
         Arg.Set with_sessions,
         "mix in session-layer DSL programs (savepoints, automatic retry)" );
+      ( "--replicas",
+        Arg.Set replicas,
+        "give every partition one backup (primary-backup replication)" );
       ("-v", Arg.Set verbose, "print each seed");
     ]
   in
   let usage =
-    "stress [--seeds N] [--from S] [--hot-theta T] [--index] [--sessions]"
+    "stress [--seeds N] [--from S] [--hot-theta T] [--index] [--sessions] \
+     [--replicas]"
   in
   let reject fmt =
     Printf.ksprintf
@@ -311,7 +319,7 @@ let () =
   Arg.parse spec (reject "unexpected argument %S") usage;
   if !seeds < 1 then reject "--seeds must be >= 1 (got %d)" !seeds;
   let hot_theta = !hot_theta and with_index = !with_index in
-  let with_sessions = !with_sessions in
+  let with_sessions = !with_sessions and replicas = !replicas in
   (* Seeds fan out over domains (AVA3_DOMAINS, see Sim.Pool); each run is a
      self-contained engine, so outcomes are identical at any width.  Workers
      only compute — all printing happens afterwards, in seed order. *)
@@ -323,7 +331,7 @@ let () =
             let outcome, metrics =
               try
                 run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis
-                  ~hot_theta ~with_index ~with_sessions
+                  ~hot_theta ~with_index ~with_sessions ~replicas
               with e -> (Error ("exception: " ^ Printexc.to_string e), [])
             in
             (seed, cfg, outcome, metrics))

@@ -90,13 +90,12 @@ let at_node t n f =
   let n = site_of t.cs n in
   Net.Network.run_at t.cs.net ~src:t.root ~dst:n (fun () -> f (sub t n))
 
-let at_sub_nodes t f =
-  List.map
-    (fun s ->
-      Net.Network.run_at t.cs.net ~src:t.root
-        ~dst:(Node_state.id (Subtxn.node s))
-        (fun () -> f s))
-    (sub_list t)
+let at_sub t s f =
+  Net.Network.run_at t.cs.net ~src:t.root
+    ~dst:(Node_state.id (Subtxn.node s))
+    (fun () -> f s)
+
+let at_sub_nodes t f = List.map (fun s -> at_sub t s f) (sub_list t)
 
 type 'v savepoint = { sp_subs : (int * 'v Subtxn.savepoint) list }
 
@@ -105,8 +104,8 @@ let savepoint t =
     sp_subs =
       List.map
         (fun s ->
-          let n = Node_state.id (Subtxn.node s) in
-          (n, at_node t n (fun s -> Subtxn.savepoint t.cs s)))
+          ( Node_state.id (Subtxn.node s),
+            at_sub t s (fun s -> Subtxn.savepoint t.cs s) ))
         (sub_list t);
   }
 
@@ -115,13 +114,13 @@ let rollback_to t sp =
     (fun s ->
       let n = Node_state.id (Subtxn.node s) in
       match List.assoc_opt n sp.sp_subs with
-      | Some mark -> at_node t n (fun s -> Subtxn.rollback_to t.cs s mark)
+      | Some mark -> at_sub t s (fun s -> Subtxn.rollback_to t.cs s mark)
       | None ->
           (* The subtransaction was dispatched inside the scope: its whole
              life is being rolled back, so abort it outright and drop it
              from the registry (a later operation at the node starts
              fresh). *)
-          at_node t n (fun s -> Subtxn.abort t.cs s);
+          at_sub t s (fun s -> Subtxn.abort t.cs s);
           Hashtbl.remove t.subs n)
     (sub_list t);
   Sim.Metrics.record t.cs.metrics

@@ -76,6 +76,12 @@ val at_node : 'v t -> int -> ('v Subtxn.t -> 'a) -> 'a
     at the node: directly when it is the root, through an RPC
     otherwise. *)
 
+val at_sub : 'v t -> 'v Subtxn.t -> ('v Subtxn.t -> 'a) -> 'a
+(** Run [f] on a registered subtransaction at its own site.  Unlike
+    {!at_node}, which resolves a partition id to its {e current} primary,
+    this never re-registers: after a failover it reaches the
+    subtransaction's original site (and fails if that site is down). *)
+
 val at_sub_nodes : 'v t -> ('v Subtxn.t -> 'a) -> 'a list
 (** Run [f] on every registered subtransaction at its node, in node-id
     order — the prepare and commit rounds of the flat executor. *)

@@ -163,7 +163,7 @@ let drive_commit s t ~final_version =
             then begin
               let n = Ava3.Node_state.id (Subtxn.node sub) in
               match
-                Txn_core.at_node t n (fun sub ->
+                Txn_core.at_sub t sub (fun sub ->
                     Subtxn.commit cs sub ~final_version)
               with
               | () -> if Subtxn.committed sub then note_participant sub
