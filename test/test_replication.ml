@@ -1,11 +1,14 @@
 (* Replication tests: version-pinned backup reads are byte-identical to
    primary reads at the same pin (property, 10 seeds x both gc_renumber
-   rules, plain and with a script through the savepoint-rollback,
-   checkpoint and backup-restart apply paths), primary-crash failover
-   loses no acknowledged commit, tree updates and tree queries follow a
-   failover to the promoted primary, and a partitioned backup is demoted
-   (commits keep flowing) then re-syncs and re-earns its read-set
-   membership after the partition heals. *)
+   rules x a steady and a jittery network, plain and with a script
+   through the savepoint-rollback, checkpoint and backup-restart apply
+   paths), and the property convicts a backup that acknowledges before
+   applying; primary-crash failover loses no acknowledged commit, tree
+   updates and tree queries follow a failover to the promoted primary,
+   and a commit redriven after a failover stays at its participant's
+   site; a partitioned backup is demoted (commits keep flowing) then
+   re-syncs and re-earns its read-set membership after the partition
+   heals, and a catch-up gate waits on its own partition only. *)
 
 module Cluster = Ava3.Cluster
 module Cluster_state = Ava3.Cluster_state
@@ -112,25 +115,49 @@ let backup_paths db =
       Cluster.recover db ~node:site);
   missed
 
+type run = {
+  missed : string list;  (** scripted steps that did not happen *)
+  violations : string list;  (** invariant violations *)
+  mismatches : string list;  (** answers that differ from the primary's *)
+  served : (string * int) list;  (** reads backups served, per shape *)
+}
+
+(* The two networks the property runs on.  [`Steady]: every message takes
+   1.0, so a backup applies each shipped batch long before a query can
+   pin its version.  [`Jittery]: exponential latency lets a backup's
+   apply trail a pin, which is what exposes a backup that advertises a
+   version before it holds the data ({!Ava3.Config.Replica_ack_early}).
+   Its finite RPC timeout turns a read lost in the script's backup crash
+   into a failed query; with none, the query would wait forever and hold
+   its pin, and Phase 2 with it. *)
+let network = function
+  | `Steady -> (Net.Latency.Constant 1.0, infinity)
+  | `Jittery -> (Net.Latency.Exponential { mean = 1.0; floor = 0.2 }, 50.0)
+
+let network_name = function `Steady -> "steady" | `Jittery -> "jittery"
+
 (* Mixed workload on 3 partitions x 2 backups: writers, cross-partition
    queries (exercising backup routing), periodic advancement, and with
    [scripted] the {!backup_paths} script.  An online probe compares
    primary and backup answers at the same pin whenever their query
    versions coincide; a final quiescent sweep requires every backup
    store to agree with its primary on every key. *)
-let equivalence_run ~seed ~gc_renumber ~scripted =
+let equivalence_run ?mutant ~net ~seed ~gc_renumber ~scripted () =
   let engine = Sim.Engine.create ~seed ~trace:false () in
+  let latency, rpc_timeout = network net in
   let config =
     {
       Ava3.Config.default with
       replicas = 2;
       gc_renumber;
       replica_catchup_timeout = 10.0;
+      rpc_timeout;
+      mutant;
     }
   in
   let db : int Cluster.t =
-    Cluster.create ~engine ~config ~index:Baseline.Ava3_db.default_extract
-      ~nodes:3 ()
+    Cluster.create ~engine ~config ~latency
+      ~index:Baseline.Ava3_db.default_extract ~nodes:3 ()
   in
   let cs = Cluster.state db in
   let keys p = if scripted then keys p @ script_keys p else keys p in
@@ -282,29 +309,45 @@ let equivalence_run ~seed ~gc_renumber ~scripted =
           (keys p))
       (Cluster_state.backups cs p)
   done;
-  Alcotest.(check (list string))
-    (Printf.sprintf "backup paths scripted (seed %Ld)" seed)
-    [] !missed;
-  Alcotest.(check (list string))
-    (Printf.sprintf "no invariant violations (seed %Ld)" seed)
-    [] !violations;
-  Alcotest.(check (list string))
-    (Printf.sprintf "pinned reads identical (seed %Ld)" seed)
-    [] !mismatches;
-  List.map (fun (shape, n) -> (shape, !n)) served
+  {
+    missed = !missed;
+    violations = !violations;
+    mismatches = !mismatches;
+    served = List.map (fun (shape, n) -> (shape, !n)) served;
+  }
 
 let test_equivalence_across_seeds () =
   let served = Hashtbl.create 4 in
   List.iter
-    (fun (gc_renumber, scripted) ->
+    (fun (net, gc_renumber, scripted) ->
       for seed = 1 to 10 do
+        let r =
+          equivalence_run ~net ~seed:(Int64.of_int seed) ~gc_renumber
+            ~scripted ()
+        in
+        let what = Printf.sprintf "seed %d, %s" seed (network_name net) in
+        Alcotest.(check (list string))
+          (Printf.sprintf "backup paths scripted (%s)" what)
+          [] r.missed;
+        Alcotest.(check (list string))
+          (Printf.sprintf "no invariant violations (%s)" what)
+          [] r.violations;
+        Alcotest.(check (list string))
+          (Printf.sprintf "pinned reads identical (%s)" what)
+          [] r.mismatches;
         List.iter
           (fun (shape, n) ->
             Hashtbl.replace served shape
               (n + Option.value ~default:0 (Hashtbl.find_opt served shape)))
-          (equivalence_run ~seed:(Int64.of_int seed) ~gc_renumber ~scripted)
+          r.served
       done)
-    [ (false, false); (true, false); (false, true); (true, true) ];
+    (List.concat_map
+       (fun net ->
+         [
+           (net, false, false); (net, true, false); (net, false, true);
+           (net, true, true);
+         ])
+       [ `Steady; `Jittery ]);
   (* Routing must actually spread every read shape over backups, or the
      property above tested nothing for it. *)
   List.iter
@@ -314,6 +357,26 @@ let test_equivalence_across_seeds () =
         true
         (Hashtbl.find served shape > 0))
     [ "read"; "scan"; "select"; "join" ]
+
+(* The property has teeth: on the jittery network its plain runs convict a
+   backup that acknowledges and advertises a shipped batch's versions
+   before applying its data, under either GC rule. *)
+let test_equivalence_convicts_ack_early () =
+  List.iter
+    (fun gc_renumber ->
+      let convicted =
+        List.filter
+          (fun seed ->
+            (equivalence_run ~mutant:Ava3.Config.Replica_ack_early
+               ~net:`Jittery ~seed:(Int64.of_int seed) ~gc_renumber
+               ~scripted:false ())
+              .mismatches <> [])
+          (List.init 10 succ)
+      in
+      check_bool
+        (Printf.sprintf "Replica_ack_early convicted (renumber %b)" gc_renumber)
+        true (convicted <> []))
+    [ false; true ]
 
 (* {1 Failover: no acknowledged commit is lost} *)
 
@@ -468,6 +531,86 @@ let test_tree_executors_follow_failover () =
     [ (0, "a"); (1, "b") ];
   Alcotest.(check (list string)) "invariants" [] (Cluster.check_invariants db)
 
+(* {1 Failover: a redriven commit stays at the participant's own site} *)
+
+(* A transaction rooted at partition 0 writes at partitions 0 and 1.
+   Partition 0's backup is cut off, so its commit gate holds the commit
+   round for the whole catch-up timeout; partition 1's primary (site 1)
+   crashes inside that window and its backup (site 3) is promoted.  The
+   commit round then reaches partition 1's participant: it must go to
+   site 1, where the subtransaction lives (and find it down), not to the
+   promoted primary, where it would start and commit a participant that
+   never prepared: a stray Commit record at site 3 (and, under undo-redo,
+   an [Invalid_argument] whenever that fresh participant's version differs
+   from the decided one).  The outcome is the acknowledged crash-partial
+   edge: partition 0 durable, no retry.  Run under both WAL schemes. *)
+let commit_redrive_after_failover scheme =
+  let engine = Sim.Engine.create ~seed:7L ~trace:false () in
+  let config =
+    {
+      Ava3.Config.default with
+      scheme;
+      replicas = 1;
+      replica_catchup_timeout = 10.0;
+      rpc_timeout = 50.0;
+    }
+  in
+  let db : int Cluster.t = Cluster.create ~engine ~config ~nodes:2 () in
+  let cs = Cluster.state db in
+  let net = Cluster.network db in
+  Cluster.load db ~node:0 [ ("a", 0) ];
+  Cluster.load db ~node:1 [ ("b", 0) ];
+  let backup0 = (Cluster_state.backups cs 0).(0).Cluster_state.b_site in
+  Net.Network.set_link_down net ~src:0 ~dst:backup0 true;
+  Net.Network.set_link_down net ~src:backup0 ~dst:0 true;
+  let commits site =
+    List.filter_map
+      (function Wal.Record.Commit { txn; _ } -> Some txn | _ -> None)
+      (Wal.Log.records (Node_state.log (Cluster.node db site)))
+  in
+  let outcome = ref None in
+  Sim.Engine.spawn engine (fun () ->
+      let s = Session.create db ~seed:1L ~pool:1 ~coordinators:[ 0 ] in
+      outcome :=
+        Some
+          (Session.txn s (fun c ->
+               Session.write c ~node:0 "a" 1;
+               Session.write c ~node:1 "b" 1)));
+  let crashed_at = ref None in
+  let shipped = ref [] in
+  Sim.Engine.spawn engine (fun () ->
+      (* Partition 0's participant committed and now waits in its gate
+         (the load's own commit is already in the log). *)
+      let loaded = List.length (commits 0) in
+      while List.length (commits 0) = loaded do
+        Sim.Engine.sleep 0.25
+      done;
+      crashed_at := Some (Sim.Engine.now engine);
+      shipped := commits 1;
+      Cluster.crash db ~node:1);
+  Sim.Engine.run ~until:1000.0 engine;
+  let promoted = Cluster_state.primary_site cs 1 in
+  check_bool "partition 1 failed over" true (promoted <> 1);
+  check_bool "site 1 crashed inside partition 0's gate wait" true
+    (match !crashed_at with
+    | Some t -> t < config.Ava3.Config.replica_catchup_timeout
+    | None -> false);
+  Alcotest.(check (list int))
+    "no participant committed at the promoted primary" !shipped
+    (commits promoted);
+  match !outcome with
+  | Some (Session.Failed { durable; _ }) ->
+      Alcotest.(check (list int))
+        "only partition 0's participant is durable" [ 0 ]
+        (List.map fst durable)
+  | Some (Session.Committed _) ->
+      Alcotest.fail "committed across a lost participant"
+  | None -> Alcotest.fail "transaction did not finish"
+
+let test_commit_redrive_after_failover () =
+  List.iter commit_redrive_after_failover
+    [ Wal.Scheme.Undo_redo; Wal.Scheme.No_undo ]
+
 (* {1 Partition: demotion keeps commits flowing, healing re-syncs} *)
 
 let test_demotion_and_resync () =
@@ -516,6 +659,97 @@ let test_demotion_and_resync () =
     (Store.read_le (Node_state.store pnode) "a" (Node_state.u pnode))
     (Store.read_le (Node_state.store bnode) "a" (Node_state.u bnode))
 
+(* {1 Partition: the catch-up gate waits per partition} *)
+
+(* Two partitions, one backup each.  Partition 0's primary-backup link is
+   cut; a transaction at partition 0 then starts at [t0].  Every step of
+   it is local and takes no virtual time, so its commit gate begins
+   waiting at [t0] (its [Sub_start] entry) and must demote the backup
+   exactly [replica_catchup_timeout] later.  Meanwhile partition 1 keeps
+   committing: its gates wait on its own backup only, so a commit there
+   takes as long during partition 0's wait as before the cut. *)
+let test_gate_per_partition () =
+  let engine = Sim.Engine.create ~seed:9L ~trace:true () in
+  let timeout = 8.0 and t0 = 10.0 in
+  let config =
+    {
+      Ava3.Config.default with
+      replicas = 1;
+      replica_catchup_timeout = timeout;
+      read_service_time = 0.0;
+      write_service_time = 0.0;
+    }
+  in
+  let db : int Cluster.t = Cluster.create ~engine ~config ~nodes:2 () in
+  let cs = Cluster.state db in
+  let net = Cluster.network db in
+  Cluster.load db ~node:0 [ ("a", 0) ];
+  Cluster.load db ~node:1 [ ("b", 0) ];
+  let backup0 = (Cluster_state.backups cs 0).(0).Cluster_state.b_site in
+  let write p i =
+    let key = if p = 0 then "a" else "b" in
+    match
+      Cluster.run_update db ~root:p
+        ~ops:[ Update.Write { node = p; key; value = i } ]
+    with
+    | Update.Committed _ -> true
+    | Update.Aborted _ | Update.Root_down _ -> false
+  in
+  (* (start, latency) of every partition-1 commit. *)
+  let p1 = ref [] in
+  let failed = ref 0 in
+  Sim.Engine.spawn engine (fun () ->
+      for i = 1 to 30 do
+        let start = Sim.Engine.now engine in
+        if write 1 i then p1 := (start, Sim.Engine.now engine -. start) :: !p1
+        else incr failed;
+        Sim.Engine.sleep 1.0
+      done);
+  let p0_done = ref None in
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.sleep 5.0;
+      Net.Network.set_link_down net ~src:0 ~dst:backup0 true;
+      Net.Network.set_link_down net ~src:backup0 ~dst:0 true;
+      Sim.Engine.sleep (t0 -. 5.0);
+      if write 0 1 then p0_done := Some (Sim.Engine.now engine));
+  Sim.Engine.run engine;
+  let entries = Sim.Trace.entries (Sim.Engine.trace engine) in
+  let times f =
+    List.filter_map
+      (fun (e : Sim.Trace.entry) -> if f e.event then Some e.time else None)
+      entries
+  in
+  let gate_start =
+    times (function Sim.Event.Sub_start { site = 0; _ } -> true | _ -> false)
+  in
+  let demoted part =
+    times (function
+      | Sim.Event.Backup_demoted { part = p; _ } -> p = part
+      | _ -> false)
+  in
+  Alcotest.(check (list (float 0.0)))
+    "partition 0's transaction started at t0" [ t0 ] gate_start;
+  Alcotest.(check (list (float 0.0)))
+    "partition 0's backup demoted exactly one timeout after its gate began"
+    [ t0 +. timeout ] (demoted 0);
+  Alcotest.(check (option (float 0.0)))
+    "partition 0's commit returned at the demotion" (Some (t0 +. timeout))
+    !p0_done;
+  Alcotest.(check (list (float 0.0))) "partition 1's backup never demoted" []
+    (demoted 1);
+  Alcotest.(check int) "every partition-1 commit succeeded" 0 !failed;
+  let latencies keep =
+    List.filter_map (fun (t, l) -> if keep t then Some l else None) !p1
+  in
+  let before = latencies (fun t -> t < 5.0) in
+  let during = latencies (fun t -> t >= t0 && t < t0 +. timeout) in
+  check_bool "partition 1 committed during partition 0's wait" true
+    (during <> []);
+  let worst = List.fold_left max 0.0 in
+  Alcotest.(check (float 0.0))
+    "partition 1's commits never wait on partition 0" (worst before)
+    (worst during)
+
 let () =
   Alcotest.run "replication"
     [
@@ -523,6 +757,8 @@ let () =
         [
           Alcotest.test_case "pinned backup reads, 10 seeds x 2 gc rules"
             `Quick test_equivalence_across_seeds;
+          Alcotest.test_case "convicts a backup acking before applying"
+            `Quick test_equivalence_convicts_ack_early;
         ] );
       ( "failover",
         [
@@ -530,10 +766,14 @@ let () =
             test_failover_no_acked_loss;
           Alcotest.test_case "tree executors follow failover" `Quick
             test_tree_executors_follow_failover;
+          Alcotest.test_case "commit redrive stays at the participant"
+            `Quick test_commit_redrive_after_failover;
         ] );
       ( "partition",
         [
           Alcotest.test_case "demotion and re-sync" `Quick
             test_demotion_and_resync;
+          Alcotest.test_case "catch-up gate waits per partition" `Quick
+            test_gate_per_partition;
         ] );
     ]
