@@ -5,41 +5,46 @@
    What is the same as the DES backend (and checked by lib/mcore's
    Conform harness on deterministic schedules):
    - the three-slot store semantics (Mstore reuses Vstore.Store);
-   - §3.4 update flow: latched {read u; bump updateCount[u]} at
-     subtransaction begin, catch-up moveToFuture on seeing a later
-     version of an accessed item, deferred No_undo workspace applied at
-     commit in first-write order, version-max commit decision over all
-     participants, commit-time moveToFuture for stragglers, latched
-     counter release;
-   - §3.3 query flow: latched {read q; bump queryCount[q]} at the root,
+   - §3.4 update flow: {read u; bump updateCount[u]} at subtransaction
+     begin, catch-up moveToFuture on seeing a later version of an
+     accessed item, deferred No_undo workspace applied at commit in
+     first-write order, version-max commit decision over all
+     participants, commit-time moveToFuture for stragglers, counter
+     release;
+   - §3.3 query flow: {read q; bump queryCount[q]} at the root,
      child-site version catch-up plus child counters on first visit,
      children released before the root;
    - advancement: the same three phases with the same targets
      (advance-u to newu with the g >= newu-3 inference rule, advance-q
-     to newu-1, collect to newu-2), the same stalled-round re-initiation
-     rule, and the counter-slot cleanup Node_state.apply runs for a
-     Collect record.
+     to newu-1, collect to newu-2) and the same stalled-round
+     re-initiation rule.
 
-   What is intentionally different: versions and counters live behind
-   real spinlock latches (Latch) instead of the DES's accounting latch;
-   item write exclusion is a striped try-lock with whole-transaction
-   retry instead of a blocking lock table with deadlock detection (a
-   transaction that cannot get a lock quickly aborts and retries, so
-   there is nothing to deadlock); phase barriers are spin-waits on the
-   drained counters instead of simulated acknowledgment messages.  There
-   is no simulated network, no nemesis, and no WAL — this backend
+   What is intentionally different:
+   - The counter protocol takes no latch.  u, q and g are atomics, and
+     every worker (one per domain) owns its own shard of the counters,
+     so a query's begin step writes only its own domain's memory: it
+     reads q, bumps its shard's slot for that version, and re-reads q,
+     retrying if q moved in between (pin and recheck).  The drain
+     barriers of Phases 1 and 2 sum one slot over every shard.
+   - Item write exclusion is a striped try-lock with whole-transaction
+     retry instead of a blocking lock table with deadlock detection (a
+     transaction that cannot get a lock quickly aborts and retries, so
+     there is nothing to deadlock).
+   - Phase barriers are spin-waits on the drained counters instead of
+     simulated acknowledgment messages.
+   There is no simulated network, no nemesis, and no WAL — this backend
    measures the memory-resident hot path in wall-clock time, and the DES
    remains the oracle for everything involving faults or durability. *)
 
 type 'v site = {
   site_id : int;
   store : 'v Mstore.t;
-  counters : Latch.t;  (* guards u/q/g and both counter tables *)
-  mutable u : int;
-  mutable q : int;
-  mutable g : int;
-  update_counts : (int, int ref) Hashtbl.t;
-  query_counts : (int, int ref) Hashtbl.t;
+  (* u and q only grow: commit-time stragglers, a query's child visit
+     and advancement all raise them with a CAS-max.  Only the advancer
+     writes g, and [advance] runs one round at a time. *)
+  u : int Atomic.t;
+  q : int Atomic.t;
+  g : int Atomic.t;
   (* Striped per-item exclusive locks: 0 = free, otherwise the marker of
      the owning transaction.  Collisions between distinct keys on one
      stripe just cause false contention, never unsoundness. *)
@@ -52,47 +57,70 @@ type 'v t = {
   sites : 'v site array;
   advancement : Latch.t;  (* one round at a time, like the DES `Busy rule *)
   txn_seq : int Atomic.t;
-  registry_latch : Latch.t;
-  mutable registries : Sim.Metrics.t list;
-  (* Fault injection for the conformance harness (the mcore analogue of
-     a Config.mutant): query begin reads q and bumps the counter
-     WITHOUT the latch, with a widened read-modify-write window.  The
-     divergence harness must convict this twin.  Never enable outside
-     tests. *)
-  skip_query_latch : bool;
+  (* Every worker ever created, pushed before the worker's first pin;
+     the drain barriers read it after raising u or q. *)
+  workers : 'v worker list Atomic.t;
+  (* Fault injection for the race harness (the mcore analogue of a
+     Config.mutant): the query begin step reads q, dawdles, bumps its
+     slot and never re-reads q.  Conform.convict_racy_twin must convict
+     this twin.  Never enable outside tests. *)
+  skip_pin_recheck : bool;
 }
+
+(* One domain's handle: the shared backend, a private metrics registry
+   and the domain's shard of every site's counters.  Slot
+   [site * ring + v land (ring - 1)] of [uc] (update counts) or [qc]
+   (query counts) holds this domain's transactions or queries counted at
+   version [v] of that site.  Only the owning domain writes a shard, so
+   each slot stays >= 0 and a drain may sum slots read one at a time. *)
+and 'v worker = {
+  b : 'v t;
+  m : Sim.Metrics.t;
+  uc : int Atomic.t array;
+  qc : int Atomic.t array;
+}
+
+(* Counter slots per site and shard.  Version v uses slot v land 3, so a
+   slot is reused by v + 4.  A count is only ever taken at a version in
+   (g, u] of its site: an update pins u, a query pins q = u - 1 (or
+   u - 2 between Phases 1 and 2), and a child visit counts the root's
+   pin, which the root's own count keeps above every site's g.  With
+   g >= u - 3 that window holds at most three versions.  Before u can
+   reach v + 4, g must reach v + 1: Phase 3 collects v only after Phases
+   1 and 2 drained v's slots at every site, and no pin of v validates
+   after those drains raised u and q past v.  So a slot is drained
+   before it is reused, and what a later drain finds in it is either a
+   live count of its own version or a pin about to fail its recheck.
+   (Each kind of count in fact spans at most two versions per site — a
+   round's drain of v completes before the next round can raise u or q
+   past v + 1 — so four slots are a margin, not a need.) *)
+let ring = 4
+
+let slot s v = (s.site_id * ring) + (v land (ring - 1))
 
 (* Store buckets and item-lock stripes per site; the stripe count is a
    power of two so a key's stripe is its hash masked. *)
 let buckets = 64
 let lock_stripes = 1024
 
-(* Spins that widen the buggy twin's read-modify-write window. *)
+(* Spins that widen the buggy twin's window between reading q and
+   bumping its slot. *)
 let race_window = 2000
 
 (* Whole-transaction retries on item-lock contention before aborting. *)
 let max_retries = 64
 
-let create ?(gc_renumber = true) ?(skip_query_latch = false) ~sites () =
+let create ?(gc_renumber = true) ?(skip_pin_recheck = false) ~sites () =
   if sites < 1 then invalid_arg "Backend.create: need at least one site";
+  (* Start-up state (paper §3.1): data at version 0, q = 0, u = 1,
+     g = -1 — exactly Node_state.create. *)
   let mk_site site_id =
-    let update_counts = Hashtbl.create 8 in
-    let query_counts = Hashtbl.create 8 in
-    (* Start-up state (paper §3.1): data at version 0, q = 0, u = 1,
-       counters for the live versions — exactly Node_state.create. *)
-    Hashtbl.replace update_counts 0 (ref 0);
-    Hashtbl.replace update_counts 1 (ref 0);
-    Hashtbl.replace query_counts 0 (ref 0);
-    Hashtbl.replace query_counts 1 (ref 0);
     {
       site_id;
       store = Mstore.create ~buckets ~bound:3 ~gc_renumber ();
-      counters = Latch.create ();
-      u = 1;
-      q = 0;
-      g = -1;
-      update_counts;
-      query_counts;
+      u = Atomic.make 1;
+      q = Atomic.make 0;
+      g = Atomic.make (-1);
       item_locks = Array.init lock_stripes (fun _ -> Atomic.make 0);
       lock_mask = lock_stripes - 1;
       query_done =
@@ -103,104 +131,86 @@ let create ?(gc_renumber = true) ?(skip_query_latch = false) ~sites () =
     sites = Array.init sites mk_site;
     advancement = Latch.create ();
     txn_seq = Atomic.make 1;
-    registry_latch = Latch.create ();
-    registries = [];
-    skip_query_latch;
+    workers = Atomic.make [];
+    skip_pin_recheck;
   }
 
 let site t i = t.sites.(i)
 let store s = s.store
+let u s = Atomic.get s.u
+let q s = Atomic.get s.q
+let g s = Atomic.get s.g
 
-(* ---- Per-domain metrics ---------------------------------------------- *)
+(* ---- Per-domain workers ---------------------------------------------- *)
 
 (* Sim.Metrics registries are mutable and single-domain (hist_add is a
-   racy read-modify-write).  Each domain therefore records into its own
-   private registry through a [worker] handle; [metrics] merges them all
-   at quiesce via the node-wise Metrics.merge_into. *)
-
-type 'v worker = {
-  b : 'v t;
-  m : Sim.Metrics.t;
-}
+   racy read-modify-write), and so are the counter shards.  Each domain
+   therefore works through its own [worker]; [metrics] merges the
+   registries at quiesce via the node-wise Metrics.merge_into. *)
 
 let worker t =
-  let m = Sim.Metrics.create ~nodes:(Array.length t.sites) in
-  Latch.with_latch t.registry_latch (fun () ->
-      t.registries <- m :: t.registries);
-  { b = t; m }
+  let n = Array.length t.sites * ring in
+  let w =
+    {
+      b = t;
+      m = Sim.Metrics.create ~nodes:(Array.length t.sites);
+      uc = Array.init n (fun _ -> Atomic.make 0);
+      qc = Array.init n (fun _ -> Atomic.make 0);
+    }
+  in
+  let rec register () =
+    let ws = Atomic.get t.workers in
+    if not (Atomic.compare_and_set t.workers ws (w :: ws)) then register ()
+  in
+  register ();
+  w
 
 let backend w = w.b
 
 let metrics t =
   let merged = Sim.Metrics.create ~nodes:(Array.length t.sites) in
-  let regs = Latch.with_latch t.registry_latch (fun () -> t.registries) in
-  List.iter (fun r -> Sim.Metrics.merge_into ~into:merged r) regs;
+  List.iter
+    (fun w -> Sim.Metrics.merge_into ~into:merged w.m)
+    (Atomic.get t.workers);
   merged
 
-(* ---- Latched site primitives ----------------------------------------- *)
+(* ---- Site primitives -------------------------------------------------- *)
 
-(* All callers hold [s.counters]. *)
-let counter tbl version =
-  match Hashtbl.find_opt tbl version with
-  | Some c -> c
-  | None ->
-      let c = ref 0 in
-      Hashtbl.replace tbl version c;
-      c
+let rec raise_to a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then raise_to a v
 
-let set_u_locked s version =
-  if version > s.u then begin
-    s.u <- version;
-    ignore (counter s.update_counts version : int ref)
+(* The §3.3/§3.4 begin step {v := x; count[v]++} without a latch: bump
+   this domain's slot for the version read, then re-read it.  OCaml 5
+   atomics are sequentially consistent, and a drain raises x before it
+   reads the slots, so either this re-read sees the drain's new x (drop
+   the bump and pin that instead) or the drain sees the bump and waits
+   for its release.  A worker is registered before its first pin, so a
+   drain that reads the worker list after raising x includes it. *)
+let rec pin counts x s =
+  let v = Atomic.get x in
+  let c = counts.(slot s v) in
+  Atomic.incr c;
+  if Atomic.get x = v then v
+  else begin
+    Atomic.decr c;
+    pin counts x s
   end
 
-let set_q_locked s version =
-  if version > s.q then begin
-    s.q <- version;
-    ignore (counter s.query_counts version : int ref)
-  end
+let unpin counts s v =
+  if Atomic.fetch_and_add counts.(slot s v) (-1) <= 0 then
+    invalid_arg "Mcore: counter went negative"
 
 (* Node_state.apply's Collect rule, with no WAL record: bump g, run the
-   store's Phase-3 rules, drop the two dead counter slots. *)
-let collect_garbage_locked s ~newg =
-  if newg > s.g then begin
-    s.g <- newg;
-    let query = newg + 1 in
-    Mstore.gc s.store ~collect:newg ~query;
-    Hashtbl.remove s.query_counts newg;
-    Hashtbl.remove s.update_counts query
-  end
+   store's Phase-3 rules.  Only the advancer calls this. *)
+let collect_garbage s ~newg =
+  Atomic.set s.g newg;
+  Mstore.gc s.store ~collect:newg ~query:(newg + 1)
 
-let catch_up_gc_locked s ~target =
-  while s.g < target do
-    collect_garbage_locked s ~newg:(s.g + 1)
+let catch_up_gc s ~target =
+  while Atomic.get s.g < target do
+    collect_garbage s ~newg:(Atomic.get s.g + 1)
   done
-
-let decr_update_count_locked s ~version =
-  let c = counter s.update_counts version in
-  decr c;
-  if !c < 0 then invalid_arg "Mcore: update counter went negative"
-
-let decr_query_count_locked s ~version =
-  let c = counter s.query_counts version in
-  decr c;
-  if !c < 0 then invalid_arg "Mcore: query counter went negative"
-
-let u s = Latch.with_latch s.counters (fun () -> s.u)
-let q s = Latch.with_latch s.counters (fun () -> s.q)
-let g s = Latch.with_latch s.counters (fun () -> s.g)
-
-let update_count s ~version =
-  Latch.with_latch s.counters (fun () ->
-      match Hashtbl.find_opt s.update_counts version with
-      | None -> 0
-      | Some c -> !c)
-
-let query_count s ~version =
-  Latch.with_latch s.counters (fun () ->
-      match Hashtbl.find_opt s.query_counts version with
-      | None -> 0
-      | Some c -> !c)
 
 (* ---- Preload ---------------------------------------------------------- *)
 
@@ -231,7 +241,7 @@ exception Lock_busy
 type 'v sub = {
   sub_site : 'v site;
   mutable version : int;
-  mutable counted : int;
+  counted : int;                  (* the version its count was taken at *)
   ws : (string, 'v option) Hashtbl.t;
   mutable ws_order : string list; (* reversed, first-write order *)
   mutable held : int list;        (* lock stripes held at this site *)
@@ -266,13 +276,11 @@ let release_locks sub =
   List.iter (fun idx -> Atomic.set s.item_locks.(idx) 0) sub.held;
   sub.held <- []
 
-(* Subtxn.start: latched version read + counter bump. *)
-let begin_sub s =
-  Latch.with_latch s.counters (fun () ->
-      let v = s.u in
-      incr (counter s.update_counts v);
-      { sub_site = s; version = v; counted = v; ws = Hashtbl.create 8;
-        ws_order = []; held = []; settled = false })
+(* Subtxn.start: pin u in this domain's update-count shard. *)
+let begin_sub w s =
+  let v = pin w.uc s.u s in
+  { sub_site = s; version = v; counted = v; ws = Hashtbl.create 8;
+    ws_order = []; held = []; settled = false }
 
 (* Subtxn.move_to under No_undo: deferred writes carry no version, so
    promoting the session's version is the whole job. *)
@@ -290,21 +298,19 @@ let move_to w ~txn sub ~newv ~at_commit =
 let catch_up w ~txn sub key =
   match Mstore.max_version sub.sub_site.store key with
   | Some cur when cur > sub.version ->
-      let newu = Latch.with_latch sub.sub_site.counters (fun () -> sub.sub_site.u) in
-      move_to w ~txn sub ~newv:newu ~at_commit:false
+      move_to w ~txn sub ~newv:(Atomic.get sub.sub_site.u) ~at_commit:false
   | _ -> ()
 
 let ws_put sub key value =
   if not (Hashtbl.mem sub.ws key) then sub.ws_order <- key :: sub.ws_order;
   Hashtbl.replace sub.ws key value
 
-let abort_sub sub =
-  if not sub.settled then begin
-    sub.settled <- true;
-    Latch.with_latch sub.sub_site.counters (fun () ->
-        decr_update_count_locked sub.sub_site ~version:sub.counted);
-    release_locks sub
-  end
+let settle w sub =
+  sub.settled <- true;
+  unpin w.uc sub.sub_site sub.counted;
+  release_locks sub
+
+let abort_sub w sub = if not sub.settled then settle w sub
 
 (* One attempt at the transaction body; raises Lock_busy to signal a
    whole-transaction retry. *)
@@ -315,12 +321,12 @@ let attempt w ~root ~ops ~marker =
     match Hashtbl.find_opt subs i with
     | Some sub -> sub
     | None ->
-        let sub = begin_sub b.sites.(i) in
+        let sub = begin_sub w b.sites.(i) in
         Hashtbl.replace subs i sub;
         sub
   in
   let reads = ref [] in
-  let cleanup () = Hashtbl.iter (fun _ sub -> abort_sub sub) subs in
+  let cleanup () = Hashtbl.iter (fun _ sub -> abort_sub w sub) subs in
   match
     (* Txn_core registers the root's subtransaction first: it always
        participates in the commit decision, ops there or not. *)
@@ -360,22 +366,20 @@ let attempt w ~root ~ops ~marker =
     if List.exists (fun sub -> sub.version <> final_version) subs_sorted then
       Sim.Metrics.record w.m
         (Sim.Event.Version_mismatch { txn = marker; root });
-    (* Commit round, in site order like Txn_core.at_sub_nodes. *)
+    (* Commit round, in site order like Txn_core.at_sub_nodes.  The
+       count stays at the version it was taken at, so Phase 1's drain of
+       that version still waits for this commit. *)
     List.iter
       (fun sub ->
         let s = sub.sub_site in
         if sub.version < final_version then begin
-          Latch.with_latch s.counters (fun () ->
-              set_u_locked s final_version);
+          raise_to s.u final_version;
           move_to w ~txn:marker sub ~newv:final_version ~at_commit:true
         end;
         List.iter
           (fun key -> Mstore.apply s.store key final_version (Hashtbl.find sub.ws key))
           (List.rev sub.ws_order);
-        sub.settled <- true;
-        Latch.with_latch s.counters (fun () ->
-            decr_update_count_locked s ~version:sub.counted);
-        release_locks sub)
+        settle w sub)
       subs_sorted;
     final_version
   with
@@ -417,46 +421,38 @@ type 'v query_result = {
   values : (int * string * 'v option) list;
 }
 
-(* The begin-step of §3.3 is the latched {v := q; queryCount[v]++} — the
-   exact operation the paper insists needs only a latch, not a lock.
-   The buggy twin (skip_query_latch) performs the bump as a naked
-   read-modify-write with a widened window: on deterministic
-   single-domain schedules it is indistinguishable from the real thing,
-   and only the concurrent divergence harness can convict it. *)
-let query_begin b s =
-  if b.skip_query_latch then begin
-    let v, c =
-      (* Table lookup still latched (an unprotected Hashtbl would be
-         structurally unsafe); only the increment itself races. *)
-      Latch.with_latch s.counters (fun () -> (s.q, counter s.query_counts s.q))
-    in
-    let cur = !c in
+(* The begin step of §3.3, {v := q; queryCount[v]++} — the operation the
+   paper says needs only a latch; here it needs not even that.  The
+   buggy twin (skip_pin_recheck) drops the re-read of q and widens the
+   window before the bump: on deterministic single-domain schedules it
+   is indistinguishable from the real thing, and only a concurrent
+   advancer can slip a whole round into the window. *)
+let query_begin w s =
+  if w.b.skip_pin_recheck then begin
+    let v = Atomic.get s.q in
     for _ = 1 to race_window do
       Domain.cpu_relax ()
     done;
-    c := cur + 1;
+    Atomic.incr w.qc.(slot s v);
     v
   end
-  else
-    Latch.with_latch s.counters (fun () ->
-        let v = s.q in
-        incr (counter s.query_counts v);
-        v)
+  else pin w.qc s.q s
 
 let run_query w ~root ~reads =
   let b = w.b in
   let rs = b.sites.(root) in
-  let v = query_begin b rs in
-  let visited : (int, 'v site) Hashtbl.t = Hashtbl.create 4 in
+  let v = query_begin w rs in
   (* Query_core.visit: first touch of a child site catches its query
-     version up and registers in its counter; released in [finish]. *)
+     version up and counts the query there; released below.  No recheck:
+     the root's count holds back every later Phase 2, so no drain of v
+     at the child can complete and let v be collected under this read. *)
+  let visited = ref [] in
   let visit i =
     let s = b.sites.(i) in
-    if i <> root && not (Hashtbl.mem visited i) then begin
-      Hashtbl.replace visited i s;
-      Latch.with_latch s.counters (fun () ->
-          set_q_locked s v;
-          incr (counter s.query_counts v))
+    if i <> root && not (List.memq s !visited) then begin
+      visited := s :: !visited;
+      raise_to s.q v;
+      Atomic.incr w.qc.(slot s v)
     end;
     s
   in
@@ -467,24 +463,25 @@ let run_query w ~root ~reads =
         (i, key, Mstore.read_le s.store key v))
       reads
   in
+  (* Guard: under a valid pin the root cannot have collected v.  Read
+     before the release, raise after it, so an advancer draining this
+     count never waits on a query that is gone. *)
+  let collected = Atomic.get rs.g >= v in
   (* Children release before the root, as in Query_core.finish. *)
-  Hashtbl.iter
-    (fun _ s ->
-      Latch.with_latch s.counters (fun () ->
-          decr_query_count_locked s ~version:v))
-    visited;
-  Latch.with_latch rs.counters (fun () ->
-      decr_query_count_locked rs ~version:v);
+  List.iter (fun s -> unpin w.qc s v) !visited;
+  unpin w.qc rs v;
+  if collected then invalid_arg "query version collected under its pin";
   Sim.Metrics.record w.m rs.query_done;
   { q_version = v; values }
 
 (* ---- Advancement (§3.2: the three phases) ----------------------------- *)
 
-(* Spin until a latched predicate holds.  Used for the two drain
-   barriers; waiters must never hold the latch while spinning or the
-   transactions they wait for could not decrement. *)
-let await_zero read_count =
-  while read_count () <> 0 do
+(* Spin until no worker holds a count of version [v] at [s].  The caller
+   has already raised the site's u or q past [v], so the worker list it
+   reads here includes every worker whose pin of [v] validated. *)
+let await_drained b counts s v =
+  let i = slot s v in
+  while List.exists (fun w -> Atomic.get (counts w).(i) <> 0) (Atomic.get b.workers) do
     Domain.cpu_relax ()
   done
 
@@ -496,9 +493,7 @@ let advance w ~coordinator =
       ~finally:(fun () -> Latch.release b.advancement)
       (fun () ->
         let k = b.sites.(coordinator) in
-        let cu, cq, cg =
-          Latch.with_latch k.counters (fun () -> (k.u, k.q, k.g))
-        in
+        let cu = u k and cq = q k and cg = g k in
         (* Advancement.initiate's freshness / stalled-round rules. *)
         let newu =
           if cu - cg <= 2 && cu = cq + 1 then Some (cu + 1)
@@ -514,10 +509,9 @@ let advance w ~coordinator =
                update transactions. *)
             Array.iter
               (fun s ->
-                Latch.with_latch s.counters (fun () ->
-                    catch_up_gc_locked s ~target:(newu - 3);
-                    set_u_locked s newu);
-                await_zero (fun () -> update_count s ~version:(newu - 1)))
+                catch_up_gc s ~target:(newu - 3);
+                raise_to s.u newu;
+                await_drained b (fun w -> w.uc) s (newu - 1))
               b.sites;
             let t1 = Unix.gettimeofday () in
             let newq = newu - 1 in
@@ -527,48 +521,43 @@ let advance w ~coordinator =
             (* Phase 2: advance-q, wait out the old version's queries. *)
             Array.iter
               (fun s ->
-                Latch.with_latch s.counters (fun () -> set_q_locked s newq);
-                await_zero (fun () -> query_count s ~version:(newq - 1)))
+                raise_to s.q newq;
+                await_drained b (fun w -> w.qc) s (newq - 1))
               b.sites;
             let newg = newu - 2 in
             let duration = Unix.gettimeofday () -. t1 in
             Sim.Metrics.record w.m
               (Sim.Event.Phase2_done { site = coordinator; newg; duration });
             (* Phase 3: collect the version nobody can read anymore. *)
-            Array.iter
-              (fun s ->
-                Latch.with_latch s.counters (fun () ->
-                    catch_up_gc_locked s ~target:newg))
-              b.sites;
+            Array.iter (fun s -> catch_up_gc s ~target:newg) b.sites;
             `Completed newu)
 
 (* ---- Quiesce checks --------------------------------------------------- *)
 
 (* With no transaction or query in flight, every site must be at rest:
-   u = q + 1, g >= u - 3, no counter slot occupied, no item lock held.
-   Residue here is how the divergence harness convicts the latch-skipping
-   twin: its lost counter increments strand permanently nonzero (or,
-   caught earlier, negative) slots. *)
+   u = q + 1, g >= u - 3, every counter slot zero summed over the
+   shards, no item lock held. *)
 let check_quiescent t =
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let workers = Atomic.get t.workers in
   Array.iter
     (fun s ->
-      Latch.with_latch s.counters (fun () ->
-          if s.u <> s.q + 1 then
-            add "site %d: u=%d q=%d (want u = q+1)" s.site_id s.u s.q;
-          if s.g < s.u - 3 then
-            add "site %d: g=%d lags u=%d by more than 3" s.site_id s.g s.u;
-          Hashtbl.iter
-            (fun v c ->
-              if !c <> 0 then
-                add "site %d: updateCount[%d] = %d at quiesce" s.site_id v !c)
-            s.update_counts;
-          Hashtbl.iter
-            (fun v c ->
-              if !c <> 0 then
-                add "site %d: queryCount[%d] = %d at quiesce" s.site_id v !c)
-            s.query_counts);
+      let u = u s and q = q s and g = g s in
+      if u <> q + 1 then add "site %d: u=%d q=%d (want u = q+1)" s.site_id u q;
+      if g < u - 3 then
+        add "site %d: g=%d lags u=%d by more than 3" s.site_id g u;
+      List.iter
+        (fun (name, counts) ->
+          for k = 0 to ring - 1 do
+            let i = (s.site_id * ring) + k in
+            let n =
+              List.fold_left (fun acc w -> acc + Atomic.get (counts w).(i)) 0 workers
+            in
+            if n <> 0 then
+              add "site %d: %s slot %d = %d at quiesce" s.site_id name k n
+          done)
+        [ ("updateCount", fun w -> w.uc); ("queryCount", fun w -> w.qc) ];
       Array.iteri
         (fun i cell ->
           if Atomic.get cell <> 0 then
@@ -579,6 +568,5 @@ let check_quiescent t =
 
 let latch_acquisitions t =
   Array.fold_left
-    (fun acc s ->
-      acc + Latch.acquisitions s.counters + Mstore.latch_acquisitions s.store)
+    (fun acc s -> acc + Mstore.latch_acquisitions s.store)
     0 t.sites

@@ -14,8 +14,9 @@
    one of them, found without ever reasoning about interleavings.  The
    concurrency-only failure modes (which sequential conformance cannot
    see, by design) are covered separately by [convict_racy_twin], which
-   runs genuinely parallel queries against the latch-skipping twin and
-   demands counter residue. *)
+   runs genuinely parallel queries against a concurrent advancer on the
+   pin-skipping twin and demands that a query be caught reading a
+   collected version. *)
 
 (* ---- Workloads --------------------------------------------------------- *)
 
@@ -183,9 +184,9 @@ let run_des ?(gc_renumber = true) w =
 
 (* ---- The domains side -------------------------------------------------- *)
 
-let run_mcore ?(gc_renumber = true) ?(skip_query_latch = false) w =
+let run_mcore ?(gc_renumber = true) ?(skip_pin_recheck = false) w =
   let b : int Backend.t =
-    Backend.create ~gc_renumber ~skip_query_latch ~sites:w.sites ()
+    Backend.create ~gc_renumber ~skip_pin_recheck ~sites:w.sites ()
   in
   List.iter (fun (site, items) -> Backend.load b ~site items) w.preload;
   let wk = Backend.worker b in
@@ -269,60 +270,73 @@ let stats_of_run r =
     }
     r.observations
 
-let check ?(gc_renumber = true) ?(skip_query_latch = false) ~seed () =
+let check ?(gc_renumber = true) ?(skip_pin_recheck = false) ~seed () =
   let w = generate ~seed in
   let des = run_des ~gc_renumber w in
-  let mc = run_mcore ~gc_renumber ~skip_query_latch w in
+  let mc = run_mcore ~gc_renumber ~skip_pin_recheck w in
   match diff ~des ~mcore:mc with
   | [] -> Ok (stats_of_run des)
   | problems -> Error problems
 
-(* ---- Convicting the latch-skipping twin -------------------------------- *)
+(* ---- Convicting the pin-skipping twin --------------------------------- *)
 
 (* The twin is sequentially indistinguishable from the real backend (and
-   [check ~skip_query_latch:true] passing is itself part of the test:
+   [check ~skip_pin_recheck:true] passing is itself part of the test:
    sequential conformance must NOT convict it).  Under real parallelism
-   its naked read-modify-write loses counter increments; since the
-   decrements stay latched, a lost increment surfaces either as an
-   Invalid_argument the moment some query drives the counter negative,
-   or as nonzero/negative residue in [check_quiescent] afterwards.
+   a whole advancement round fits in its window between reading q and
+   bumping its slot: Phase 2 finds the slot empty, Phase 3 collects the
+   version, and the query goes on to read it.  [Backend.run_query]'s
+   guard then finds g >= v at the root and raises once the query has
+   released its counts.
 
-   All domains hammer the queryCount slot of one site, with the widened
-   race window dominating each iteration so that even on a single
-   hardware core the OS preempting a domain mid-window (with another
-   domain then completing whole queries inside it) loses increments. *)
-let convict_racy_twin ?(domains = 4) () =
-  let b : int Backend.t =
-    Backend.create ~sites:1 ~skip_query_latch:true ()
-  in
+   One domain loops [Backend.advance] while the others query one site.
+   The widened window dominates each query, so even on a single hardware
+   core a querier preempted inside it lets the advancer run rounds.  The
+   advancer stops when the queriers have all stopped or the deadline
+   passes, whichever comes first. *)
+let convict_racy_twin ?(domains = 4) ?(seconds = 10.0) ?(twin = true) () =
+  if domains < 2 then
+    invalid_arg "Conform.convict_racy_twin: need an advancer and a querier";
+  let b : int Backend.t = Backend.create ~sites:1 ~skip_pin_recheck:twin () in
   Backend.load b ~site:0 [ ("x", 1) ];
-  let convicted = Atomic.make 0 in
+  let caught = Atomic.make [] in
   let stop = Atomic.make false in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let body () =
+  let querying = Atomic.make (domains - 1) in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec record msg =
+    let l = Atomic.get caught in
+    if not (Atomic.compare_and_set caught l (msg :: l)) then record msg
+  in
+  let querier () =
     let wk = Backend.worker b in
     (try
-       let i = ref 0 in
-       while
-         (not (Atomic.get stop))
-         && !i < 50_000
-         && Unix.gettimeofday () < deadline
-       do
-         incr i;
+       while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
          ignore (Backend.run_query wk ~root:0 ~reads:[ (0, "x") ]
                  : int Backend.query_result)
        done
-     with Invalid_argument _ ->
-       (* A decrement saw the counter below zero: increments were lost.
-          Caught in the act; no need for the others to keep going. *)
-       Atomic.incr convicted;
-       Atomic.set stop true)
+     with Invalid_argument msg ->
+       (* Caught in the act; no need for the others to keep going. *)
+       record msg;
+       Atomic.set stop true);
+    Atomic.decr querying
   in
-  let workers = Array.init domains (fun _ -> Domain.spawn body) in
-  Array.iter Domain.join workers;
-  let residue = Backend.check_quiescent b in
-  if Atomic.get convicted > 0 then
-    Printf.sprintf "%d domain(s) drove a query counter negative"
-      (Atomic.get convicted)
-    :: residue
-  else residue
+  let advancer () =
+    let wk = Backend.worker b in
+    while Atomic.get querying > 0 && Unix.gettimeofday () < deadline do
+      ignore (Backend.advance wk ~coordinator:0 : [ `Busy | `Completed of int ])
+    done
+  in
+  let workers =
+    Domain.spawn advancer :: List.init (domains - 1) (fun _ -> Domain.spawn querier)
+  in
+  List.iter Domain.join workers;
+  let caught = Atomic.get caught in
+  let evidence =
+    if caught = [] then []
+    else
+      [
+        Printf.sprintf "%d querying domain(s) raised: %s" (List.length caught)
+          (String.concat "; " (List.sort_uniq compare caught));
+      ]
+  in
+  evidence @ Backend.check_quiescent b

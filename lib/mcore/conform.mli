@@ -11,8 +11,9 @@
 
     Concurrency-only bugs are invisible to sequential conformance by
     design; {!convict_racy_twin} covers that blind spot by running
-    genuinely parallel queries against the deliberately broken
-    latch-skipping twin and demanding counter residue. *)
+    genuinely parallel queries and advancement rounds against the
+    deliberately broken pin-skipping twin and demanding that a query be
+    caught reading a collected version. *)
 
 (** {1 Workloads} *)
 
@@ -55,7 +56,7 @@ type run = {
 }
 
 val run_des : ?gc_renumber:bool -> workload -> run
-val run_mcore : ?gc_renumber:bool -> ?skip_query_latch:bool -> workload -> run
+val run_mcore : ?gc_renumber:bool -> ?skip_pin_recheck:bool -> workload -> run
 
 val diff : des:run -> mcore:run -> string list
 (** Human-readable divergences, empty when the runs agree. *)
@@ -75,21 +76,25 @@ type stats = {
 
 val check :
   ?gc_renumber:bool ->
-  ?skip_query_latch:bool ->
+  ?skip_pin_recheck:bool ->
   seed:int ->
   unit ->
   (stats, string list) result
-(** Generate, run through both backends, diff.  [skip_query_latch]
-    applies to the mcore side only — [check ~skip_query_latch:true]
+(** Generate, run through both backends, diff.  [skip_pin_recheck]
+    applies to the mcore side only — [check ~skip_pin_recheck:true]
     passing is part of the twin's specification (the bug is invisible
     to any sequential schedule). *)
 
 (** {1 The racy twin} *)
 
-val convict_racy_twin : ?domains:int -> unit -> string list
-(** Hammer one site's query counter from several domains (each running at
-    most 50,000 queries within 10 s of wall time) with
-    [skip_query_latch] enabled and return the evidence of lost counter
-    increments (negative-counter exceptions observed, plus
-    [Backend.check_quiescent] residue).  An empty list means the twin
-    escaped conviction — the calling test should fail. *)
+val convict_racy_twin :
+  ?domains:int -> ?seconds:float -> ?twin:bool -> unit -> string list
+(** On a one-site backend with [skip_pin_recheck = twin] (default
+    [true]), one domain loops {!Backend.advance} while the other
+    [domains - 1] (default 3) run queries until the first guard
+    exception or until [seconds] (default 10) of wall time have passed;
+    the advancer stops when they have.  Returns the evidence: the
+    guard's exceptions raised by queries that read a collected version,
+    plus [Backend.check_quiescent] residue.  Against the twin an empty list
+    means it escaped conviction; against the real backend ([~twin:false])
+    anything else is a bug. *)

@@ -2,8 +2,10 @@
 
     The real-concurrency counterpart of the simulator's accounting-only
     [Lockmgr.Latch]: mutual exclusion over genuinely parallel domains,
-    meant for the paper's short latched sections (version reads, counter
-    bumps) — never held across blocking or long-running work. *)
+    meant for short latched sections (the store's buckets, one
+    advancement round at a time) — never held across blocking or
+    long-running work.  One atomic word: acquire and release are one
+    atomic operation each, counting included. *)
 
 type t
 
@@ -17,6 +19,8 @@ val try_acquire : t -> bool
 (** Take the latch iff it is free; never spins. *)
 
 val release : t -> unit
+(** Release a latch the caller holds.  Releasing a free latch is a bug
+    (it would count as a phantom acquisition and leave the latch held). *)
 
 val with_latch : t -> (unit -> 'a) -> 'a
 (** [with_latch t f] runs [f] holding the latch, releasing on return or

@@ -1,6 +1,7 @@
 (* The real-multicore backend: latch and store primitives, protocol unit
-   tests on the domains backend, DES-vs-mcore conformance over many
-   seeds, and conviction of the deliberately broken latch-skipping twin. *)
+   tests on the domains backend (counter-slot reuse included), DES-vs-
+   mcore conformance over many seeds, and conviction of the deliberately
+   broken pin-skipping twin by a concurrent advancer. *)
 
 (* ---- Latch ------------------------------------------------------------- *)
 
@@ -29,7 +30,11 @@ let test_latch_try_and_release () =
   Mcore.Latch.release latch;
   Alcotest.(check bool) "released latch taken again" true
     (Mcore.Latch.try_acquire latch);
-  Mcore.Latch.release latch
+  Alcotest.(check int) "held latch counts its acquisition" 2
+    (Mcore.Latch.acquisitions latch);
+  Mcore.Latch.release latch;
+  Alcotest.(check int) "refused try and release count nothing" 2
+    (Mcore.Latch.acquisitions latch)
 
 let test_latch_releases_on_exception () =
   let latch = Mcore.Latch.create () in
@@ -156,6 +161,53 @@ let test_backend_advance_initiation_rules () =
   Alcotest.(check int) "q" 2 (Mcore.Backend.q s);
   Alcotest.(check int) "g" 1 (Mcore.Backend.g s)
 
+let test_backend_slot_reuse () =
+  (* Twelve rounds on one domain move u from 1 to 13, so every counter
+     slot (version land 3) of both kinds is entered three times.  Each
+     round's update and two-site queries take and release counts in the
+     slots of the current u and q; after each round every slot must be
+     back to zero and the site at rest. *)
+  let module B = Mcore.Backend in
+  let b : int B.t = B.create ~sites:2 () in
+  B.load b ~site:0 [ ("x", 0) ];
+  B.load b ~site:1 [ ("y", 0) ];
+  let w = B.worker b in
+  for round = 1 to 12 do
+    (match
+       B.run_update w ~root:(round mod 2)
+         ~ops:[ (0, B.Write ("x", round)); (1, B.Write ("y", round)) ]
+     with
+    | B.Committed ci ->
+        Alcotest.(check int)
+          (Printf.sprintf "round %d commits in u" round)
+          round ci.final_version
+    | B.Aborted _ -> Alcotest.fail "uncontended update aborted");
+    List.iter
+      (fun root ->
+        let r = B.run_query w ~root ~reads:[ (0, "x"); (1, "y") ] in
+        Alcotest.(check int)
+          (Printf.sprintf "round %d query pins q" round)
+          (round - 1) r.q_version;
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d query reads the last round's writes" round)
+          true
+          (r.values = [ (0, "x", Some (round - 1)); (1, "y", Some (round - 1)) ]))
+      [ 0; 1 ];
+    (match B.advance w ~coordinator:(round mod 2) with
+    | `Completed newu ->
+        Alcotest.(check int) (Printf.sprintf "round %d advances u" round)
+          (round + 1) newu
+    | `Busy -> Alcotest.fail "idle advancement refused");
+    Alcotest.(check (list string))
+      (Printf.sprintf "quiescent after round %d" round)
+      [] (B.check_quiescent b);
+    for i = 0 to 1 do
+      let s = B.site b i in
+      Alcotest.(check int) "u = q+1" (B.q s + 1) (B.u s);
+      Alcotest.(check bool) "g >= u-3" true (B.g s >= B.u s - 3)
+    done
+  done
+
 let test_backend_parallel_updates_commit_exactly_once () =
   (* Many domains updating overlapping keys: total increments to a
      read-modify-written register must equal total commits (striped
@@ -234,10 +286,10 @@ let test_conformance_all_seeds () =
     conformance_seeds
 
 let test_conformance_sequential_cannot_convict_twin () =
-  (* The latch-skipping twin is CORRECT on every deterministic schedule:
+  (* The pin-skipping twin is CORRECT on every deterministic schedule:
      sequential conformance passing against it is part of its spec (the
      injected bug is a pure race). *)
-  match Mcore.Conform.check ~skip_query_latch:true ~seed:3 () with
+  match Mcore.Conform.check ~skip_pin_recheck:true ~seed:3 () with
   | Ok _ -> ()
   | Error problems ->
       Alcotest.fail
@@ -245,11 +297,22 @@ let test_conformance_sequential_cannot_convict_twin () =
         ^ String.concat "\n" problems)
 
 let test_convict_racy_twin () =
-  (* Under real parallelism the twin's naked counter bump loses
-     increments; the harness must catch it red-handed. *)
+  (* Under real parallelism an advancement round fits between the twin's
+     read of q and its bump; the harness must catch a query reading the
+     version that round collected. *)
   let evidence = Mcore.Conform.convict_racy_twin ~domains:4 () in
   if evidence = [] then
-    Alcotest.fail "divergence harness failed to convict the latch-skipping twin"
+    Alcotest.fail "race harness failed to convict the pin-skipping twin"
+
+let test_race_harness_clears_backend () =
+  (* The same harness against the real pin-and-recheck protocol: the
+     guard must never fire and the backend must end quiescent. *)
+  match Mcore.Conform.convict_racy_twin ~domains:4 ~seconds:1.0 ~twin:false () with
+  | [] -> ()
+  | evidence ->
+      Alcotest.fail
+        ("race harness convicted the real backend:\n"
+        ^ String.concat "\n" evidence)
 
 let test_workload_generation_deterministic () =
   let w1 = Mcore.Conform.generate ~seed:42 in
@@ -302,6 +365,8 @@ let () =
             test_backend_update_query_advance;
           Alcotest.test_case "advancement initiation rules" `Quick
             test_backend_advance_initiation_rules;
+          Alcotest.test_case "counter slots reused across 12 rounds" `Quick
+            test_backend_slot_reuse;
           Alcotest.test_case "parallel updates commit exactly once" `Quick
             test_backend_parallel_updates_commit_exactly_once;
           Alcotest.test_case "mixed storm ends quiescent" `Quick
@@ -317,6 +382,8 @@ let () =
             `Quick test_conformance_sequential_cannot_convict_twin;
           Alcotest.test_case "parallel harness convicts the twin" `Slow
             test_convict_racy_twin;
+          Alcotest.test_case "parallel harness clears the real backend" `Slow
+            test_race_harness_clears_backend;
         ] );
       ( "metrics",
         [
