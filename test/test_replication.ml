@@ -8,7 +8,10 @@
    and a commit redriven after a failover stays at its participant's
    site; a partitioned backup is demoted (commits keep flowing) then
    re-syncs and re-earns its read-set membership after the partition
-   heals, and a catch-up gate waits on its own partition only. *)
+   heals, and a catch-up gate waits on its own partition only; read
+   routing skips a backup that is out of sync (though reachable and
+   caught up) and one whose query version trails the pin (though in
+   sync). *)
 
 module Cluster = Ava3.Cluster
 module Cluster_state = Ava3.Cluster_state
@@ -750,6 +753,178 @@ let test_gate_per_partition () =
     "partition 1's commits never wait on partition 0" (worst before)
     (worst during)
 
+(* {1 Read routing: each eligibility check on its own} *)
+
+type probe = {
+  pin : int;
+  insync : bool;  (** partition 0's backup, as the read was routed *)
+  backup_q : int;  (** its applied query version then *)
+  by_backup : bool;  (** the backup served the read *)
+  value : int option;  (** of "a", as the query read it *)
+  primary_value : int option;  (** of "a" at the pin, at the primary *)
+}
+
+(* One query at each of [times] (ascending; a query takes one round
+   trip, and a time already past runs at once), rooted at partition 1 and
+   reading partition 0's "a", so every read goes through
+   [Replication.route_read].  The state of partition 0's backup is taken
+   just before the query; with zero service times nothing runs between
+   that and the routing decision. *)
+let probe_reads db ~times =
+  let engine = Cluster.engine db in
+  let cs = Cluster.state db in
+  let probes = ref [] in
+  Sim.Engine.spawn engine (fun () ->
+      List.iter
+        (fun t ->
+          Sim.Engine.sleep (Float.max 0.0 (t -. Sim.Engine.now engine));
+          let b = (Cluster_state.backups cs 0).(0) in
+          let insync = b.Cluster_state.b_insync in
+          let backup_q = Node_state.q (Cluster.node db b.Cluster_state.b_site) in
+          let before = Ava3.Replication.backup_reads cs in
+          let r = Cluster.run_query db ~root:1 ~reads:[ (0, "a") ] in
+          let value = match r.values with [ (_, _, v) ] -> v | _ -> None in
+          probes :=
+            {
+              pin = r.version;
+              insync;
+              backup_q;
+              by_backup = Ava3.Replication.backup_reads cs > before;
+              value;
+              primary_value =
+                Store.read_le
+                  (Node_state.store (Cluster_state.primary cs 0))
+                  "a" r.version;
+            }
+            :: !probes)
+        times);
+  probes
+
+let routing_config ~timeout =
+  {
+    Ava3.Config.default with
+    replicas = 1;
+    replica_catchup_timeout = timeout;
+    read_service_time = 0.0;
+    write_service_time = 0.0;
+  }
+
+let check_served_by_primary what probes =
+  List.iter
+    (fun p ->
+      check_bool (what ^ ": not served by the backup") false p.by_backup;
+      Alcotest.(check (option int))
+        (what ^ ": the primary's value at the pin") p.primary_value p.value)
+    probes
+
+(* Partition 0's backup is demoted as in the per-partition gate case
+   (link cut, a commit's gate times out), then the link heals.  With no
+   commit after the heal nothing re-ships, so the backup stays out of
+   sync while alive, reachable and at the query version every pin takes
+   (no advancement runs): [b_insync] alone must keep reads off it.  A
+   commit later re-syncs it, and then it must serve some reads. *)
+let test_route_skips_demoted_backup () =
+  let engine = Sim.Engine.create ~seed:9L ~trace:false () in
+  let timeout = 8.0 and t0 = 10.0 in
+  let db : int Cluster.t =
+    Cluster.create ~engine ~config:(routing_config ~timeout) ~nodes:2 ()
+  in
+  let cs = Cluster.state db in
+  let net = Cluster.network db in
+  Cluster.load db ~node:0 [ ("a", 0) ];
+  Cluster.load db ~node:1 [ ("b", 0) ];
+  let backup0 = (Cluster_state.backups cs 0).(0).Cluster_state.b_site in
+  let cut down =
+    Net.Network.set_link_down net ~src:0 ~dst:backup0 down;
+    Net.Network.set_link_down net ~src:backup0 ~dst:0 down
+  in
+  let write i =
+    match
+      Cluster.run_update db ~root:0
+        ~ops:[ Update.Write { node = 0; key = "a"; value = i } ]
+    with
+    | Update.Committed _ -> ()
+    | Update.Aborted _ | Update.Root_down _ -> Alcotest.fail "write failed"
+  in
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.sleep 5.0;
+      cut true;
+      Sim.Engine.sleep (t0 -. 5.0);
+      write 1;
+      cut false;
+      Sim.Engine.sleep (40.0 -. Sim.Engine.now engine);
+      write 2);
+  let healed = t0 +. timeout +. 1.0 in
+  let probes =
+    probe_reads db
+      ~times:
+        (List.init 6 (fun i -> healed +. (3.0 *. float i))
+        @ List.init 6 (fun i -> 50.0 +. (3.0 *. float i)))
+  in
+  Sim.Engine.run engine;
+  let demoted, resynced = List.partition (fun p -> not p.insync) !probes in
+  Alcotest.(check int) "six reads while demoted and healed" 6
+    (List.length demoted);
+  check_bool "only b_insync excludes the backup" true
+    (List.for_all (fun p -> p.backup_q >= p.pin) demoted
+    && not (Net.Network.link_is_down net ~src:1 ~dst:backup0));
+  check_served_by_primary "demoted" demoted;
+  Alcotest.(check int) "six reads after re-sync" 6 (List.length resynced);
+  check_bool "the re-synced backup serves reads again" true
+    (List.exists (fun p -> p.by_backup) resynced);
+  List.iter
+    (fun p ->
+      Alcotest.(check (option int)) "re-synced: the primary's value at the pin"
+        p.primary_value p.value)
+    resynced
+
+(* Partition 0's backup sits behind a slow link (6 extra one-way) but a
+   catch-up timeout long enough that it is never demoted.  Advancement
+   then raises q at partition 1 about seven time units before the
+   backup applies partition 0's [Advance_query]: a query pinned in that
+   window must not read at the in-sync backup, whose snapshot at the pin
+   is still incomplete.  Once the backup's q reaches the pin it must
+   serve some reads. *)
+let test_route_skips_lagging_backup () =
+  let engine = Sim.Engine.create ~seed:9L ~trace:false () in
+  let db : int Cluster.t =
+    Cluster.create ~engine ~config:(routing_config ~timeout:1000.0) ~nodes:2 ()
+  in
+  let cs = Cluster.state db in
+  let net = Cluster.network db in
+  Cluster.load db ~node:0 [ ("a", 0) ];
+  Cluster.load db ~node:1 [ ("b", 0) ];
+  let backup0 = (Cluster_state.backups cs 0).(0).Cluster_state.b_site in
+  Net.Network.set_link_extra net ~src:0 ~dst:backup0 6.0;
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.sleep 1.0;
+      (match
+         Cluster.run_update db ~root:0
+           ~ops:[ Update.Write { node = 0; key = "a"; value = 1 } ]
+       with
+      | Update.Committed _ -> ()
+      | Update.Aborted _ | Update.Root_down _ -> Alcotest.fail "write failed");
+      Sim.Engine.sleep (20.0 -. Sim.Engine.now engine);
+      match Cluster.advance_and_wait db ~coordinator:1 with
+      | `Completed _ -> ()
+      | `Busy -> Alcotest.fail "advancement refused");
+  let probes = probe_reads db ~times:(List.init 80 (fun i -> 20.0 +. (0.5 *. float i))) in
+  Sim.Engine.run engine;
+  check_bool "the backup stayed in sync" true
+    (List.for_all (fun p -> p.insync) !probes);
+  let lagging = List.filter (fun p -> p.backup_q < p.pin) !probes in
+  check_bool "at least two reads pinned past the backup's q" true
+    (List.length lagging >= 2);
+  check_served_by_primary "lagging" lagging;
+  let caught_up = List.filter (fun p -> p.pin = 1 && p.backup_q >= 1) !probes in
+  check_bool "the caught-up backup serves reads" true
+    (List.exists (fun p -> p.by_backup) caught_up);
+  List.iter
+    (fun p ->
+      Alcotest.(check (option int)) "caught up: the primary's value at the pin"
+        p.primary_value p.value)
+    caught_up
+
 let () =
   Alcotest.run "replication"
     [
@@ -775,5 +950,12 @@ let () =
             test_demotion_and_resync;
           Alcotest.test_case "catch-up gate waits per partition" `Quick
             test_gate_per_partition;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "skips a demoted backup after healing" `Quick
+            test_route_skips_demoted_backup;
+          Alcotest.test_case "skips an in-sync backup behind the pin" `Quick
+            test_route_skips_lagging_backup;
         ] );
     ]
