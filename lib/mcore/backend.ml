@@ -144,9 +144,10 @@ let g s = Atomic.get s.g
 (* ---- Per-domain workers ---------------------------------------------- *)
 
 (* Sim.Metrics registries are mutable and single-domain (hist_add is a
-   racy read-modify-write), and so are the counter shards.  Each domain
-   therefore works through its own [worker]; [metrics] merges the
-   registries at quiesce via the node-wise Metrics.merge_into. *)
+   racy read-modify-write), and a counter shard must have one writer.
+   Each domain therefore works through its own [worker]; [metrics]
+   merges the registries at quiesce via the node-wise
+   Metrics.merge_into. *)
 
 let worker t =
   let n = Array.length t.sites * ring in

@@ -299,14 +299,10 @@ let convict_racy_twin ?(domains = 4) ?(seconds = 10.0) ?(twin = true) () =
     invalid_arg "Conform.convict_racy_twin: need an advancer and a querier";
   let b : int Backend.t = Backend.create ~sites:1 ~skip_pin_recheck:twin () in
   Backend.load b ~site:0 [ ("x", 1) ];
-  let caught = Atomic.make [] in
+  let caught = Atomic.make None in
   let stop = Atomic.make false in
   let querying = Atomic.make (domains - 1) in
   let deadline = Unix.gettimeofday () +. seconds in
-  let rec record msg =
-    let l = Atomic.get caught in
-    if not (Atomic.compare_and_set caught l (msg :: l)) then record msg
-  in
   let querier () =
     let wk = Backend.worker b in
     (try
@@ -316,7 +312,7 @@ let convict_racy_twin ?(domains = 4) ?(seconds = 10.0) ?(twin = true) () =
        done
      with Invalid_argument msg ->
        (* Caught in the act; no need for the others to keep going. *)
-       record msg;
+       ignore (Atomic.compare_and_set caught None (Some msg) : bool);
        Atomic.set stop true);
     Atomic.decr querying
   in
@@ -330,13 +326,7 @@ let convict_racy_twin ?(domains = 4) ?(seconds = 10.0) ?(twin = true) () =
     Domain.spawn advancer :: List.init (domains - 1) (fun _ -> Domain.spawn querier)
   in
   List.iter Domain.join workers;
-  let caught = Atomic.get caught in
-  let evidence =
-    if caught = [] then []
-    else
-      [
-        Printf.sprintf "%d querying domain(s) raised: %s" (List.length caught)
-          (String.concat "; " (List.sort_uniq compare caught));
-      ]
-  in
-  evidence @ Backend.check_quiescent b
+  let residue = Backend.check_quiescent b in
+  match Atomic.get caught with
+  | None -> residue
+  | Some msg -> ("a query raised: " ^ msg) :: residue
