@@ -80,7 +80,7 @@ let timed_mcore name ~domains mk_work =
 
 (* Key choice is Zipf-skewed (rank 0 hottest), not uniform: real traffic
    concentrates on hot keys, and hot keys are what actually contend on
-   the striped item locks and latched counters.  The [Zipf.t] is an
+   the striped item locks and the store's bucket latches.  The [Zipf.t] is an
    immutable CDF shared by all domains; each domain samples it through
    its own seeded [Sim.Rng.t], so a run's key stream is deterministic
    per (domain, seed) regardless of interleaving. *)

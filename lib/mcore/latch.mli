@@ -2,10 +2,11 @@
 
     The real-concurrency counterpart of the simulator's accounting-only
     [Lockmgr.Latch]: mutual exclusion over genuinely parallel domains,
-    meant for short latched sections (the store's buckets, one
-    advancement round at a time) — never held across blocking or
-    long-running work.  One atomic word: acquire and release are one
-    atomic operation each, counting included. *)
+    meant for short latched sections such as the store's buckets, never
+    held across blocking work (the backend's one-round-at-a-time rule
+    holds one for a whole round, but only ever try-acquires it).  One
+    atomic word: an uncontended acquire and a release are one atomic
+    operation each, counting included. *)
 
 type t
 

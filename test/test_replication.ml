@@ -809,13 +809,18 @@ let routing_config ~timeout =
     write_service_time = 0.0;
   }
 
-let check_served_by_primary what probes =
+let check_values what probes =
   List.iter
     (fun p ->
-      check_bool (what ^ ": not served by the backup") false p.by_backup;
       Alcotest.(check (option int))
         (what ^ ": the primary's value at the pin") p.primary_value p.value)
     probes
+
+let check_served_by_primary what probes =
+  List.iter
+    (fun p -> check_bool (what ^ ": not served by the backup") false p.by_backup)
+    probes;
+  check_values what probes
 
 (* Partition 0's backup is demoted as in the per-partition gate case
    (link cut, a commit's gate times out), then the link heals.  With no
@@ -872,11 +877,7 @@ let test_route_skips_demoted_backup () =
   Alcotest.(check int) "six reads after re-sync" 6 (List.length resynced);
   check_bool "the re-synced backup serves reads again" true
     (List.exists (fun p -> p.by_backup) resynced);
-  List.iter
-    (fun p ->
-      Alcotest.(check (option int)) "re-synced: the primary's value at the pin"
-        p.primary_value p.value)
-    resynced
+  check_values "re-synced" resynced
 
 (* Partition 0's backup sits behind a slow link (6 extra one-way) but a
    catch-up timeout long enough that it is never demoted.  Advancement
@@ -919,11 +920,7 @@ let test_route_skips_lagging_backup () =
   let caught_up = List.filter (fun p -> p.pin = 1 && p.backup_q >= 1) !probes in
   check_bool "the caught-up backup serves reads" true
     (List.exists (fun p -> p.by_backup) caught_up);
-  List.iter
-    (fun p ->
-      Alcotest.(check (option int)) "caught up: the primary's value at the pin"
-        p.primary_value p.value)
-    caught_up
+  check_values "caught up" caught_up
 
 let () =
   Alcotest.run "replication"
