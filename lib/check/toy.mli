@@ -32,8 +32,5 @@ val query : t -> read_time:float -> string list -> (string * int option) list
 (** Read the keys in order, [read_time] apart, pinning each before its
     read and releasing all pins at the end.  Must run inside a process. *)
 
-val pin : t -> string -> unit
-val unpin : t -> string -> unit
-
 val fingerprint : t -> Fingerprint.t
 (** Store contents, pin table, commit/query counters and engine state. *)

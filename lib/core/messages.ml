@@ -14,26 +14,6 @@ type 'v t =
     }
   | Ship_ack of { part : int; epoch : int; upto : int }
 
-let rec pp : type v. Format.formatter -> v t -> unit =
- fun ppf -> function
-  | Advance_u { newu } -> Format.fprintf ppf "advance-u(%d)" newu
-  | Ack_advance_u { newu } -> Format.fprintf ppf "ack-advance-u(%d)" newu
-  | Advance_q { newq } -> Format.fprintf ppf "advance-q(%d)" newq
-  | Ack_advance_q { newq } -> Format.fprintf ppf "ack-advance-q(%d)" newq
-  | Garbage_collect { newg } -> Format.fprintf ppf "garbage-collect(%d)" newg
-  | Relay { sites; nparts; pos; inner } ->
-      Format.fprintf ppf "relay(root=%d, pos=%d/%d of %d, %a)" sites.(0) pos
-        nparts (Array.length sites) pp inner
-  | Relay_ack { root; inner } ->
-      Format.fprintf ppf "relay-ack(root=%d, %a)" root pp inner
-  | Ship { part; epoch; from_; records } ->
-      Format.fprintf ppf "ship(part=%d, epoch=%d, from=%d, %d records)" part
-        epoch from_ (List.length records)
-  | Ship_ack { part; epoch; upto } ->
-      Format.fprintf ppf "ship-ack(part=%d, epoch=%d, upto=%d)" part epoch upto
-
-let to_string t = Format.asprintf "%a" pp t
-
 (* The protocol meaning of a message, with relay framing stripped: what the
    abandonment rule and round comparisons care about.  Log-shipping frames
    are not advancement-protocol messages; they pass through unchanged and

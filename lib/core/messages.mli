@@ -61,9 +61,6 @@ type 'v t =
           reordered acks are harmless; acks from a stale epoch are
           ignored. *)
 
-val pp : Format.formatter -> 'v t -> unit
-val to_string : 'v t -> string
-
 val payload : 'v t -> 'v t
 (** The protocol message inside any nesting of relay frames: what round
     comparisons (abandonment, staleness checks) care about.  [Ship] and

@@ -339,12 +339,6 @@ let icount r name = int_of_float (count r name)
 let extra r name = List.assoc name r.extra
 let stats r = Option.get r.stats
 
-(* Transactions aborted for straddling an advancement, from the registry. *)
-let mismatch_aborts r =
-  List.fold_left
-    (fun acc n -> acc + n.Sim.Metrics.aborts_version_mismatch)
-    0 (Option.get r.metrics)
-
 let report r = Option.get r.report
 
 let hist r name =
@@ -663,7 +657,7 @@ let comparison ?(duration = 2000.0) () =
             (match r.label with
             | "s2pl" -> extra r "lock_wait_time"
             | "two-version" -> extra r "commit_delay"
-            | "four-version-sync" -> float_of_int (mismatch_aborts r)
+            | "four-version-sync" -> extra r "mismatch_aborts"
             | _ -> 0.0));
     ]
 
@@ -885,7 +879,7 @@ let sync_aborts () =
          systems). *)
       col "advancement-induced aborts" (fun r ->
           if r.label = "ava3" then Int ((stats r).aborts - (stats r).deadlocks)
-          else Int (mismatch_aborts r));
+          else Int (int_of_float (extra r "mismatch_aborts")));
       ( "advancements",
         fun rs -> Int (stats (List.nth rs (List.length rs - 1))).advancements
       );

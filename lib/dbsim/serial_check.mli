@@ -9,8 +9,8 @@
     - a {!Recorder} runs updates and queries on a cluster and records,
       for every {e committed} transaction, the values each read observed
       and each write produced, and for every query the snapshot it
-      returned; {!recording_run} drives a randomized read-modify-write
-      workload with interleaved advancements through one;
+      returned; {!check} drives a randomized read-modify-write workload
+      with interleaved advancements through one;
     - {!verify} reconstructs the claimed serial order — commit version,
       then commit completion time (which respects the 2PL order of
       conflicting transactions) — replays it on a plain map, and checks
@@ -56,7 +56,7 @@ val transform : salt:int -> int option -> int
 
 (** Records a history while transactions run.  The schedule explorer in
     [lib/check] records one per enumerated interleaving;
-    {!recording_run} records one per seed. *)
+    {!check} records one per seed. *)
 module Recorder : sig
   type op =
     | Rmw of int * string * int
@@ -98,14 +98,11 @@ type verdict = {
   errors : string list;  (** empty iff the history is serializable *)
 }
 
-val recording_run : ?seed:int64 -> unit -> history
-(** 60 update transactions and 25 queries over 3 nodes, interleaved with 4
-    advancement rounds. *)
-
 val verify : history -> verdict
 
 val check : ?seed:int64 -> unit -> verdict
-(** [recording_run] + [verify] with defaults. *)
+(** Record 60 update transactions and 25 queries over 3 nodes, interleaved
+    with 4 advancement rounds, then {!verify} the history. *)
 
 val report : unit -> unit
 (** Check seeds 1–5 (fanned out over {!Sim.Pool.map}) and print one

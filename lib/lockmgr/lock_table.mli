@@ -36,8 +36,6 @@ val acquire : t -> owner:int -> key:string -> mode -> outcome
 val holds : t -> owner:int -> key:string -> mode option
 (** Strongest mode [owner] currently holds on [key]. *)
 
-val held_keys : t -> owner:int -> string list
-
 val release_all : t -> owner:int -> unit
 (** Drop every lock the owner holds (commit/abort time). *)
 

@@ -55,13 +55,8 @@ type run = {
   final : site_state list;  (** one per site, in site order *)
 }
 
-val run_des : ?gc_renumber:bool -> workload -> run
-val run_mcore : ?gc_renumber:bool -> ?skip_pin_recheck:bool -> workload -> run
-
 val diff : des:run -> mcore:run -> string list
 (** Human-readable divergences, empty when the runs agree. *)
-
-val pp_observation : observation -> string
 
 (** {1 One-call check} *)
 

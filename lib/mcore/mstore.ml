@@ -36,7 +36,6 @@ let create ?(buckets = 64) ?bound ?gc_renumber () =
     mask = n - 1;
   }
 
-let bucket_count t = Array.length t.buckets
 let bucket t key = t.buckets.(Hashtbl.hash key land t.mask)
 
 let read_le t key version =

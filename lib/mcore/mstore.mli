@@ -11,8 +11,6 @@ val create : ?buckets:int -> ?bound:int -> ?gc_renumber:bool -> unit -> 'v t
     parallelism grain.  [bound]/[gc_renumber] as in
     {!Vstore.Store.create}. *)
 
-val bucket_count : _ t -> int
-
 val read_le : 'v t -> string -> int -> 'v option
 (** The §3 visibility rule: value at the greatest version [<= v]. *)
 

@@ -228,7 +228,6 @@ module Dsl : sig
       {!choice} (default: seeded from the session's {!rng}); pass
       {!explorer_choose} under the model checker. *)
 
-  val seeded_choose : Sim.Rng.t -> label:string -> int -> int
   val explorer_choose : _ t -> label:string -> int -> int
   (** Routes each choice through {!Sim.Engine.branch}, making it a
       first-class exploration decision the checker enumerates. *)
