@@ -234,24 +234,27 @@ let metrics (cs : _ t) = cs.Cluster_state.metrics
 let metrics_snapshot (cs : _ t) = Sim.Metrics.snapshot cs.Cluster_state.metrics
 
 let stats cs =
-  let sum f = Array.fold_left (fun acc nd -> acc + f nd) 0 cs.Cluster_state.nodes in
-  let sumf f =
-    Array.fold_left (fun acc nd -> acc +. f nd) 0.0 cs.Cluster_state.nodes
-  in
+  let nodes = cs.Cluster_state.nodes in
+  let sum f = Array.fold_left (fun acc nd -> acc + f nd) 0 nodes in
+  let sumf f = Array.fold_left (fun acc nd -> acc +. f nd) 0.0 nodes in
   let m = cs.Cluster_state.metrics in
+  let mtf_data_access = Sim.Metrics.total_mtf_data_access m
+  and mtf_commit_time = Sim.Metrics.total_mtf_commit_time m in
   {
     commits = Sim.Metrics.total_commits m;
     aborts = Sim.Metrics.total_aborts m;
     queries = Sim.Metrics.total_queries m;
     advancements = Sim.Metrics.total_advancements m;
-    mtf_data_access = Sim.Metrics.total_mtf_data_access m;
-    mtf_commit_time = Sim.Metrics.total_mtf_commit_time m;
-    mtf_trivial = sum (fun nd -> Wal.Scheme.mtf_trivial (Node_state.scheme nd));
-    mtf_items_copied =
-      sum (fun nd -> Wal.Scheme.mtf_items_copied (Node_state.scheme nd));
+    mtf_data_access;
+    mtf_commit_time;
+    mtf_trivial =
+      (match cs.Cluster_state.config.Config.scheme with
+      | Wal.Scheme.No_undo -> mtf_data_access + mtf_commit_time
+      | Wal.Scheme.Undo_redo -> 0);
+    mtf_items_copied = Sim.Metrics.total_mtf_items_copied m;
     commit_version_mismatches = Sim.Metrics.total_version_mismatches m;
     messages = Net.Network.messages_sent cs.Cluster_state.net;
-    envelopes = Net.Network.envelopes_sent cs.Cluster_state.net;
+    envelopes = Sim.Metrics.total_envelopes m;
     disk_forces = Sim.Metrics.total_disk_forces m;
     records_forced = Sim.Metrics.total_records_forced m;
     lock_waits = sum (fun nd -> Lockmgr.Lock_table.waits (Node_state.locks nd));
@@ -259,16 +262,15 @@ let stats cs =
       sumf (fun nd -> Lockmgr.Lock_table.total_wait_time (Node_state.locks nd));
     deadlocks =
       sum (fun nd -> Lockmgr.Lock_table.deadlocks (Node_state.locks nd));
-    latch_acquisitions =
-      sum (fun nd -> Lockmgr.Latch.acquisitions (Node_state.counter_latch nd));
+    latch_acquisitions = sum Node_state.counter_ops;
     max_versions_ever =
       Array.fold_left
         (fun acc nd ->
           max acc (Vstore.Store.high_water_versions (Node_state.store nd)))
-        0 cs.Cluster_state.nodes;
-    backup_reads = Replication.backup_reads cs;
-    replica_demotions = Replication.demotions cs;
-    replica_promotions = Replication.promotions cs;
+        0 nodes;
+    backup_reads = Sim.Metrics.total_backup_reads m;
+    replica_demotions = Sim.Metrics.total_demotions m;
+    replica_promotions = Sim.Metrics.total_promotions m;
   }
 
 let pp_stats ppf s =

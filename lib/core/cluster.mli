@@ -175,7 +175,9 @@ type stats = {
   advancements : int;
   mtf_data_access : int;  (** moveToFuture calls triggered by data access *)
   mtf_commit_time : int;  (** moveToFuture calls triggered at commit *)
-  mtf_trivial : int;  (** of those, virtual no-ops (No_undo fast path) *)
+  mtf_trivial : int;
+      (** of those, virtual no-ops: all of them under [No_undo], none
+          under [Undo_redo] *)
   mtf_items_copied : int;
   commit_version_mismatches : int;
   messages : int;
@@ -188,6 +190,8 @@ type stats = {
   lock_wait_time : float;
   deadlocks : int;
   latch_acquisitions : int;
+      (** Counter increments and decrements (the paper's latched counter
+          updates). *)
   max_versions_ever : int;
   backup_reads : int;  (** Reads served by backup replicas. *)
   replica_demotions : int;
@@ -196,6 +200,21 @@ type stats = {
 }
 
 val stats : _ t -> stats
+(** Cluster-wide totals, from three sources:
+    - the {!metrics} registry, which lives as long as the cluster: every
+      protocol-event count, that is every field but the six below
+      ([mtf_trivial] is the moveToFuture total under [No_undo], 0 under
+      [Undo_redo]);
+    - components the lock-based baselines share: [messages] from the
+      network, and [lock_waits], [lock_wait_time] and [deadlocks] from the
+      nodes' lock tables;
+    - the node objects: [latch_acquisitions], and [max_versions_ever], the
+      stores' high-water marks.
+    Recovery replaces a node object together with its lock table and
+    store, so a crash resets that node's share of the lock counts,
+    [latch_acquisitions] and [max_versions_ever]; registry totals never
+    fall. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val metrics : _ t -> Sim.Metrics.t

@@ -37,9 +37,6 @@ type 'v repl = {
   site_epoch : int array;
   mutable rr : int;
   repl_changed : Sim.Condition.t array;
-  mutable demotions : int;
-  mutable promotions : int;
-  mutable backup_reads : int;
 }
 
 type 'v t = {
@@ -96,9 +93,6 @@ let create ~engine ~config ~nodes ?(latency = Net.Latency.Constant 1.0)
       site_epoch = Array.make sites 0;
       rr = 0;
       repl_changed = Array.init nodes (fun _ -> Sim.Condition.create ());
-      demotions = 0;
-      promotions = 0;
-      backup_reads = 0;
     }
   in
   let t =

@@ -77,9 +77,6 @@ type 'v repl = {
       (** partition -> broadcast on the partition's ship acks, demotions
           and promotions, and at a catch-up gate's deadline — what the
           partition's catch-up gates wait on *)
-  mutable demotions : int;
-  mutable promotions : int;
-  mutable backup_reads : int;
 }
 
 type 'v t = {

@@ -105,9 +105,10 @@ val await_no_updates : _ t -> version:int -> unit
 
 val await_no_queries : _ t -> version:int -> unit
 
-val counter_latch : _ t -> Lockmgr.Latch.t
-(** The latch protecting counters and version numbers — its acquisition
-    count is the protocol's total latching work on this node. *)
+val counter_ops : _ t -> int
+(** Counter increments and decrements on this node object: the paper's
+    latched counter updates, so the protocol's total latching work here.
+    A node rebuilt by recovery starts again from zero. *)
 
 (** {1 Crash support} *)
 

@@ -222,7 +222,6 @@ let handle_ship_ack cs site ~src ~part ~epoch ~upto =
 let demote cs b ~why =
   if b.b_insync then begin
     b.b_insync <- false;
-    cs.repl.demotions <- cs.repl.demotions + 1;
     note cs
       (Sim.Event.Backup_demoted { part = b.b_part; site = b.b_site; why });
     note_repl_change cs b.b_part;
@@ -363,8 +362,7 @@ let route_read cs ~src ~part ~pin =
         let k = List.length cands in
         let site = List.nth cands (cs.repl.rr mod k) in
         cs.repl.rr <- cs.repl.rr + 1;
-        if site <> psite then
-          cs.repl.backup_reads <- cs.repl.backup_reads + 1;
+        if site <> psite then note cs (Sim.Event.Backup_read { part; site });
         site
   end
 
@@ -440,7 +438,6 @@ let promote cs ~part ~old_site =
       let e = cs.repl.ship_epoch.(part) + 1 in
       cs.repl.ship_epoch.(part) <- e;
       cs.repl.site_epoch.(new_site) <- e;
-      cs.repl.promotions <- cs.repl.promotions + 1;
       (* The cursors were the dead primary's view; start over from zero. *)
       Array.iter (fun b -> Wal.Ship.reset b.b_cursor) (backups cs part);
       shift_coord_acks cs ~old_site ~new_site;
@@ -539,7 +536,3 @@ let on_checkpoint cs ~site =
       poke cs p
     end
   end
-
-let backup_reads cs = cs.repl.backup_reads
-let demotions cs = cs.repl.demotions
-let promotions cs = cs.repl.promotions

@@ -132,9 +132,3 @@ val recover_as_backup : _ Cluster_state.t -> site:int -> unit
 val on_checkpoint : _ Cluster_state.t -> site:int -> unit
 (** Called after a primary's quiescent checkpoint truncated its log:
     starts a new ship epoch and full-resyncs the backups. *)
-
-(** {1 Metrics} *)
-
-val backup_reads : _ Cluster_state.t -> int
-val demotions : _ Cluster_state.t -> int
-val promotions : _ Cluster_state.t -> int

@@ -95,10 +95,14 @@ let move_to cs t ~newv ~at_commit =
   if newv > version t then begin
     if cs.config.Config.abort_on_version_mismatch then
       raise (Txn_abort `Version_mismatch);
-    Wal.Scheme.move_to_future (Node_state.scheme t.sub_node) t.session
-      ~new_version:newv;
+    let copied =
+      Wal.Scheme.move_to_future (Node_state.scheme t.sub_node) t.session
+        ~new_version:newv
+    in
     let site = Node_state.id t.sub_node in
-    note cs (Sim.Event.Mtf { txn = t.txn_id; site; version = newv; at_commit });
+    note cs
+      (Sim.Event.Mtf
+         { txn = t.txn_id; site; version = newv; at_commit; copied });
     if cs.config.Config.eager_counter_handoff then begin
       (* §8: appear to have "started" in the advanced version so Phase 1
          need not wait for us. *)

@@ -116,7 +116,14 @@ let run ?(scheme = Wal.Scheme.No_undo) () =
   let started txn site version =
     traced (Sim.Event.Sub_start { txn; site; version })
   and moved txn site ~at_commit =
-    traced (Sim.Event.Mtf { txn; site; version = 2; at_commit })
+    List.exists
+      (fun e ->
+        match e.Sim.Trace.event with
+        | Sim.Event.Mtf m ->
+            m.txn = txn && m.site = site && m.version = 2
+            && m.at_commit = at_commit
+        | _ -> false)
+      trace
   in
   let check_query label r ~version ~values =
     match !r with

@@ -290,7 +290,13 @@ let move_to w ~txn sub ~newv ~at_commit =
     sub.version <- newv;
     Sim.Metrics.record w.m
       (Sim.Event.Mtf
-         { txn; site = sub.sub_site.site_id; version = newv; at_commit })
+         {
+           txn;
+           site = sub.sub_site.site_id;
+           version = newv;
+           at_commit;
+           copied = 0;
+         })
   end
 
 (* Subtxn.catch_up: a later version of an accessed item means a

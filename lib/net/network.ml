@@ -25,7 +25,6 @@ type 'm t = {
   batch_armed : bool array array;
   mutable sent : int;
   mutable dropped : int;
-  mutable envelopes : int;
 }
 
 let create ~engine ~nodes ?(latency = Latency.Constant 1.0)
@@ -55,7 +54,6 @@ let create ~engine ~nodes ?(latency = Latency.Constant 1.0)
     batch_armed = Array.make_matrix nodes nodes false;
     sent = 0;
     dropped = 0;
-    envelopes = 0;
   }
 
 let engine t = t.engine
@@ -91,7 +89,6 @@ let set_link_extra t ~src ~dst extra =
 
 let messages_sent t = t.sent
 let messages_dropped t = t.dropped
-let envelopes_sent t = t.envelopes
 
 let link_count t ~src ~dst =
   check_node t src;
@@ -130,10 +127,6 @@ let delivery_delay t ~src ~dst =
 let record t event =
   match t.metrics with Some m -> Sim.Metrics.record m event | None -> ()
 
-let count_envelope t ~src =
-  t.envelopes <- t.envelopes + 1;
-  record t (Sim.Event.Envelope { src })
-
 (* Ship everything queued on (src,dst) as one envelope: one latency sample,
    one arrival instant, the payloads scheduled in FIFO order at it.  Each
    payload still runs as its own process — handlers may block (lock waits,
@@ -150,7 +143,7 @@ let flush_batch t ~src ~dst =
     Queue.clear q;
     if t.down.(src) || t.link_down.(src).(dst) then t.dropped <- t.dropped + n
     else begin
-      count_envelope t ~src;
+      record t (Sim.Event.Envelope { src });
       let delay = delivery_delay t ~src ~dst in
       List.iter
         (fun payload -> Sim.Engine.schedule t.engine ~delay payload)
@@ -167,7 +160,7 @@ let flush_batch t ~src ~dst =
    window closes and share a single envelope. *)
 let transmit t ~src ~dst payload =
   if t.batch_window <= 0.0 then begin
-    count_envelope t ~src;
+    record t (Sim.Event.Envelope { src });
     let delay = delivery_delay t ~src ~dst in
     Sim.Engine.schedule t.engine ~delay payload
   end

@@ -54,7 +54,9 @@ val create :
     into the latency histogram when a reply settles it (the callee's
     exception travelling back still counts as a completed RPC), and one
     [rpc_timeout] when the timeout settles it instead.  Envelopes are
-    recorded against their source node. *)
+    recorded against their source node; the registry is the only place
+    they are counted.  Each envelope carries one or more message legs
+    ([batch_window = 0] gives one envelope per delivered leg). *)
 
 val engine : _ t -> Sim.Engine.t
 val node_count : _ t -> int
@@ -116,10 +118,5 @@ val set_link_extra : _ t -> src:int -> dst:int -> float -> unit
 
 val messages_sent : _ t -> int
 val messages_dropped : _ t -> int
-
-val envelopes_sent : _ t -> int
-(** Transport events actually put on the wire.  Equal to the number of
-    delivered message legs when [batch_window = 0]; strictly smaller when
-    coalescing packs several legs into one envelope. *)
 
 val link_count : _ t -> src:int -> dst:int -> int

@@ -13,7 +13,13 @@ type t =
   | Nemesis_restore of { src : int; dst : int }
   | Root_down of { root : int }
   | Sub_start of { txn : int; site : int; version : int }
-  | Mtf of { txn : int; site : int; version : int; at_commit : bool }
+  | Mtf of {
+      txn : int;
+      site : int;
+      version : int;
+      at_commit : bool;
+      copied : int;
+    }
   | Sub_rollback of { txn : int; site : int }
   | Savepoint_rollback of { txn : int; root : int }
   | Version_mismatch of { txn : int; root : int }
@@ -37,6 +43,7 @@ type t =
   | Promoted of { part : int; site : int; was : int; u : int; q : int; g : int }
   | No_backup of { part : int; site : int }
   | Rejoined of { part : int; site : int }
+  | Backup_read of { part : int; site : int }
   | Rpc_call of { src : int; dst : int }
   | Rpc_reply of { src : int; dst : int; rtt : float }
   | Rpc_timeout of { src : int; dst : int }
@@ -59,7 +66,7 @@ let tag = function
   | Crashed _ | Recovered _ -> "crash"
   | Checkpoint _ -> "checkpoint"
   | Backup_in_sync _ | Backup_demoted _ | Promoted _ | No_backup _
-  | Rejoined _ ->
+  | Rejoined _ | Backup_read _ ->
       "repl"
   | Rpc_call _ | Rpc_reply _ | Rpc_timeout _ | Envelope _ -> "net"
   | Disk_force _ -> "wal"
@@ -82,7 +89,7 @@ let site = function
   | Collected { site; _ } | Adv_abandon { site; _ } | Recovered { site; _ }
   | Checkpoint { site; _ } | Backup_in_sync { site; _ }
   | Backup_demoted { site; _ } | Promoted { site; _ } | No_backup { site; _ }
-  | Rejoined { site; _ } | Disk_force { site; _ } ->
+  | Rejoined { site; _ } | Backup_read { site; _ } | Disk_force { site; _ } ->
       Some site
 
 let pp_reason ppf = function
@@ -118,7 +125,7 @@ let pp ?(name = fun _ -> None) ppf ev =
   | Root_down { root } -> p "node%d: update rejected, root down" root
   | Sub_start { txn = t; site; version } ->
       p "%s: subtransaction at node%d starts in version %d" (txn t) site version
-  | Mtf { txn = t; site; version; at_commit } ->
+  | Mtf { txn = t; site; version; at_commit; _ } ->
       p "%s: moveToFuture(%d) at node%d (%s)" (txn t) version site
         (if at_commit then "commit time" else "data access")
   | Sub_rollback { txn = t; site } ->
@@ -166,6 +173,8 @@ let pp ?(name = fun _ -> None) ppf ev =
       p "partition %d: primary site%d down, no backup eligible" part site
   | Rejoined { part; site } ->
       p "partition %d: site%d rejoins as backup (resyncing)" part site
+  | Backup_read { part; site } ->
+      p "partition %d: read served by backup site%d" part site
   | Rpc_call { src; dst } -> p "rpc node%d->node%d" src dst
   | Rpc_reply { src; dst; rtt } ->
       p "rpc node%d->node%d replied after %g" src dst rtt

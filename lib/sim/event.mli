@@ -23,8 +23,15 @@ type t =
   | Root_down of { root : int }
       (** an update rejected before it began: its root was down *)
   | Sub_start of { txn : int; site : int; version : int }
-  | Mtf of { txn : int; site : int; version : int; at_commit : bool }
-      (** moveToFuture to [version], at data access or at commit time *)
+  | Mtf of {
+      txn : int;
+      site : int;
+      version : int;
+      at_commit : bool;
+      copied : int;
+    }
+      (** moveToFuture to [version], at data access or at commit time;
+          [copied] items were copied forward (0 under [No_undo]) *)
   | Sub_rollback of { txn : int; site : int }
       (** one subtransaction rolled back to a savepoint *)
   | Savepoint_rollback of { txn : int; root : int }
@@ -56,6 +63,8 @@ type t =
   | Promoted of { part : int; site : int; was : int; u : int; q : int; g : int }
   | No_backup of { part : int; site : int }
   | Rejoined of { part : int; site : int }
+  | Backup_read of { part : int; site : int }
+      (** a read of partition [part] routed to its backup [site] *)
   | Rpc_call of { src : int; dst : int }
   | Rpc_reply of { src : int; dst : int; rtt : float }
       (** a reply (value or the callee's exception) settled the call *)

@@ -60,7 +60,9 @@ let hist_add h v =
 let bucket_le i = if i = 0 then 0.0 else Float.ldexp 1.0 (i - 1 + exp_min)
 
 (* A node's integer counters share one array, one slot each, so adding a
-   counter means naming its slot here and reading it in [snapshot]. *)
+   counter means naming its slot here and reading it in [snapshot].  The
+   slots from [mtf_items_copied] on are read only through their totals:
+   the snapshot and its JSON keep their fixed shape. *)
 let commits = 0
 let aborts_deadlock = 1
 let aborts_node_down = 2
@@ -79,7 +81,11 @@ let disk_forces = 14
 let records_forced = 15
 let savepoint_rollbacks = 16
 let session_retries = 17
-let slot_count = 18
+let mtf_items_copied = 18
+let backup_reads = 19
+let demotions = 20
+let promotions = 21
+let slot_count = 22
 
 type node_metrics = {
   c : int array;
@@ -124,8 +130,9 @@ let record t (ev : Event.t) =
         1
   | Root_down { root } -> add t root root_down_rejections 1
   | Query_done { root; _ } -> add t root queries 1
-  | Mtf { site; at_commit; _ } ->
-      add t site (if at_commit then mtf_commit_time else mtf_data_access) 1
+  | Mtf { site; at_commit; copied; _ } ->
+      add t site (if at_commit then mtf_commit_time else mtf_data_access) 1;
+      add t site mtf_items_copied copied
   | Version_mismatch { root; _ } -> add t root version_mismatches 1
   | Phase1_done { site; duration; _ } ->
       hist_add (at t site).phase1_duration duration
@@ -144,12 +151,14 @@ let record t (ev : Event.t) =
       add t root session_retries 1;
       let m = at t root in
       m.session_backoff <- m.session_backoff +. backoff
+  | Backup_read { site; _ } -> add t site backup_reads 1
+  | Backup_demoted { site; _ } -> add t site demotions 1
+  | Promoted { site; _ } -> add t site promotions 1
   | Spawn _ | Nemesis_crash _ | Nemesis_recover _ | Nemesis_partition _
   | Nemesis_heal _ | Nemesis_slow _ | Nemesis_restore _ | Sub_start _
   | Sub_rollback _ | Query_start _ | Adv_start _ | Set_u _ | Set_q _
   | Collected _ | Adv_abandon _ | Crashed _ | Recovered _ | Checkpoint _
-  | Backup_in_sync _ | Backup_demoted _ | Promoted _ | No_backup _
-  | Rejoined _ ->
+  | Backup_in_sync _ | No_backup _ | Rejoined _ ->
       ()
 
 let hist_merge_into ~into:a b =
@@ -191,6 +200,11 @@ let total_disk_forces = total disk_forces
 let total_records_forced = total records_forced
 let total_savepoint_rollbacks = total savepoint_rollbacks
 let total_session_retries = total session_retries
+let total_mtf_items_copied = total mtf_items_copied
+let total_envelopes = total envelopes
+let total_backup_reads = total backup_reads
+let total_demotions = total demotions
+let total_promotions = total promotions
 
 let total_session_backoff t =
   Array.fold_left (fun acc m -> acc +. m.session_backoff) 0.0 t

@@ -29,7 +29,10 @@ val record : t -> Event.t -> unit
     Aborts count by reason class; {!Event.Root_down} rejections are not
     aborts.  {!Event.Phase1_done} and {!Event.Phase2_done} record their
     phase's duration at the coordinator, and the latter counts one
-    completed round.  Events with no counter are ignored. *)
+    completed round.  {!Event.Mtf} also adds its [copied] items;
+    {!Event.Backup_read}, {!Event.Backup_demoted} and {!Event.Promoted}
+    count at the backup (or promoted) site.  Events with no counter are
+    ignored. *)
 
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] adds every counter and histogram of [src]
@@ -56,6 +59,14 @@ val total_records_forced : t -> int
 val total_savepoint_rollbacks : t -> int
 val total_session_retries : t -> int
 val total_session_backoff : t -> float
+val total_envelopes : t -> int
+
+(** The totals below have no field in {!node_snapshot}. *)
+
+val total_mtf_items_copied : t -> int
+val total_backup_reads : t -> int
+val total_demotions : t -> int
+val total_promotions : t -> int
 
 (** {1 Snapshots} *)
 

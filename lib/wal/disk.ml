@@ -1,17 +1,10 @@
-type t = {
-  force_latency : float;
-  mutable busy_until : float;
-  mutable forces : int;
-  mutable records_forced : int;
-}
+type t = { force_latency : float; mutable busy_until : float }
 
 let create ?(force_latency = 0.0) () =
   if force_latency < 0.0 then invalid_arg "Disk.create: negative force latency";
-  { force_latency; busy_until = 0.0; forces = 0; records_forced = 0 }
+  { force_latency; busy_until = 0.0 }
 
 let force_latency t = t.force_latency
-let forces t = t.forces
-let records_forced t = t.records_forced
 
 (* The disk is a serial resource: concurrent forces queue behind each
    other ([busy_until] is the virtual time the head frees up), which is
@@ -22,7 +15,6 @@ let records_forced t = t.records_forced
    interaction at all, so the zero-cost configuration schedules events
    exactly as a build without the disk model would. *)
 let force t =
-  t.forces <- t.forces + 1;
   if t.force_latency > 0.0 then begin
     let now = Sim.Engine.now (Sim.Engine.current ()) in
     let start = if t.busy_until > now then t.busy_until else now in
@@ -31,8 +23,3 @@ let force t =
     Sim.Engine.sleep (finish -. now)
   end
 
-(* Attribution happens after the force returns: with concurrent forces
-   queued on the serial disk, the records a force {e newly} made durable
-   are only known once it completes (an earlier force in the queue may
-   have covered part of its range already). *)
-let note_records t n = t.records_forced <- t.records_forced + n

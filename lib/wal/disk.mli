@@ -3,9 +3,9 @@
     The in-memory {!Log} is free to append to; what costs time on a real
     system is the {e force} — the synchronous write barrier a committing
     transaction waits on.  A [Disk] charges a configurable virtual-time
-    latency per force and counts forces and records forced, so experiments
-    can report both the latency the commit path pays and the I/O traffic
-    batching saves.
+    latency per force.  It counts nothing: {!Group_commit} reports each
+    completed force and the records it covered through its [on_force]
+    hook, which the cluster folds into its metrics registry.
 
     The disk is a {e serial} resource: concurrent forces queue behind one
     another.  That queueing is what makes group commit profitable — a
@@ -23,15 +23,6 @@ val force : t -> unit
 (** Charge one force: queue behind any force already in progress, then
     sleep [force_latency] (must be called inside a process when the
     latency is nonzero).  The caller marks the log durable {e after} this
-    returns and reports the records it newly covered via
-    {!note_records}. *)
-
-val note_records : t -> int -> unit
-(** Attribute [n] newly-durable records to this disk's traffic counter.
-    Called after {!force} returns so overlapping forces queued on the
-    serial disk don't double-count the records an earlier force already
-    covered. *)
+    returns. *)
 
 val force_latency : t -> float
-val forces : t -> int
-val records_forced : t -> int

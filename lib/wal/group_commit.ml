@@ -53,7 +53,6 @@ let force_now t =
       let records = target - Log.durable_length t.log in
       if records > 0 then begin
         Log.mark_durable_to t.log target;
-        Disk.note_records t.disk records;
         match t.on_force with Some f -> f ~records | None -> ()
       end
     end

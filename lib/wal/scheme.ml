@@ -28,24 +28,9 @@ type 'v savepoint = {
   sp_marked : (string * 'v undo_image) list;
 }
 
-type 'v t = {
-  scheme_kind : kind;
-  st : 'v Vstore.Store.t;
-  wal : 'v Log.t;
-  mutable stat_mtf : int;
-  mutable stat_mtf_trivial : int;
-  mutable stat_copied : int;
-}
+type 'v t = { scheme_kind : kind; st : 'v Vstore.Store.t; wal : 'v Log.t }
 
-let create kind ~store ~log =
-  {
-    scheme_kind = kind;
-    st = store;
-    wal = log;
-    stat_mtf = 0;
-    stat_mtf_trivial = 0;
-    stat_copied = 0;
-  }
+let create kind ~store ~log = { scheme_kind = kind; st = store; wal = log }
 
 let kind t = t.scheme_kind
 let store t = t.st
@@ -100,13 +85,13 @@ let write t s key value =
       apply_to_store t key s.s_version value
 
 let move_to_future t s ~new_version =
+  let copied = ref 0 in
   if new_version > s.s_version then begin
-    t.stat_mtf <- t.stat_mtf + 1;
     (match t.scheme_kind with
     | No_undo ->
         (* Deferred writes carry no version: promoting the session's version
            is the whole job. *)
-        t.stat_mtf_trivial <- t.stat_mtf_trivial + 1
+        ()
     | Undo_redo ->
         let old_version = s.s_version in
         (* Newest-first walk: copy each touched item's current state (which
@@ -118,14 +103,15 @@ let move_to_future t s ~new_version =
             if Vstore.Store.exists_in t.st key old_version then begin
               Vstore.Store.copy_forward t.st key ~src:old_version
                 ~dst:new_version;
-              t.stat_copied <- t.stat_copied + 1
+              incr copied
             end;
             apply_image t key old_version image)
           s.undo_log;
         (* The items now live at new_version where nothing pre-existed. *)
         s.undo_log <- List.map (fun (key, _) -> (key, Absent)) s.undo_log);
     s.s_version <- new_version
-  end
+  end;
+  !copied
 
 let savepoint t s =
   match t.scheme_kind with
@@ -204,7 +190,3 @@ let abort t s =
       List.iter (fun (key, image) -> apply_image t key s.s_version image) s.undo_log;
       s.undo_log <- []);
   Log.append t.wal (Record.Abort { txn = s.s_txn })
-
-let mtf_invocations t = t.stat_mtf
-let mtf_trivial t = t.stat_mtf_trivial
-let mtf_items_copied t = t.stat_copied

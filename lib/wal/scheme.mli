@@ -48,10 +48,12 @@ val write : 'v t -> 'v session -> string -> 'v option -> unit
 (** Record a write ([Some v]) or deletion ([None]) of the item in the
     session's current version, logging the redo record. *)
 
-val move_to_future : 'v t -> 'v session -> new_version:int -> unit
+val move_to_future : 'v t -> 'v session -> new_version:int -> int
 (** Bring the node to the state it would have had if the transaction had
-    operated in [new_version] all along.  Never blocks, acquires no locks.
-    No-op if [new_version <= version session]. *)
+    operated in [new_version] all along, and return how many items were
+    copied forward: always 0 under [No_undo], whose moveToFuture is a
+    virtual no-op.  Never blocks, acquires no locks.  No-op (returning 0)
+    if [new_version <= version session]. *)
 
 (** {1 Savepoints}
 
@@ -81,11 +83,3 @@ val commit : 'v t -> 'v session -> final_version:int -> unit
 
 val abort : 'v t -> 'v session -> unit
 (** Erase every effect of the session and log the abort. *)
-
-(** {1 moveToFuture statistics (experiment E6)} *)
-
-val mtf_invocations : _ t -> int
-val mtf_trivial : _ t -> int
-(** Invocations that were virtual no-ops (the [No_undo] fast path). *)
-
-val mtf_items_copied : _ t -> int

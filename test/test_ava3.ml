@@ -222,6 +222,27 @@ let test_mtf_commit_time () =
   Alcotest.check vopt "a committed at v2" (Some 10)
     (Vstore.Store.read_exact store0 "a" 2)
 
+(* T writes a at node 0 in version 1, then b at node 1, which has already
+   advanced to u = 2 on its own: T's subtransaction at node 0 moves to
+   version 2 at commit time. *)
+let commit_time_mtf_at_node0 db =
+  Cluster.load db ~node:0 [ ("a", 1) ];
+  Cluster.load db ~node:1 [ ("b", 2) ];
+  let eng = Cluster.engine db in
+  Sim.Engine.spawn eng (fun () ->
+      ignore
+        (Cluster.run_update db ~root:0
+           ~ops:
+             [
+               Update.Write { node = 0; key = "a"; value = 10 };
+               Update.Pause 30.0;
+               Update.Write { node = 1; key = "b"; value = 20 };
+             ]));
+  Sim.Engine.schedule eng ~delay:5.0 (fun () ->
+      Net.Network.send (Cluster.network db) ~src:2 ~dst:1
+        (Ava3.Messages.Advance_u { newu = 2 }));
+  Sim.Engine.sleep 200.0
+
 let test_mtf_scrubs_old_version_for_queries () =
   (* Undo_redo: T writes a at version 1, then moves to 2 and commits; a
      version-1 query must not see T's value. *)
@@ -234,22 +255,7 @@ let test_mtf_scrubs_old_version_for_queries () =
   in
   let db =
     with_cluster ~config (fun db ->
-        Cluster.load db ~node:0 [ ("a", 1) ];
-        Cluster.load db ~node:1 [ ("b", 2) ];
-        let eng = Cluster.engine db in
-        Sim.Engine.spawn eng (fun () ->
-            ignore
-              (Cluster.run_update db ~root:0
-                 ~ops:
-                   [
-                     Update.Write { node = 0; key = "a"; value = 10 };
-                     Update.Pause 30.0;
-                     Update.Write { node = 1; key = "b"; value = 20 };
-                   ]));
-        Sim.Engine.schedule eng ~delay:5.0 (fun () ->
-            Net.Network.send (Cluster.network db) ~src:2 ~dst:1
-              (Ava3.Messages.Advance_u { newu = 2 }));
-        Sim.Engine.sleep 200.0;
+        commit_time_mtf_at_node0 db;
         let store0 = Node_state.store (Cluster.node db 0) in
         check_bool "version 1 of a scrubbed" false
           (Vstore.Store.exists_in store0 "a" 1);
@@ -257,6 +263,47 @@ let test_mtf_scrubs_old_version_for_queries () =
           (Vstore.Store.read_exact store0 "a" 2))
   in
   ignore db
+
+(* The moveToFuture totals are registry totals: crashing and recovering
+   the node that ran the moveToFuture, which replaces its node object,
+   must not lower them.  Under Undo_redo the moveToFuture copied [a];
+   under No_undo it was a virtual no-op. *)
+let test_mtf_totals_survive_recovery scheme () =
+  let config =
+    { Ava3.Config.default with scheme; write_service_time = 0.0 }
+  in
+  let db =
+    with_cluster ~config (fun db ->
+        commit_time_mtf_at_node0 db;
+        let before = Cluster.stats db in
+        (match scheme with
+        | Wal.Scheme.Undo_redo ->
+            check_int "items copied" 1 before.Cluster.mtf_items_copied;
+            check_int "no trivial moveToFuture" 0 before.Cluster.mtf_trivial
+        | Wal.Scheme.No_undo ->
+            check_int "nothing copied" 0 before.Cluster.mtf_items_copied;
+            check_int "one trivial moveToFuture" 1 before.Cluster.mtf_trivial);
+        Cluster.crash db ~node:0;
+        Sim.Engine.sleep 10.0;
+        Cluster.recover db ~node:0;
+        let after = Cluster.stats db in
+        check_int "items copied kept" before.Cluster.mtf_items_copied
+          after.Cluster.mtf_items_copied;
+        check_int "trivial moveToFuture kept" before.Cluster.mtf_trivial
+          after.Cluster.mtf_trivial)
+  in
+  (* The copied total is the sum over the trace's moveToFuture events. *)
+  let traced_copies =
+    List.fold_left
+      (fun acc e ->
+        match e.Sim.Trace.event with
+        | Sim.Event.Mtf { copied; _ } -> acc + copied
+        | _ -> acc)
+      0
+      (Sim.Trace.entries (Sim.Engine.trace (Cluster.engine db)))
+  in
+  check_int "copies match the trace" traced_copies
+    (Cluster.stats db).Cluster.mtf_items_copied
 
 (* {1 Concurrency} *)
 
@@ -1175,6 +1222,11 @@ let () =
           Alcotest.test_case "at commit time" `Quick test_mtf_commit_time;
           Alcotest.test_case "scrubs old version (undo-redo)" `Quick
             test_mtf_scrubs_old_version_for_queries;
+          Alcotest.test_case "copies survive recovery (undo-redo)" `Quick
+            (test_mtf_totals_survive_recovery Wal.Scheme.Undo_redo);
+          Alcotest.test_case "trivial count survives recovery (no-undo)"
+            `Quick
+            (test_mtf_totals_survive_recovery Wal.Scheme.No_undo);
         ] );
       ( "concurrency",
         [

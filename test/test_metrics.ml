@@ -27,8 +27,13 @@ let test_counters_and_totals () =
   record m (Root_down { root = 0 });
   record m (Root_down { root = 0 });
   record m (Query_done { query = 5; root = 2; kind = `Read });
-  record m (Mtf { txn = 1; site = 0; version = 2; at_commit = false });
-  record m (Mtf { txn = 1; site = 0; version = 2; at_commit = true });
+  record m
+    (Mtf { txn = 1; site = 0; version = 2; at_commit = false; copied = 0 });
+  record m
+    (Mtf { txn = 1; site = 0; version = 2; at_commit = true; copied = 3 });
+  record m (Backup_read { part = 0; site = 2 });
+  record m (Backup_demoted { part = 0; site = 2; why = "crash" });
+  record m (Promoted { part = 0; site = 2; was = 0; u = 2; q = 1; g = 0 });
   record m (Version_mismatch { txn = 1; root = 1 });
   record m (Phase2_done { site = 1; newg = 0; duration = 2.0 });
   record m (Rpc_call { src = 0; dst = 1 });
@@ -43,6 +48,10 @@ let test_counters_and_totals () =
   check_int "queries" 1 (M.total_queries m);
   check_int "mtf at data access" 1 (M.total_mtf_data_access m);
   check_int "mtf at commit" 1 (M.total_mtf_commit_time m);
+  check_int "mtf items copied" 3 (M.total_mtf_items_copied m);
+  check_int "backup reads" 1 (M.total_backup_reads m);
+  check_int "demotions" 1 (M.total_demotions m);
+  check_int "promotions" 1 (M.total_promotions m);
   check_int "version mismatches" 1 (M.total_version_mismatches m);
   check_int "advancements" 1 (M.total_advancements m);
   check_int "rpc calls" 1 (total (fun n -> n.M.rpc_calls) m);

@@ -268,9 +268,10 @@ let test_batch_coalesces_legs () =
   (* Three sends inside one window ride a single envelope: one latency
      draw, one transport event, FIFO payload order on arrival. *)
   let e = Sim.Engine.create () in
+  let metrics = Sim.Metrics.create ~nodes:2 in
   let net : int Net.Network.t =
     Net.Network.create ~engine:e ~nodes:2 ~latency:(Net.Latency.Constant 1.0)
-      ~batch_window:2.0 ()
+      ~batch_window:2.0 ~metrics ()
   in
   let received = ref [] in
   Net.Network.set_handler net ~node:1 (fun ~src:_ msg ->
@@ -283,7 +284,7 @@ let test_batch_coalesces_legs () =
   Sim.Engine.schedule e ~delay:1.5 (fun () ->
       Net.Network.send net ~src:0 ~dst:1 3);
   Sim.Engine.run e;
-  check_int "one envelope on the wire" 1 (Net.Network.envelopes_sent net);
+  check_int "one envelope on the wire" 1 (Sim.Metrics.total_envelopes metrics);
   check_int "three message legs" 3 (Net.Network.messages_sent net);
   Alcotest.(check (list (pair int (float 1e-9))))
     "FIFO order, all at window + latency"
@@ -332,10 +333,11 @@ let test_batch_window_zero_identical () =
      same latency draws, same delivery instants, message for message. *)
   let run window =
     let e = Sim.Engine.create ~seed:77L () in
+    let metrics = Sim.Metrics.create ~nodes:2 in
     let net : int Net.Network.t =
       Net.Network.create ~engine:e ~nodes:2
         ~latency:(Net.Latency.Uniform { lo = 0.5; hi = 4.0 })
-        ?batch_window:window ()
+        ?batch_window:window ~metrics ()
     in
     let received = ref [] in
     Net.Network.set_handler net ~node:1 (fun ~src:_ msg ->
@@ -348,7 +350,7 @@ let test_batch_window_zero_identical () =
     Sim.Engine.spawn e (fun () ->
         ignore (Net.Network.call net ~src:0 ~dst:1 (fun () -> 0)));
     Sim.Engine.run e;
-    (List.rev !received, Net.Network.envelopes_sent net)
+    (List.rev !received, Sim.Metrics.total_envelopes metrics)
   in
   Alcotest.(check bool)
     "window 0 bit-identical to the unbatched default" true

@@ -11,7 +11,8 @@
    heals, and a catch-up gate waits on its own partition only; read
    routing skips a backup that is out of sync (though reachable and
    caught up) and one whose query version trails the pin (though in
-   sync). *)
+   sync); and on a traced run with a failover, a demotion and backup
+   reads, the registry's replication counts equal the trace's. *)
 
 module Cluster = Ava3.Cluster
 module Cluster_state = Ava3.Cluster_state
@@ -428,6 +429,84 @@ let test_failover_no_acked_loss () =
         (Store.read_le (Node_state.store np) key (Node_state.u np)))
     !acked
 
+(* {1 The metrics registry agrees with the trace} *)
+
+(* A traced replicated run with a primary crash, a partitioned backup and
+   steady reads: each replication count in {!Cluster.stats} must equal the
+   number of trace entries of its event, and each must be non-zero, so
+   the comparison checks something. *)
+let test_registry_matches_trace () =
+  let engine = Sim.Engine.create ~seed:21L ~trace:true () in
+  let config =
+    {
+      Ava3.Config.default with
+      replicas = 2;
+      replica_catchup_timeout = 8.0;
+      rpc_timeout = 50.0;
+    }
+  in
+  let db : int Cluster.t = Cluster.create ~engine ~config ~nodes:2 () in
+  let cs = Cluster.state db in
+  let net = Cluster.network db in
+  Cluster.load db ~node:0 [ ("a", 0) ];
+  Cluster.load db ~node:1 [ ("b", 0) ];
+  Sim.Engine.spawn engine (fun () ->
+      for i = 1 to 30 do
+        ignore
+          (Cluster.run_update db ~root:(i mod 2)
+             ~ops:
+               [
+                 Update.Write { node = 0; key = "a"; value = i };
+                 Update.Write { node = 1; key = "b"; value = i };
+               ]
+            : int Update.outcome);
+        Sim.Engine.sleep 2.0
+      done);
+  Sim.Engine.spawn engine (fun () ->
+      for _ = 1 to 40 do
+        (try
+           ignore
+             (Cluster.run_query db ~root:1 ~reads:[ (0, "a"); (1, "b") ]
+               : int Ava3.Query_exec.result)
+         with Net.Network.Node_down _ | Net.Network.Rpc_timeout _ -> ());
+        Sim.Engine.sleep 1.5
+      done);
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.sleep 25.0;
+      Cluster.crash db ~node:0);
+  (* Cut partition 1's first backup off long enough to be demoted. *)
+  let b = (Cluster_state.backups cs 1).(0).Cluster_state.b_site in
+  Sim.Engine.spawn engine (fun () ->
+      Sim.Engine.sleep 10.0;
+      Net.Network.set_link_down net ~src:1 ~dst:b true;
+      Net.Network.set_link_down net ~src:b ~dst:1 true;
+      Sim.Engine.sleep 20.0;
+      Net.Network.set_link_down net ~src:1 ~dst:b false;
+      Net.Network.set_link_down net ~src:b ~dst:1 false);
+  Sim.Engine.run engine;
+  let s = Cluster.stats db in
+  let traced pred =
+    List.length
+      (List.filter
+         (fun e -> pred e.Sim.Trace.event)
+         (Sim.Trace.entries (Sim.Engine.trace engine)))
+  in
+  List.iter
+    (fun (what, registry, pred) ->
+      check_bool (what ^ " happened") true (registry > 0);
+      Alcotest.(check int) (what ^ " match the trace") (traced pred) registry)
+    [
+      ( "backup reads",
+        s.Cluster.backup_reads,
+        function Sim.Event.Backup_read _ -> true | _ -> false );
+      ( "demotions",
+        s.Cluster.replica_demotions,
+        function Sim.Event.Backup_demoted _ -> true | _ -> false );
+      ( "promotions",
+        s.Cluster.replica_promotions,
+        function Sim.Event.Promoted _ -> true | _ -> false );
+    ]
+
 (* {1 Failover: the tree executors reach the promoted primary} *)
 
 (* Partition 0's primary (site 0) crashes and its backup is promoted.
@@ -774,6 +853,7 @@ let probe_reads db ~times =
   let engine = Cluster.engine db in
   let cs = Cluster.state db in
   let probes = ref [] in
+  let backup_reads () = (Cluster.stats db).Cluster.backup_reads in
   Sim.Engine.spawn engine (fun () ->
       List.iter
         (fun t ->
@@ -781,7 +861,7 @@ let probe_reads db ~times =
           let b = (Cluster_state.backups cs 0).(0) in
           let insync = b.Cluster_state.b_insync in
           let backup_q = Node_state.q (Cluster.node db b.Cluster_state.b_site) in
-          let before = Ava3.Replication.backup_reads cs in
+          let before = backup_reads () in
           let r = Cluster.run_query db ~root:1 ~reads:[ (0, "a") ] in
           let value = match r.values with [ (_, _, v) ] -> v | _ -> None in
           probes :=
@@ -789,7 +869,7 @@ let probe_reads db ~times =
               pin = r.version;
               insync;
               backup_q;
-              by_backup = Ava3.Replication.backup_reads cs > before;
+              by_backup = backup_reads () > before;
               value;
               primary_value =
                 Store.read_le
@@ -936,6 +1016,8 @@ let () =
         [
           Alcotest.test_case "no acked commit lost" `Quick
             test_failover_no_acked_loss;
+          Alcotest.test_case "registry matches the trace" `Quick
+            test_registry_matches_trace;
           Alcotest.test_case "tree executors follow failover" `Quick
             test_tree_executors_follow_failover;
           Alcotest.test_case "commit redrive stays at the participant"

@@ -72,10 +72,8 @@ let test_mtf_no_undo_trivial () =
   let t, store, _ = make Scheme.No_undo in
   let s = Scheme.begin_session t ~txn:1 ~version:1 in
   Scheme.write t s "x" (Some 10);
-  Scheme.move_to_future t s ~new_version:2;
+  check_int "nothing copied" 0 (Scheme.move_to_future t s ~new_version:2);
   check_int "session moved" 2 (Scheme.version s);
-  check_int "trivial path" 1 (Scheme.mtf_trivial t);
-  check_int "nothing copied" 0 (Scheme.mtf_items_copied t);
   Scheme.commit t s ~final_version:2;
   Alcotest.check vopt "committed at final version" (Some 10)
     (Store.read_exact store "x" 2)
@@ -89,13 +87,12 @@ let test_mtf_undo_redo_moves_updates () =
   Scheme.write t s "y" (Some 12);
   (* Version 1 currently holds the transaction's updates. *)
   Alcotest.check vopt "pre-mtf v1" (Some 11) (Store.read_exact store "x" 1);
-  Scheme.move_to_future t s ~new_version:2;
+  check_int "two items copied" 2 (Scheme.move_to_future t s ~new_version:2);
   (* Updates moved to version 2; version 1 scrubbed. *)
   Alcotest.check vopt "x moved" (Some 11) (Store.read_exact store "x" 2);
   Alcotest.check vopt "y moved" (Some 12) (Store.read_exact store "y" 2);
   Alcotest.(check bool) "v1 of x gone" false (Store.exists_in store "x" 1);
   Alcotest.(check bool) "v1 of y gone" false (Store.exists_in store "y" 1);
-  check_int "two items copied" 2 (Scheme.mtf_items_copied t);
   Scheme.commit t s ~final_version:2
 
 let test_mtf_undo_redo_restores_overwritten () =
@@ -106,7 +103,7 @@ let test_mtf_undo_redo_restores_overwritten () =
   Store.write store "x" 1 50;
   let s = Scheme.begin_session t ~txn:2 ~version:1 in
   Scheme.write t s "x" (Some 99);
-  Scheme.move_to_future t s ~new_version:2;
+  check_int "one item copied" 1 (Scheme.move_to_future t s ~new_version:2);
   Alcotest.check vopt "v1 restored" (Some 50) (Store.read_exact store "x" 1);
   Alcotest.check vopt "v2 has update" (Some 99) (Store.read_exact store "x" 2);
   Scheme.commit t s ~final_version:2
@@ -117,7 +114,7 @@ let test_mtf_then_abort () =
   Store.write store "x" 0 1;
   let s = Scheme.begin_session t ~txn:1 ~version:1 in
   Scheme.write t s "x" (Some 11);
-  Scheme.move_to_future t s ~new_version:2;
+  ignore (Scheme.move_to_future t s ~new_version:2 : int);
   Scheme.abort t s;
   Alcotest.(check bool) "v2 erased" false (Store.exists_in store "x" 2);
   Alcotest.(check bool) "v1 erased" false (Store.exists_in store "x" 1);
@@ -126,10 +123,11 @@ let test_mtf_then_abort () =
 let test_mtf_noop_when_not_ahead kind =
   let t, _, _ = make kind in
   let s = Scheme.begin_session t ~txn:1 ~version:3 in
-  Scheme.move_to_future t s ~new_version:3;
-  Scheme.move_to_future t s ~new_version:2;
-  check_int "version unchanged" 3 (Scheme.version s);
-  check_int "no invocations counted" 0 (Scheme.mtf_invocations t)
+  check_int "same version copies nothing" 0
+    (Scheme.move_to_future t s ~new_version:3);
+  check_int "older version copies nothing" 0
+    (Scheme.move_to_future t s ~new_version:2);
+  check_int "version unchanged" 3 (Scheme.version s)
 
 let test_recovery_replays_committed kind =
   let t, _, log = make kind in
@@ -158,7 +156,7 @@ let test_recovery_applies_final_version kind =
   let t, _, log = make kind in
   let s = Scheme.begin_session t ~txn:1 ~version:1 in
   Scheme.write t s "x" (Some 10);
-  Scheme.move_to_future t s ~new_version:2;
+  ignore (Scheme.move_to_future t s ~new_version:2 : int);
   Scheme.commit t s ~final_version:2;
   let recovered, _ = Recovery.replay log ~bound:3 () in
   Alcotest.(check bool) "nothing at v1" false (Store.exists_in recovered "x" 1);
@@ -206,7 +204,7 @@ let prop_schemes_agree =
         Store.write store "k1" 0 (-2);
         let s = Scheme.begin_session t ~txn:1 ~version:1 in
         List.iter (fun (k, v) -> Scheme.write t s k v) ops;
-        Scheme.move_to_future t s ~new_version:2;
+        ignore (Scheme.move_to_future t s ~new_version:2 : int);
         Scheme.commit t s ~final_version:2;
         List.map
           (fun i ->
@@ -330,6 +328,16 @@ let prop_checkpoint_transparent =
 module Disk = Wal.Disk
 module Gc = Wal.Group_commit
 
+(* An [on_force] hook that counts completed forces and the records they
+   covered. *)
+let force_counter () =
+  let forces = ref 0 and records = ref 0 in
+  let on_force ~records:n =
+    incr forces;
+    records := !records + n
+  in
+  (on_force, forces, records)
+
 let test_group_commit_batch_release () =
   (* Four committers arrive inside one window: the first arms the flush
      timer, a single force covers everybody, and all four wake at the same
@@ -337,7 +345,8 @@ let test_group_commit_batch_release () =
   let engine = Sim.Engine.create () in
   let disk = Disk.create ~force_latency:1.0 () in
   let log : int Log.t = Log.create () in
-  let gc = Gc.create ~engine ~disk ~log ~window:3.0 () in
+  let on_force, forces, records = force_counter () in
+  let gc = Gc.create ~engine ~disk ~log ~window:3.0 ~on_force () in
   let done_at = Array.make 4 nan in
   for i = 0 to 3 do
     Sim.Engine.schedule engine ~delay:(float_of_int i *. 0.5) (fun () ->
@@ -346,8 +355,8 @@ let test_group_commit_batch_release () =
         done_at.(i) <- Sim.Engine.now engine)
   done;
   Sim.Engine.run engine;
-  check_int "one force for the whole batch" 1 (Disk.forces disk);
-  check_int "all four records covered" 4 (Disk.records_forced disk);
+  check_int "one force for the whole batch" 1 !forces;
+  check_int "all four records covered" 4 !records;
   Array.iter
     (fun t ->
       Alcotest.(check (float 1e-9)) "released at window + latency" 4.0 t)
@@ -359,7 +368,10 @@ let test_group_commit_max_batch () =
   let engine = Sim.Engine.create () in
   let disk = Disk.create ~force_latency:1.0 () in
   let log : int Log.t = Log.create () in
-  let gc = Gc.create ~engine ~disk ~log ~window:50.0 ~max_batch:2 () in
+  let on_force, forces, _ = force_counter () in
+  let gc =
+    Gc.create ~engine ~disk ~log ~window:50.0 ~max_batch:2 ~on_force ()
+  in
   let done_at = Array.make 2 nan in
   for i = 0 to 1 do
     Sim.Engine.schedule engine ~delay:(float_of_int i) (fun () ->
@@ -368,7 +380,7 @@ let test_group_commit_max_batch () =
         done_at.(i) <- Sim.Engine.now engine)
   done;
   Sim.Engine.run engine;
-  check_int "forced once, before the window expired" 1 (Disk.forces disk);
+  check_int "forced once, before the window expired" 1 !forces;
   Alcotest.(check (float 1e-9))
     "released at the second arrival + latency" 2.0 done_at.(0);
   Alcotest.(check (float 1e-9))
@@ -398,7 +410,8 @@ let test_group_commit_crash_fails_waiters () =
   let engine = Sim.Engine.create () in
   let disk = Disk.create ~force_latency:1.0 () in
   let log : int Log.t = Log.create () in
-  let gc = Gc.create ~engine ~disk ~log ~window:5.0 () in
+  let on_force, forces, _ = force_counter () in
+  let gc = Gc.create ~engine ~disk ~log ~window:5.0 ~on_force () in
   let outcome = ref `Pending in
   Sim.Engine.schedule engine ~delay:0.0 (fun () ->
       Log.append log (Wal.Record.Advance_update 2);
@@ -410,7 +423,7 @@ let test_group_commit_crash_fails_waiters () =
       check_int "volatile tail dropped" 1 (Log.drop_volatile log));
   Sim.Engine.run engine;
   Alcotest.(check bool) "waiter failed with Crashed" true (!outcome = `Crashed);
-  check_int "nothing was forced" 0 (Disk.forces disk);
+  check_int "nothing was forced" 0 !forces;
   check_int "log empty after dropping the tail" 0 (Log.length log)
 
 let test_snapshot_roundtrip () =
