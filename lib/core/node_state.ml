@@ -125,7 +125,6 @@ let store t = t.st
 let locks t = t.lk
 let scheme t = t.sch
 let log t = t.wal
-let engine t = t.eng
 let commit_durable t = Wal.Group_commit.sync t.gcd
 let u t = t.uv
 let q t = t.qv

@@ -45,7 +45,6 @@ val index : 'v t -> 'v Vindex.Index.t option
 val locks : _ t -> Lockmgr.Lock_table.t
 val scheme : 'v t -> 'v Wal.Scheme.t
 val log : 'v t -> 'v Wal.Log.t
-val engine : _ t -> Sim.Engine.t
 
 val commit_durable : _ t -> unit
 (** Block (inside a process) until every record currently in this node's

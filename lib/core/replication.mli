@@ -25,18 +25,13 @@
     for {!route_read}) and the cluster behaves bit-identically to the
     unreplicated code. *)
 
-val active : _ Cluster_state.t -> bool
-
 (** {1 Shipping} *)
 
-val flush : _ Cluster_state.t -> int -> unit
-(** [flush cs p] ships partition [p]'s unshipped durable log suffix to
-    each live backup now (and rewinds cursors whose ships appear lost —
-    unacknowledged for a full [replica_catchup_timeout]). *)
-
 val poke : _ Cluster_state.t -> int -> unit
-(** Ship partition [p]'s fresh records now: {!flush} when the partition
-    has backups, else nothing. *)
+(** [poke cs p] ships partition [p]'s unshipped durable log suffix to each
+    live backup now (and rewinds cursors whose ships appear lost —
+    unacknowledged for a full [replica_catchup_timeout]); nothing when
+    the partition has no backups. *)
 
 val handle_ship :
   'v Cluster_state.t ->
@@ -58,19 +53,26 @@ val handle_ship_ack :
 
 (** {1 Catch-up gates} *)
 
-val commit_gate : 'v Cluster_state.t -> 'v Node_state.t -> unit
-(** Run at a primary after a subtransaction's commit record is durable:
+val gate : 'v Cluster_state.t -> 'v Node_state.t -> unit
+(** Run at a primary once a record it is about to acknowledge is durable:
     wait until every live in-sync backup has acknowledged up to the
     current durable log tip, demoting stragglers at
-    [replica_catchup_timeout].  Guarantees that any backup still eligible
-    for promotion holds this commit. *)
+    [replica_catchup_timeout].  A no-op at a backup or a dead node.
+    After a subtransaction's commit record: any backup still eligible
+    for promotion holds this commit.  Before either advancement phase is
+    acknowledged — Phase 1: in-sync backups hold the [Advance_update]
+    record before the round proceeds, so no two in-sync copies ever
+    disagree on both counters; Phase 2: backups hold the
+    [Advance_query] record (and all commits before it) before the
+    cluster may retire the past version their pinned readers could
+    still need. *)
 
 val commit_fate :
   'v Cluster_state.t ->
   'v Node_state.t ->
   txn:int ->
   [ `Own_log | `Successor of 'v Node_state.t | `Lost ]
-(** After {!commit_gate} returned with [nd] dead: whether transaction
+(** After {!gate} returned with [nd] dead: whether transaction
     [txn]'s commit record survives in the partition's authoritative copy.
     [`Own_log]: no failover happened — the dead node is still the primary
     and recovers with its own durable log.  [`Successor nd']: the
@@ -79,15 +81,6 @@ val commit_fate :
     [`Lost]: the successor does not hold it, and the deposed primary
     rejoins empty — the commit is gone and no acknowledgment may
     escape. *)
-
-val phase_gate : _ Cluster_state.t -> int -> unit
-(** Same gate, run at site [i] before it acknowledges either advancement
-    phase.  Phase 1: in-sync backups must hold the [Advance_update]
-    record before the round proceeds, so no two in-sync copies ever
-    disagree on both counters.  Phase 2: backups must hold the
-    [Advance_query] record (and all commits before it) before the
-    cluster may retire the past version their pinned readers could still
-    need. *)
 
 val after_gc : _ Cluster_state.t -> int -> unit
 (** After Phase 3 appends the [Collect] record at a primary: force it and

@@ -272,7 +272,7 @@ let commit cs t ~final_version =
      is what makes failover lossless for acknowledged commits: any backup
      still eligible for promotion has the record. *)
   let rec settle nd =
-    Replication.commit_gate cs nd;
+    Replication.gate cs nd;
     if not (Node_state.alive nd) then
       (* The gate yields, so the primary may have died while we waited.
          The acknowledgment may escape only if the commit survives in the

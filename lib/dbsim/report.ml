@@ -1,7 +1,3 @@
-let f1 v = Printf.sprintf "%.1f" v
-let f2 v = Printf.sprintf "%.2f" v
-let i v = string_of_int v
-
 let render ~header ~rows =
   let all = header :: rows in
   let columns = List.length header in

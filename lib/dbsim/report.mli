@@ -10,12 +10,6 @@ val verdict : string -> string list -> unit
 (** [verdict name violations] prints that [name] passed its checks, or
     prints each violation and exits 1. *)
 
-val f1 : float -> string
-(** One decimal place. *)
-
-val f2 : float -> string
-val i : int -> string
-
 (** {1 Experiment metrics sink}
 
     Each experiment run records the cluster's per-node

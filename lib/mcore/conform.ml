@@ -94,11 +94,12 @@ type site_state = {
   s_q : int;
   s_g : int;
   s_items : (string * (int * int option) list) list;
+      (* store contents in [Vstore.Store.snapshot_items] format *)
 }
 
 type run = {
-  observations : observation list;
-  final : site_state list;
+  observations : observation list;  (* one per event, in order *)
+  final : site_state list;  (* one per site, in site order *)
 }
 
 let pp_value = function None -> "-" | Some v -> string_of_int v

@@ -34,30 +34,6 @@ val generate : seed:int -> workload
     6 keys per site preloaded at version 0, then 40 events drawn roughly
     60% multi-site updates / 25% queries / 15% advancement initiations. *)
 
-(** {1 Running a workload} *)
-
-type observation =
-  | Committed of { final_version : int; reads : (string * int option) list }
-  | Aborted
-  | Queried of { version : int; values : (int * string * int option) list }
-  | Advanced of [ `Busy | `Completed of int ]
-
-type site_state = {
-  s_u : int;
-  s_q : int;
-  s_g : int;
-  s_items : (string * (int * int option) list) list;
-      (** store contents in [Vstore.Store.snapshot_items] format *)
-}
-
-type run = {
-  observations : observation list;  (** one per event, in order *)
-  final : site_state list;  (** one per site, in site order *)
-}
-
-val diff : des:run -> mcore:run -> string list
-(** Human-readable divergences, empty when the runs agree. *)
-
 (** {1 One-call check} *)
 
 type stats = {

@@ -19,9 +19,3 @@ let mean = function
   | Constant c -> c
   | Uniform { lo; hi } -> (lo +. hi) /. 2.0
   | Exponential { mean; _ } -> mean
-
-let pp ppf = function
-  | Constant c -> Format.fprintf ppf "constant(%g)" c
-  | Uniform { lo; hi } -> Format.fprintf ppf "uniform(%g,%g)" lo hi
-  | Exponential { mean; floor } ->
-      Format.fprintf ppf "exponential(mean=%g,floor=%g)" mean floor

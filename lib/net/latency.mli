@@ -12,5 +12,3 @@ val sample : t -> Sim.Rng.t -> float
 
 val mean : t -> float
 (** Expected latency, used for reporting. *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,7 +56,6 @@ let create ~engine ~nodes ?(latency = Latency.Constant 1.0)
     dropped = 0;
   }
 
-let engine t = t.engine
 let node_count t = t.nodes
 
 let check_node t node =

@@ -58,7 +58,6 @@ val create :
     they are counted.  Each envelope carries one or more message legs
     ([batch_window = 0] gives one envelope per delivered leg). *)
 
-val engine : _ t -> Sim.Engine.t
 val node_count : _ t -> int
 
 val set_handler : 'm t -> node:int -> (src:int -> 'm -> unit) -> unit

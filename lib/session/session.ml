@@ -37,9 +37,6 @@ let per_partition ~seed db =
       let seed = Int64.add seed (Int64.of_int p) in
       create ~pool:1 ~coordinators:[ p ] ~seed db)
 
-let cluster t = t.db
-let rng t = t.session_rng
-
 (* Round-robin connection checkout: each attempt (including retries after
    [Root_down]) lands on the next pooled coordinator, so a dead site is
    skipped by construction once per pool cycle. *)

@@ -61,11 +61,6 @@ val per_partition : seed:int64 -> 'v Ava3.Cluster.t -> 'v t array
     [seed + p]: for callers that draw each transaction's root
     themselves. *)
 
-val cluster : 'v t -> 'v Ava3.Cluster.t
-val rng : _ t -> Sim.Rng.t
-(** The session's private random stream — the one backoff jitter and the
-    {!Dsl} seeded interpreter draw from. *)
-
 (** {1 Transactions} *)
 
 type 'v ctx
