@@ -5,8 +5,9 @@
    paths), and the property convicts a backup that acknowledges before
    applying; primary-crash failover loses no acknowledged commit, tree
    updates and tree queries follow a failover to the promoted primary,
-   and a commit redriven after a failover stays at its participant's
-   site; a partitioned backup is demoted (commits keep flowing) then
+   a commit redriven after a failover stays at its participant's site,
+   and a primary promoted mid-round owes its own advance-u ack even
+   though the dead primary had sent one; a partitioned backup is demoted (commits keep flowing) then
    re-syncs and re-earns its read-set membership after the partition
    heals, and a catch-up gate waits on its own partition only; read
    routing skips a backup that is out of sync (though reachable and
@@ -506,6 +507,70 @@ let test_registry_matches_trace () =
         s.Cluster.replica_promotions,
         function Sim.Event.Promoted _ -> true | _ -> false );
     ]
+
+(* {1 Failover: the promoted primary owes its own phase ack} *)
+
+(* Partition 1's primary (site 1) acknowledges advance-u, then crashes
+   while partition 2's ack is held back by a cut link, and its backup
+   (site 4) is promoted.  The round must not finish Phase 1 on the dead
+   primary's ack: the successor takes its slot, is re-sent the phase by
+   the coordinator's retransmission, and Phase 1 completes only after it
+   has acknowledged.  Samples [link_count] from site 4 to the coordinator
+   at the promotion and again when the coordinator's own query version
+   moves, which happens at the instant of [Phase1_done] (self-messages
+   take no time, every other link at least 1.0). *)
+let test_successor_owes_phase_ack () =
+  let engine = Sim.Engine.create ~seed:5L ~trace:true () in
+  let config =
+    { Ava3.Config.default with replicas = 1; advancement_retry = 20.0 }
+  in
+  let db : int Cluster.t = Cluster.create ~engine ~config ~nodes:3 () in
+  let cs = Cluster.state db in
+  let net = Cluster.network db in
+  List.iter (fun p -> Cluster.load db ~node:p [ (Printf.sprintf "k%d" p, p) ])
+    [ 0; 1; 2 ];
+  let successor = 4 in
+  let acked_before_crash = ref false in
+  let at_promotion = ref (-1) and at_phase1 = ref (-1) in
+  let phase1_seen_at = ref nan in
+  Sim.Engine.spawn engine (fun () ->
+      Net.Network.set_link_down net ~src:2 ~dst:0 true;
+      let newu =
+        match Cluster.advance db ~coordinator:0 with
+        | `Started newu -> newu
+        | `Busy -> Alcotest.fail "advancement did not start"
+      in
+      Sim.Engine.sleep 10.0;
+      acked_before_crash := Net.Network.link_count net ~src:1 ~dst:0 > 0;
+      Cluster.crash db ~node:1;
+      at_promotion := Net.Network.link_count net ~src:successor ~dst:0;
+      Sim.Engine.sleep 5.0;
+      Net.Network.set_link_down net ~src:2 ~dst:0 false;
+      Sim.Condition.await_until cs.Cluster_state.state_changed ~pred:(fun () ->
+          Node_state.q (Cluster_state.node cs 0) >= newu - 1);
+      at_phase1 := Net.Network.link_count net ~src:successor ~dst:0;
+      phase1_seen_at := Sim.Engine.now engine);
+  Sim.Engine.run engine;
+  check_bool "site 1 acknowledged advance-u before crashing" true
+    !acked_before_crash;
+  check_bool "site 4 took over partition 1" true
+    (Cluster_state.primary_site cs 1 = successor);
+  let times pred =
+    List.filter_map
+      (fun e -> if pred e.Sim.Trace.event then Some e.Sim.Trace.time else None)
+      (Sim.Trace.entries (Sim.Engine.trace engine))
+  in
+  (match
+     ( times (function Sim.Event.Promoted _ -> true | _ -> false),
+       times (function Sim.Event.Phase1_done _ -> true | _ -> false) )
+   with
+  | [ promoted ], [ phase1 ] ->
+      check_bool "Phase 1 ends after the promotion" true (phase1 > promoted);
+      Alcotest.(check (float 0.0))
+        "sampled at Phase1_done" phase1 !phase1_seen_at
+  | _ -> Alcotest.fail "expected one promotion and one Phase 1");
+  check_bool "the successor acked between promotion and Phase 1" true
+    (!at_phase1 > !at_promotion)
 
 (* {1 Failover: the tree executors reach the promoted primary} *)
 
@@ -1022,6 +1087,8 @@ let () =
             test_tree_executors_follow_failover;
           Alcotest.test_case "commit redrive stays at the participant"
             `Quick test_commit_redrive_after_failover;
+          Alcotest.test_case "successor owes its phase ack" `Quick
+            test_successor_owes_phase_ack;
         ] );
       ( "partition",
         [
