@@ -42,19 +42,14 @@ let load cs ~node:i items =
   (* Backups start from the same disk image (loading predates the run;
      shipping it would race the first pinned reads).  Their cursors settle
      at the primary's log length: the prefix is already in place. *)
-  if Cluster_state.replicated cs then begin
-    let part = Cluster_state.part_of_site cs i in
-    let len =
-      Wal.Log.length (Node_state.log (Cluster_state.node cs i))
-    in
-    Array.iter
-      (fun b ->
-        preload (Cluster_state.node cs b.Cluster_state.b_site);
-        Wal.Ship.note_ship b.Cluster_state.b_cursor ~upto:len
-          ~at:(Cluster_state.now cs);
-        Wal.Ship.note_ack b.Cluster_state.b_cursor ~upto:len)
-      (Cluster_state.backups cs part)
-  end
+  let len = Wal.Log.length (Node_state.log (Cluster_state.node cs i)) in
+  Array.iter
+    (fun b ->
+      preload (Cluster_state.node cs b.Cluster_state.b_site);
+      Wal.Ship.note_ship b.Cluster_state.b_cursor ~upto:len
+        ~at:(Cluster_state.now cs);
+      Wal.Ship.note_ack b.Cluster_state.b_cursor ~upto:len)
+    (Cluster_state.backups cs (Cluster_state.part_of_site cs i))
 
 let run_query cs ~root ~reads = Query_exec.run cs ~root ~reads
 let run_update cs ~root ~ops = Update_exec.run cs ~root ~ops
@@ -108,8 +103,7 @@ let start_continuous_advancement cs ~coordinator ~until =
    prefix of the primary's.  They shed log by adopting the primary's
    post-checkpoint epoch instead (see {!Replication.on_checkpoint}). *)
 let checkpoint_site cs i =
-  if Cluster_state.replicated cs && not (Cluster_state.is_primary_site cs i)
-  then false
+  if not (Cluster_state.is_primary_site cs i) then false
   else begin
     let nd = Cluster_state.node cs i in
     let ok = Node_state.try_checkpoint nd in
@@ -167,8 +161,7 @@ let crash cs ~node:i =
   Replication.on_crash cs ~site:i
 
 let recover cs ~node:i =
-  if Cluster_state.replicated cs && not (Cluster_state.is_primary_site cs i)
-  then
+  if not (Cluster_state.is_primary_site cs i) then
     (* The site is (or, if it was deposed by a failover while down, has
        become) a backup; {!Replication} owns that recovery path. *)
     Replication.recover_as_backup cs ~site:i
@@ -189,8 +182,7 @@ let recover cs ~node:i =
   (* A recovered primary resumes shipping where its durable log left off
      (everything shipped before the crash was durable, so the cursors are
      still within the log). *)
-  if Cluster_state.replicated cs then
-    Replication.poke cs (Cluster_state.part_of_site cs i)
+  Replication.poke cs (Cluster_state.part_of_site cs i)
   end
 
 (* Nemesis adapter: crash/recover go through the cluster (volatile state

@@ -64,9 +64,9 @@ type 'v backup = {
           and gates no barrier until it catches back up *)
 }
 
-(** Replication topology.  With [Config.replicas = 0] this degenerates to
-    the identity layout (every site its own partition's primary, no
-    backups) and none of it influences execution. *)
+(** Replication topology.  With [Config.replicas = 0] this is the identity
+    layout (every site its own partition's primary, no backups), run by
+    the same code as a replicated one. *)
 type 'v repl = {
   nparts : int;  (** partitions = the [~nodes] given to {!create} *)
   primary_of : int array;  (** partition -> current primary site *)
@@ -139,20 +139,29 @@ val nparts : _ t -> int
 (** Partition count (the [~nodes] of {!create}). *)
 
 val replicated : _ t -> bool
+(** [Config.replicas > 0].  Every path runs the same on zero backups; this
+    decides only two things: whether {!Replication.after_gc} forces the
+    [Collect] record, and whether {!Advancement.in_progress} reads dead
+    sites (it does when unreplicated). *)
+
 val primary_site : _ t -> int -> int
 val primary : 'v t -> int -> 'v Node_state.t
 val part_of_site : _ t -> int -> int
 val is_primary_site : _ t -> int -> bool
 
 val home_site : _ t -> int -> int
-(** Resolve a partition id to its current primary site (identity when
-    unreplicated, or for ids past the partition range). *)
+(** Resolve a partition id to its current primary site; ids past the
+    partition range pass through unchanged. *)
 
 
 val backups : 'v t -> int -> 'v backup array
 
 val backup_at : 'v t -> int -> 'v backup option
 (** The backup record whose site this is, if the site currently is one. *)
+
+val synced : 'v t -> 'v Node_state.t -> bool
+(** A live primary or a live in-sync backup: a copy whose version counters
+    advancement rounds wait for and cross-node invariants bind. *)
 
 val note_repl_change : _ t -> int -> unit
 (** [note_repl_change t p] wakes the catch-up gates of partition [p]. *)

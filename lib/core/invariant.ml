@@ -1,18 +1,5 @@
 open Cluster_state
 
-(* Cross-node version agreement only binds the synced copies: primaries
-   plus in-sync backups.  An out-of-sync backup (demoted, resyncing after
-   recovery) lags by design and re-earns membership through catch-up; its
-   per-node invariants still hold, because it only ever holds a prefix of
-   a valid primary history. *)
-let synced cs nd =
-  (not (replicated cs))
-  || is_primary_site cs (Node_state.id nd)
-  ||
-  match backup_at cs (Node_state.id nd) with
-  | Some b -> b.b_insync
-  | None -> false
-
 let check cs =
   let violations = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
@@ -39,10 +26,12 @@ let check cs =
               (Vindex.Index.check ix ~version:(Node_state.q nd))
       end)
     nodes;
-  let live =
-    Array.to_list nodes
-    |> List.filter (fun nd -> Node_state.alive nd && synced cs nd)
-  in
+  (* Cross-node version agreement only binds the synced copies.  An
+     out-of-sync backup (demoted, resyncing after recovery) lags by design
+     and re-earns membership through catch-up; its per-node invariants
+     still hold, because it only ever holds a prefix of a valid primary
+     history. *)
+  let live = Array.to_list nodes |> List.filter (synced cs) in
   List.iter
     (fun a ->
       List.iter
@@ -64,10 +53,7 @@ let check cs =
 let check_quiescent cs =
   let violations = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let live =
-    Array.to_list cs.nodes
-    |> List.filter (fun nd -> Node_state.alive nd && synced cs nd)
-  in
+  let live = Array.to_list cs.nodes |> List.filter (synced cs) in
   (match live with
   | [] -> ()
   | first :: rest ->

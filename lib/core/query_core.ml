@@ -201,13 +201,13 @@ let run cs ~root ~kind body =
 (* The flat executors' routing rule.  The root partition is read at the
    pinned root node without a visit, which would take a second counter
    there.  Any other partition is read over RPC at the site that serves
-   it, visited first; with replication that is the primary or a backup
-   caught up to the pin, chosen by {!Replication.route_read}. *)
+   it, visited first: the primary or a backup caught up to the pin, chosen
+   by {!Replication.route_read}. *)
 let fetch t n f =
   if home_site t.cs n = t.root then f t.root_node
   else
     let site =
-      if replicated t.cs && n < nparts t.cs then
+      if n < nparts t.cs then
         Replication.route_read t.cs ~src:t.root ~part:n ~pin:t.version
       else n
     in

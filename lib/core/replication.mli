@@ -21,9 +21,11 @@
     primary crashes, the live in-sync backup with the longest log replays
     it — the ordinary crash-recovery path — and takes over.
 
-    With [replicas = 0] every function here is a no-op (or the identity,
-    for {!route_read}) and the cluster behaves bit-identically to the
-    unreplicated code. *)
+    Every cluster runs through this module: [replicas = 0] means every
+    partition has zero backups, not a separate code path.  Such a
+    partition ships nothing, its gates return at once, {!route_read}
+    returns its primary, and a crash of its primary finds no backup to
+    promote, so the partition is down until that site recovers. *)
 
 (** {1 Shipping} *)
 
@@ -57,7 +59,8 @@ val gate : 'v Cluster_state.t -> 'v Node_state.t -> unit
 (** Run at a primary once a record it is about to acknowledge is durable:
     wait until every live in-sync backup has acknowledged up to the
     current durable log tip, demoting stragglers at
-    [replica_catchup_timeout].  A no-op at a backup or a dead node.
+    [replica_catchup_timeout].  A no-op at a backup, at a dead node and
+    at a partition without backups.
     After a subtransaction's commit record: any backup still eligible
     for promotion holds this commit.  Before either advancement phase is
     acknowledged — Phase 1: in-sync backups hold the [Advance_update]
@@ -83,8 +86,9 @@ val commit_fate :
     escape. *)
 
 val after_gc : _ Cluster_state.t -> int -> unit
-(** After Phase 3 appends the [Collect] record at a primary: force it and
-    ship it, so backup garbage versions converge. *)
+(** After Phase 3 appends the [Collect] record at a primary of a
+    replicated cluster: force it and ship it, so backup garbage versions
+    converge.  Unreplicated clusters leave the record unforced. *)
 
 (** {1 Read routing} *)
 
@@ -92,7 +96,8 @@ val route_read : _ Cluster_state.t -> src:int -> part:int -> pin:int -> int
 (** The site that should serve a read of partition [part] pinned at
     version [pin], issued from site [src]: round-robin across the primary
     and every live, in-sync, reachable backup whose applied query version
-    has reached [pin].  Unreplicated: the partition itself. *)
+    has reached [pin].  A partition without backups: its primary, with no
+    candidate list built. *)
 
 (** {1 Failover and recovery hooks} *)
 
@@ -110,7 +115,8 @@ val on_crash : _ Cluster_state.t -> site:int -> unit
     in-sync, longest log; ties to the lowest site id) is promoted by WAL
     replay, the partition's topology and mid-flight advancement rounds
     are rewritten to the new primary, and surviving backups resync from
-    it. *)
+    it.  With no such backup the partition stays down until the site
+    recovers. *)
 
 val recover_as_backup : _ Cluster_state.t -> site:int -> unit
 (** Called by {!Cluster.recover} for a site that is not its partition's

@@ -16,14 +16,12 @@ type 'info outcome =
   | Aborted of { txn_id : int; reason : abort_reason }
   | Root_down of { root : int }
 
-(* Replication: updates run at primaries only.  Callers keep addressing
-   partitions (0 .. nparts-1); each partition resolves to its current
-   primary site here, so a transaction started after a failover lands on
+(* Updates run at primaries only.  Callers keep addressing partitions
+   (0 .. nparts-1); each partition resolves to its current primary site
+   through [home_site], so a transaction started after a failover lands on
    the promoted backup transparently. *)
-let site_of = home_site
-
 let create cs ~root =
-  let root = site_of cs root in
+  let root = home_site cs root in
   let root_node = node cs root in
   if not (Node_state.alive root_node) then begin
     (* No transaction id was allocated and nothing ran anywhere: this is
@@ -71,12 +69,12 @@ let register t n ~carried =
   sub
 
 let sub t n =
-  let n = site_of t.cs n in
+  let n = home_site t.cs n in
   match Hashtbl.find_opt t.subs n with
   | Some s -> s
   | None -> register t n ~carried:(carried t)
 
-let find_sub t n = Hashtbl.find_opt t.subs (site_of t.cs n)
+let find_sub t n = Hashtbl.find_opt t.subs (home_site t.cs n)
 
 let sub_list t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.subs []
@@ -87,7 +85,7 @@ let sub_versions t =
   Hashtbl.fold (fun _ s acc -> Subtxn.version s :: acc) t.subs []
 
 let at_node t n f =
-  let n = site_of t.cs n in
+  let n = home_site t.cs n in
   Net.Network.run_at t.cs.net ~src:t.root ~dst:n (fun () -> f (sub t n))
 
 let at_sub t s f =
