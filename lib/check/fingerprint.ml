@@ -46,11 +46,9 @@ let engine h engine =
     (Sim.Engine.pending_summary engine)
 
 let store f h st =
-  let items = Vstore.Store.snapshot_items (Vstore.Store.snapshot st) in
-  (* Canonical order: the snapshot's item order depends on hash-table
-     insertion history, which differs between schedules that reach the
-     same logical state. *)
-  let items = List.sort (fun (a, _) (b, _) -> compare a b) items in
+  (* The snapshot is in key order, whatever the hash table's insertion
+     history, so schedules that reach the same logical state hash alike. *)
+  let items = Vstore.Store.snapshot st in
   list
     (fun h (key, versions) ->
       let h = string h key in

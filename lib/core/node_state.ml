@@ -228,8 +228,7 @@ let apply t record =
       let store =
         Vstore.Store.restore
           ?bound:(Config.store_bound t.config)
-          ~gc_renumber:t.config.gc_renumber
-          (Vstore.Store.snapshot_of_items items)
+          ~gc_renumber:t.config.gc_renumber items
       in
       t.st <- store;
       t.sch <- Wal.Scheme.create (Wal.Scheme.kind t.sch) ~store ~log:t.wal;

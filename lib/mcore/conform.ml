@@ -94,7 +94,7 @@ type site_state = {
   s_q : int;
   s_g : int;
   s_items : (string * (int * int option) list) list;
-      (* store contents in [Vstore.Store.snapshot_items] format *)
+      (* store contents in [Vstore.Store.snapshot] format *)
 }
 
 type run = {
@@ -176,9 +176,7 @@ let run_des ?(gc_renumber = true) w =
           s_u = Ava3.Node_state.u n;
           s_q = Ava3.Node_state.q n;
           s_g = Ava3.Node_state.g n;
-          s_items =
-            Vstore.Store.snapshot_items
-              (Vstore.Store.snapshot (Ava3.Node_state.store n));
+          s_items = Vstore.Store.snapshot (Ava3.Node_state.store n);
         })
   in
   { observations; final }
@@ -210,7 +208,7 @@ let run_mcore ?(gc_renumber = true) ?(skip_pin_recheck = false) w =
           s_u = Backend.u s;
           s_q = Backend.q s;
           s_g = Backend.g s;
-          s_items = Mstore.snapshot_items (Backend.store s);
+          s_items = Mstore.snapshot (Backend.store s);
         })
   in
   { observations; final }

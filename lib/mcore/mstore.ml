@@ -81,15 +81,14 @@ let high_water_versions t =
              Vstore.Store.high_water_versions b.st)))
     0 t.buckets
 
-(* Whole-store contents in Vstore.Store.snapshot_items format (per item,
+(* Whole-store contents in Vstore.Store.snapshot format (per item,
    ascending (version, value-or-tombstone) pairs; items sorted by key) —
    directly comparable with a DES node store's snapshot, which is what
    the conformance harness does. *)
-let snapshot_items t =
+let snapshot t =
   Array.to_list t.buckets
   |> List.concat_map (fun b ->
-         Latch.with_latch b.latch (fun () ->
-             Vstore.Store.snapshot_items (Vstore.Store.snapshot b.st)))
+         Latch.with_latch b.latch (fun () -> Vstore.Store.snapshot b.st))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let latch_acquisitions t =

@@ -28,9 +28,9 @@ val gc : _ t -> collect:int -> query:int -> unit
 val item_count : _ t -> int
 val high_water_versions : _ t -> int
 
-val snapshot_items : 'v t -> (string * (int * 'v option) list) list
+val snapshot : 'v t -> (string * (int * 'v option) list) list
 (** Contents as data, sorted by key — the same shape as
-    [Vstore.Store.snapshot_items], so a DES node store and an mcore site
-    store can be compared with [=]. *)
+    [Vstore.Store.snapshot], so a DES node store and an mcore site store
+    can be compared with [=]. *)
 
 val latch_acquisitions : _ t -> int

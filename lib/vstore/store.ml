@@ -91,8 +91,6 @@ let reindex t key ~before ~after =
     (fun v -> if not (List.mem v before) then index_add t v key)
     after
 
-let bound t = t.bound
-
 let find_item t key = Hashtbl.find_opt t.items key
 
 (* {2 Slot/list conversions — used by the cold paths (GC, snapshots)} *)
@@ -530,8 +528,6 @@ let prune_below t ~keep =
                        entries)))
     keys
 
-type 'v snapshot = (string * (version * 'v option) list) list
-
 let snapshot t =
   Hashtbl.fold
     (fun key item acc ->
@@ -554,11 +550,6 @@ let restore ?bound ?gc_renumber snap =
         entries)
     snap;
   t
-
-let snapshot_items snap = snap
-
-let snapshot_of_items items =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) items
 
 (* Range scan at a version: keys in [lo, hi] (inclusive), ascending, with
    their value as of [version]; deleted/absent-as-of-version keys are

@@ -32,8 +32,6 @@ val create : ?bound:int -> ?gc_renumber:bool -> unit -> 'v t
     GC work by the items actually written.  Both rules are read-equivalent;
     experiment E8b measures the difference. *)
 
-val bound : _ t -> int option
-
 (** {1 Index queries} *)
 
 val exists_in : _ t -> string -> version -> bool
@@ -127,18 +125,17 @@ val set_listener : 'v t -> (string -> unit) option -> unit
 
 (** {1 Snapshots (checkpoint support)} *)
 
-type 'v snapshot
-(** A deep, immutable copy of a store's contents. *)
+val snapshot : 'v t -> (string * (version * 'v option) list) list
+(** A copy of the store's contents: items sorted by key, each with its
+    (version, value-or-tombstone) pairs ascending; [None] encodes a
+    tombstone. *)
 
-val snapshot : 'v t -> 'v snapshot
-val restore : ?bound:int -> ?gc_renumber:bool -> 'v snapshot -> 'v t
-(** Rebuild a store (and its version index) from a snapshot. *)
-
-val snapshot_items : 'v snapshot -> (string * (version * 'v option) list) list
-(** Snapshot contents as data: per item, (version, value-or-tombstone)
-    pairs ascending; [None] encodes a tombstone. *)
-
-val snapshot_of_items : (string * (version * 'v option) list) list -> 'v snapshot
+val restore :
+  ?bound:int ->
+  ?gc_renumber:bool ->
+  (string * (version * 'v option) list) list ->
+  'v t
+(** Rebuild a store (and its version index) from a {!snapshot}. *)
 
 (** {1 Garbage collection (advancement Phase 3)} *)
 

@@ -5,7 +5,7 @@ type versions = {
 }
 
 let checkpoint log ~store ~u ~q ~g =
-  let items = Vstore.Store.snapshot_items (Vstore.Store.snapshot store) in
+  let items = Vstore.Store.snapshot store in
   Log.truncate log;
   Log.append log (Record.Checkpoint { items; u; q; g });
   (* A checkpoint is a synchronous disk write: the snapshot is on stable
@@ -62,9 +62,7 @@ let replay log ?bound ?gc_renumber ?(pending = pending ()) () =
             Vstore.Store.gc !store ~collect ~query
           end
       | Record.Checkpoint { items; u = cu; q = cq; g = cg } ->
-          store :=
-            Vstore.Store.restore ?bound ?gc_renumber
-              (Vstore.Store.snapshot_of_items items);
+          store := Vstore.Store.restore ?bound ?gc_renumber items;
           u := cu;
           q := cq;
           g := cg

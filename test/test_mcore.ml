@@ -48,7 +48,7 @@ let test_latch_releases_on_exception () =
 
 let test_mstore_matches_vstore () =
   (* Same operation sequence against Mstore and a plain Vstore.Store:
-     snapshot_items must agree (Mstore is the same store, striped). *)
+     snapshots must agree (Mstore is the same store, striped). *)
   let ms : int Mcore.Mstore.t = Mcore.Mstore.create ~buckets:4 ~bound:3 () in
   let vs : int Vstore.Store.t = Vstore.Store.create ~bound:3 () in
   let ops =
@@ -73,8 +73,7 @@ let test_mstore_matches_vstore () =
           Vstore.Store.gc vs ~collect ~query)
     ops;
   Alcotest.(check bool) "snapshots agree" true
-    (Mcore.Mstore.snapshot_items ms
-    = Vstore.Store.snapshot_items (Vstore.Store.snapshot vs));
+    (Mcore.Mstore.snapshot ms = Vstore.Store.snapshot vs);
   Alcotest.(check (option int)) "read_le agrees"
     (Vstore.Store.read_le vs "a" 2)
     (Mcore.Mstore.read_le ms "a" 2)

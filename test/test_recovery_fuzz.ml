@@ -136,7 +136,7 @@ let gen_workload rng kind =
       Log.append log
         (Record.Checkpoint
            {
-             items = Store.snapshot_items (Store.snapshot store);
+             items = Store.snapshot store;
              u = !u;
              q = !q;
              g = !g;
@@ -314,7 +314,7 @@ let check_prefix ~seed ~kind ~records ~prefix =
     fail "in-flight transaction list diverges from the reference";
   (* Live backup apply ends where replay does. *)
   let nd = applied_node ~records ~prefix in
-  let contents s = Store.snapshot_items (Store.snapshot s) in
+  let contents s = Store.snapshot s in
   if contents (Ava3.Node_state.store nd) <> contents store then
     fail "Node_state.apply: store contents differ from replay's";
   let applied = Ava3.Node_state.(u nd, q nd, g nd) in

@@ -565,7 +565,7 @@ let prop_collectors_match_models =
         (fun collector ->
           let renumber = collector = `Gc_renumber in
           let s : int Store.t = Store.create ~gc_renumber:renumber () in
-          let contents () = Store.snapshot_items (Store.snapshot s) in
+          let contents () = Store.snapshot s in
           let collects model f =
             let before = contents () in
             let fired = ref [] in
