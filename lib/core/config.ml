@@ -112,10 +112,6 @@ let validate t =
   then
     invalid "advancement_retry must be a finite positive period (got %g)"
       t.advancement_retry;
-  if t.partition_aware && t.tree_arity <= 0 then
-    invalid
-      "partition_aware requires tree_arity > 0 (it has not been run with \
-       depth-one rounds)";
   if t.replicas < 0 then
     invalid "replicas must be >= 0 (got %d); 0 means single-copy partitions"
       t.replicas;

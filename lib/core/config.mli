@@ -120,10 +120,10 @@ type t = {
           per-round traffic from [O(N)] messages to [O(arity)] at depth
           [O(log_arity N)]. *)
   partition_aware : bool;
-      (** With [tree_arity > 0]: exclude sites that host no data items from
-          the Phase 1/2 acknowledgment barriers (they still receive every
-          advancement message fire-and-forget, so their version counters
-          converge).  Sound only under the confinement contract: update
+      (** Exclude sites that host no data items from the Phase 1/2
+          acknowledgment barriers, at any [tree_arity] (they still receive
+          every advancement message fire-and-forget, so their version
+          counters converge).  Sound only under the confinement contract: update
           writes, transaction roots, and query roots never run at data-empty
           sites — excluding a site that can start transactions or queries
           would break the freeze barrier.  Default [false]. *)
@@ -132,8 +132,9 @@ type t = {
           [~nodes] of [Cluster.create]) gets this many backup sites that
           follow the primary by asynchronous WAL shipping and serve
           version-pinned reads once caught up ({!Replication}).  [0]
-          (default) is the paper's single-copy system — bit-identical to
-          the pre-replication simulator.  Requires [tree_arity = 0]. *)
+          (default) is the paper's single-copy system: every partition
+          has zero backups and runs the same code paths.  Requires
+          [tree_arity = 0]. *)
   replica_catchup_timeout : float;
       (** How long an advancement round's Phase 2 (and a commit's
           replicate-then-ack wait) waits for a backup to acknowledge
@@ -169,8 +170,8 @@ val validate : t -> unit
     non-finite [send_occupancy] / [disk_force_latency] /
     [group_commit_window] / [rpc_batch_window] / service times,
     [group_commit_batch < 1], a non-positive or infinite
-    [advancement_retry], [partition_aware] without a relay tree, and a
-    [mutant] without its precondition (each message names the mutant).
+    [advancement_retry], [replicas] with a relay tree, and a [mutant]
+    without its precondition (each message names the mutant).
     Raises {!Invalid}; returns unit on a sane config.  Called by
     [Cluster.create], so every simulator entry point inherits the
     check; CLI frontends call it early to fail before any setup. *)

@@ -85,8 +85,8 @@ let test_advancement_retry () =
   check_bool "infinite retry rejected" true
     (rejected { C.default with advancement_retry = infinity })
 
-let test_partition_aware_needs_tree () =
-  check_bool "partition_aware without tree rejected" true
+let test_partition_aware_any_arity () =
+  check_bool "partition_aware at arity 0 fine" false
     (rejected { C.default with partition_aware = true; tree_arity = 0 });
   check_bool "partition_aware with tree fine" false
     (rejected { C.default with partition_aware = true; tree_arity = 4 })
@@ -215,8 +215,8 @@ let () =
           Alcotest.test_case "durability knobs" `Quick test_durability_knobs;
           Alcotest.test_case "service times" `Quick test_service_times;
           Alcotest.test_case "advancement retry" `Quick test_advancement_retry;
-          Alcotest.test_case "partition-aware needs tree" `Quick
-            test_partition_aware_needs_tree;
+          Alcotest.test_case "partition-aware at any arity" `Quick
+            test_partition_aware_any_arity;
           Alcotest.test_case "replication knobs" `Quick test_replication_knobs;
           Alcotest.test_case "session knobs" `Quick test_session_knobs;
           Alcotest.test_case "mutant preconditions" `Quick

@@ -18,6 +18,7 @@ type summary = {
   advancements : int;
   finals : (string * int option) list;  (* settled value per key *)
   coord_egress : int;  (* messages the coordinator put on the wire *)
+  coord_ingress : int list;  (* per site, messages it sent the coordinator *)
 }
 
 let run_one ~config ~data_sites =
@@ -107,6 +108,9 @@ let run_one ~config ~data_sites =
             advancements = stats.Ava3.Cluster.advancements;
             finals;
             coord_egress = !egress;
+            coord_ingress =
+              List.init nodes (fun src ->
+                  Net.Network.link_count net ~src ~dst:coordinator);
           });
   Sim.Engine.run engine;
   match !out with Some s -> s | None -> failwith "final process never ran"
@@ -163,7 +167,25 @@ let test_partition_aware_matches_flat () =
     (Printf.sprintf "partition-aware egress (%d) below flat egress (%d)"
        tree.coord_egress flat.coord_egress)
     true
-    (tree.coord_egress < flat.coord_egress)
+    (tree.coord_egress < flat.coord_egress);
+  (* At arity 0 the data-empty sites sit in the depth-one tree's
+     fire-and-forget tail: they still receive every frame, but never
+     acknowledge to the coordinator. *)
+  let depth_one =
+    run_one ~config:(config ~tree_arity:0 ~partition_aware:true) ~data_sites
+  in
+  check_equivalent "arity 0 + partition-aware" flat depth_one;
+  let from_empty r =
+    List.filteri (fun s _ -> not (List.mem s data_sites)) r.coord_ingress
+    |> List.fold_left ( + ) 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "data-empty sites acknowledge in the flat run (%d)"
+       (from_empty flat))
+    true
+    (from_empty flat > 0);
+  Alcotest.(check int) "data-empty sites send the coordinator nothing" 0
+    (from_empty depth_one)
 
 (* [tree_arity = 0] is the depth-one relay tree: every site a direct child
    of the coordinator.  With [nodes - 1] children the explicit arity builds
