@@ -93,8 +93,9 @@ let all_acked acks = Array.for_all (fun x -> x) acks
    advance-u, so q < u is preserved even at fire-and-forget sites.  The
    stalled-round re-initiation rule, coordinator retransmission, and
    abandonment apply at every depth: relays are volatile, a crashed relay's
-   state is rebuilt by the retransmitted frame, and duplicate frames repair
-   the tree idempotently (see [handle_relay]). *)
+   state is rebuilt by the retransmitted frame, duplicate frames repair
+   the tree idempotently (see [handle_relay]), and a promoted backup takes
+   its dead primary's position (see [on_promotion]). *)
 
 (* Arity 0 puts every site under the root. *)
 let arity cs =
@@ -136,6 +137,7 @@ let phase_state cs ~sites ~nparts ~pos kind ver =
     r_ver = ver;
     r_kind = kind;
     r_sites = sites;
+    r_nparts = nparts;
     r_pos = pos;
     r_child_acks =
       Array.init
@@ -145,8 +147,14 @@ let phase_state cs ~sites ~nparts ~pos kind ver =
     r_acked = false;
   }
 
-let settle_child cs r ~src =
-  set_child_slot r ~first:(tree_first_child cs r.r_pos) ~site:src true
+(* Settle ([true]) or reopen ([false]) the slot of the child subtree
+   rooted at [site]; a site that is not a direct child has no slot. *)
+let set_child_slot cs r ~site settled =
+  let first = tree_first_child cs r.r_pos in
+  Array.iteri
+    (fun c _ ->
+      if r.r_sites.(first + c) = site then r.r_child_acks.(c) <- settled)
+    r.r_child_acks
 
 (* Send [inner] on to this position's children; [skip] masks child slots
    (repair paths resend only to subtrees that have not acknowledged). *)
@@ -186,8 +194,8 @@ let relay_maybe_complete cs i r =
    so their counters converge, but are never waited on. *)
 let send_phase cs k c inner =
   Net.Network.send cs.net ~src:k ~dst:k inner;
-  relay_forward cs k ~sites:c.c_round.r_sites ~nparts:c.c_nparts ~pos:0
-    ~inner ~skip:(fun _ -> false)
+  relay_forward cs k ~sites:c.c_round.r_sites ~nparts:c.c_round.r_nparts
+    ~pos:0 ~inner ~skip:(fun _ -> false)
 
 (* An acknowledgment of the coordinator's current phase: its own plain ack
    sets [r_self_done]; a direct child's ack, plain or aggregated, settles
@@ -196,7 +204,8 @@ let handle_phase_ack cs k ~src (kind, ver) =
   match cs.coords.(k) with
   | Some ({ c_round = r; _ } as c)
     when (not c.c_abandoned) && r.r_kind = kind && r.r_ver = ver ->
-      if src = k then r.r_self_done <- true else settle_child cs r ~src;
+      if src = k then r.r_self_done <- true
+      else set_child_slot cs r ~site:src true;
       if r.r_self_done && all_acked r.r_child_acks then begin
         match kind with
         | `U ->
@@ -209,7 +218,7 @@ let handle_phase_ack cs k ~src (kind, ver) =
               (Sim.Event.Phase1_done
                  { site = k; newq; duration = c.c_phase1_done -. c.c_started });
             c.c_round <-
-              phase_state cs ~sites:r.r_sites ~nparts:c.c_nparts ~pos:0 `Q newq;
+              phase_state cs ~sites:r.r_sites ~nparts:r.r_nparts ~pos:0 `Q newq;
             send_phase cs k c (Messages.Advance_q { newq })
         | `Q ->
             cs.coords.(k) <- None;
@@ -234,13 +243,14 @@ let phase_key = function
    wait on this site's local share, which may suspend on the update/query
    barriers — then do the local work.  Advance phases aggregate
    acknowledgments per (root, version, kind).  A duplicate frame (the
-   coordinator's retransmission) re-forwards only to children that have
-   not acknowledged, re-runs the local share, and re-sends the aggregate
-   ack when that share finishes if the subtree was already complete (the
-   earlier ack may have been lost with a crashed parent).  Garbage
-   collection and fire-and-forget positions keep no state: they forward
-   and act locally (a lost GC frame is repaired by the next round's
-   catch-up rule). *)
+   coordinator's retransmission) hands the state its layout — the
+   sender's copy names every promoted successor — then re-forwards only
+   to children that have not acknowledged, re-runs the local share, and
+   re-sends the aggregate ack when that share finishes if the subtree was
+   already complete (the earlier ack may have been lost with a crashed
+   parent).  Garbage collection and fire-and-forget positions keep no
+   state: they forward and act locally (a lost GC frame is repaired by
+   the next round's catch-up rule). *)
 let handle_relay cs i ~sites ~nparts ~pos ~inner =
   let forward skip = relay_forward cs i ~sites ~nparts ~pos ~inner ~skip in
   let local ~complete =
@@ -255,6 +265,7 @@ let handle_relay cs i ~sites ~nparts ~pos ~inner =
       let r =
         match relay_find cs i ~root:sites.(0) ~ver ~kind with
         | Some r ->
+            r.r_sites <- sites;
             forward (fun c -> r.r_child_acks.(c));
             r
         | None ->
@@ -290,8 +301,36 @@ let handle_relay_ack cs i ~src ~root ~inner =
       match relay_find cs i ~root ~ver ~kind with
       | None -> ()
       | Some r ->
-          settle_child cs r ~src;
+          set_child_slot cs r ~site:src true;
           relay_maybe_complete cs i r)
+
+(* Failover, one rule at any depth: the promoted backup takes the dead
+   primary's position in every relay record — each coordinator's current
+   phase and every relay's — so retransmissions reach it and its
+   subtree's aggregated acks climb to it.  The layout is replaced, not
+   edited, since frames already sent share it.  The record at the dead
+   position's parent, the coordinator or an inner relay, reopens that
+   child's slot and owes a fresh upward ack: the successor owes its own
+   phase ack even if the dead primary had already sent one.  A
+   fire-and-forget position never acks, so its slot stays settled.  A
+   promoted inner relay holds no record; the next frame rebuilds it, as
+   it does for a recovered relay. *)
+let on_promotion cs ~old_site ~new_site =
+  let coord_rounds =
+    List.filter_map (Option.map (fun c -> c.c_round)) (Array.to_list cs.coords)
+  in
+  List.iter
+    (fun r ->
+      match Array.find_index (( = ) old_site) r.r_sites with
+      | None -> ()
+      | Some pos ->
+          r.r_sites <-
+            Array.map (fun s -> if s = old_site then new_site else s) r.r_sites;
+          if pos < r.r_nparts && tree_parent cs pos = r.r_pos then begin
+            set_child_slot cs r ~site:new_site false;
+            r.r_acked <- false
+          end)
+    (coord_rounds @ List.concat (Array.to_list cs.relays))
 
 (* Abandonment (paper §3.2, generalised): a coordinator stops its run when
    a message shows another coordinator is a phase ahead in the same round,
@@ -376,7 +415,7 @@ let retransmit cs k c =
           | `Q -> Messages.Advance_q { newq = r.r_ver }
         in
         if not r.r_self_done then Net.Network.send cs.net ~src:k ~dst:k inner;
-        relay_forward cs k ~sites:r.r_sites ~nparts:c.c_nparts ~pos:0 ~inner
+        relay_forward cs k ~sites:r.r_sites ~nparts:r.r_nparts ~pos:0 ~inner
           ~skip:(fun j -> r.r_child_acks.(j));
         loop ()
     | _ -> ()
@@ -391,7 +430,6 @@ let start_round cs k ~newu =
       c_started = now cs;
       c_phase1_done = now cs;
       c_abandoned = false;
-      c_nparts = nparts;
       c_round = phase_state cs ~sites ~nparts ~pos:0 `U newu;
     }
   in
@@ -438,18 +476,15 @@ let initiate cs ~coordinator:k =
       end
       else `Busy
 
-(* Rounds answer for the version counters of the synced copies only: an
-   out-of-sync backup catches up on its own shipping schedule — possibly
-   never, if it stays partitioned — and must not hold "the advancement is
-   done" hostage.  [in_progress] still reads every site, dead ones
-   included, when the cluster is unreplicated: the explorer's state
-   fingerprint hashes this value, so narrowing it to the synced copies
-   would change the explorer's digests. *)
+(* Rounds answer for the version counters of the synced copies only: a
+   dead site or an out-of-sync backup catches up on its own schedule —
+   possibly never, if it stays partitioned — and must not hold "the
+   advancement is done" hostage. *)
 let in_progress cs =
   Array.exists (fun c -> c <> None) cs.coords
   || Array.exists
        (fun nd ->
-         ((not (replicated cs)) || synced cs nd)
+         synced cs nd
          && (Node_state.u nd <> Node_state.q nd + 1
             || Node_state.g nd < Node_state.q nd - 1 - gc_lag cs))
        cs.nodes

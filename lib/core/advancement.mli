@@ -28,8 +28,16 @@ val initiate :
     round stalled (e.g. the old coordinator crashed) resumes that round
     instead of starting a new one. *)
 
+val on_promotion : 'v Cluster_state.t -> old_site:int -> new_site:int -> unit
+(** Failover of a partition from the crashed primary [old_site] to the
+    promoted backup [new_site]: the successor takes the dead primary's
+    position in every mid-flight round's relay records, and the record at
+    that position's parent reopens its slot, so the successor owes its
+    own phase ack. *)
+
 val in_progress : 'v Cluster_state.t -> bool
-(** True while any node's local state shows an unfinished advancement. *)
+(** True while a coordinator runs a round or a synced copy's counters
+    show an unfinished advancement. *)
 
 val await_published : 'v Cluster_state.t -> newu:int -> unit
 (** Block until every live node switched its query version to [newu - 1] —

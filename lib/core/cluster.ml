@@ -157,8 +157,11 @@ let crash cs ~node:i =
   Net.Network.set_down cs.Cluster_state.net ~node:i true;
   Cluster_state.note cs (Sim.Event.Crashed { site = i });
   (* Replication: a crashed backup is demoted; a crashed primary triggers
-     backup promotion (WAL-replay recovery of the best surviving copy). *)
-  Replication.on_crash cs ~site:i
+     backup promotion (WAL-replay recovery of the best surviving copy),
+     and the successor takes its place in every mid-flight round. *)
+  Option.iter
+    (fun new_site -> Advancement.on_promotion cs ~old_site:i ~new_site)
+    (Replication.on_crash cs ~site:i)
 
 let recover cs ~node:i =
   if not (Cluster_state.is_primary_site cs i) then

@@ -3,6 +3,7 @@ type relay = {
   r_ver : int;
   r_kind : [ `U | `Q ];
   mutable r_sites : int array;
+  r_nparts : int;
   r_pos : int;
   r_child_acks : bool array;
   mutable r_self_done : bool;
@@ -14,15 +15,8 @@ type coord = {
   c_started : float;
   mutable c_phase1_done : float;
   mutable c_abandoned : bool;
-  c_nparts : int;
   mutable c_round : relay;
 }
-
-let set_child_slot r ~first ~site settled =
-  Array.iteri
-    (fun c _ ->
-      if r.r_sites.(first + c) = site then r.r_child_acks.(c) <- settled)
-    r.r_child_acks
 
 type 'v backup = {
   b_part : int;
@@ -140,7 +134,6 @@ let node t i =
 
 let node_count t = Array.length t.nodes
 let nparts t = t.repl.nparts
-let replicated t = t.config.Config.replicas > 0
 
 let primary_site t p =
   if p < 0 || p >= t.repl.nparts then

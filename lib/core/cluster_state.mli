@@ -18,9 +18,12 @@ type relay = {
   r_kind : [ `U | `Q ];
   mutable r_sites : int array;
       (** the round's tree layout (see {!Messages.t}'s [Relay]), the
-          coordinator at position [0]; failover replaces the
-          coordinator's copy with one naming the promoted backup in the
-          dead primary's position *)
+          coordinator at position [0]; failover replaces every record's
+          copy with one naming the promoted backup in the dead primary's
+          position, and a duplicate frame's layout replaces the copy *)
+  r_nparts : int;
+      (** how many leading positions of the layout are barrier
+          participants (the coordinator included) *)
   r_pos : int;
   r_child_acks : bool array;
       (** one slot per child position present in [r_sites]; slots at
@@ -37,18 +40,10 @@ type coord = {
       (** when the last advance-u ack arrived (meaningful once [c_round]
           is the advance-q phase) *)
   mutable c_abandoned : bool;
-  c_nparts : int;
-      (** how many leading positions of the layout are barrier
-          participants (the coordinator included) *)
   mutable c_round : relay;
       (** the current phase, aggregated as a relay at position [0]; its
           own share is acknowledged plain, to itself *)
 }
-
-val set_child_slot : relay -> first:int -> site:int -> bool -> unit
-(** Settle ([true]) or reopen ([false]) the slot of the child subtree
-    rooted at [site], where [first] is the record's first child position;
-    a site that is not a direct child has no slot and is ignored. *)
 
 (** One backup of one partition, as its current primary sees it.  The
     cursor and flags are primary-side volatile state: failover rebuilds
@@ -137,12 +132,6 @@ val attach_index_if_configured : 'v t -> 'v Node_state.t -> unit
 
 val nparts : _ t -> int
 (** Partition count (the [~nodes] of {!create}). *)
-
-val replicated : _ t -> bool
-(** [Config.replicas > 0].  Every path runs the same on zero backups; this
-    decides only two things: whether {!Replication.after_gc} forces the
-    [Collect] record, and whether {!Advancement.in_progress} reads dead
-    sites (it does when unreplicated). *)
 
 val primary_site : _ t -> int -> int
 val primary : 'v t -> int -> 'v Node_state.t

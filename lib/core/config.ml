@@ -115,11 +115,6 @@ let validate t =
   if t.replicas < 0 then
     invalid "replicas must be >= 0 (got %d); 0 means single-copy partitions"
       t.replicas;
-  if t.replicas > 0 && t.tree_arity > 0 then
-    invalid
-      "replicas requires tree_arity = 0: replication runs over depth-one \
-       advancement rounds (failover rewrites one position of the round's \
-       layout, which deeper relay trees do not support yet)";
   if
     Float.is_nan t.replica_catchup_timeout
     || t.replica_catchup_timeout <= 0.0

@@ -133,8 +133,7 @@ type t = {
           follow the primary by asynchronous WAL shipping and serve
           version-pinned reads once caught up ({!Replication}).  [0]
           (default) is the paper's single-copy system: every partition
-          has zero backups and runs the same code paths.  Requires
-          [tree_arity = 0]. *)
+          has zero backups and runs the same code paths. *)
   replica_catchup_timeout : float;
       (** How long an advancement round's Phase 2 (and a commit's
           replicate-then-ack wait) waits for a backup to acknowledge
@@ -170,8 +169,8 @@ val validate : t -> unit
     non-finite [send_occupancy] / [disk_force_latency] /
     [group_commit_window] / [rpc_batch_window] / service times,
     [group_commit_batch < 1], a non-positive or infinite
-    [advancement_retry], [replicas] with a relay tree, and a [mutant]
-    without its precondition (each message names the mutant).
+    [advancement_retry], negative [replicas], and a [mutant] without
+    its precondition (each message names the mutant).
     Raises {!Invalid}; returns unit on a sane config.  Called by
     [Cluster.create], so every simulator entry point inherits the
     check; CLI frontends call it early to fail before any setup. *)

@@ -304,19 +304,15 @@ let commit_fate cs nd ~txn =
     in
     if has then `Successor nd' else `Lost
 
-(* After Phase 3 appended the Collect record, force it and ship it so the
-   backups' garbage versions converge (a query never reads near g, so this
-   is pure convergence, not a barrier).  The test is whether the cluster
-   is replicated, not whether the partition has a backup now: a partition
-   whose only backup was just promoted keeps forcing its Collect records,
-   and the replicated experiments' force counts include those forces. *)
+(* After Phase 3 appended the Collect record at a primary with backups,
+   force it and ship it so the backups' garbage versions converge (a query
+   never reads near g, so this is pure convergence, not a barrier). *)
 let after_gc cs site =
-  if replicated cs && is_primary_site cs site then begin
-    let nd = node cs site in
-    match Node_state.commit_durable nd with
-    | () -> poke cs (part_of_site cs site)
+  let part = part_of_site cs site in
+  if is_primary_site cs site && Array.length (backups cs part) > 0 then
+    match Node_state.commit_durable (node cs site) with
+    | () -> poke cs part
     | exception Wal.Group_commit.Crashed -> ()
-  end
 
 (* ---- Version-pinned read routing. *)
 
@@ -359,30 +355,6 @@ let route_read cs ~src ~part ~pin =
 
 (* ---- Failover. *)
 
-(* Transfer a mid-flight round's expectations from the dead primary to its
-   successor: the successor takes the old site's position in the round's
-   layout, so the coordinator's retransmissions reach it, and a
-   participant position's slot reopens — the successor owes its own ack
-   even if the dead primary had already sent one.  A fire-and-forget
-   position (a data-empty partition under [partition_aware]) never acks,
-   so its slot stays settled.  The layout is replaced, not edited, since
-   frames already sent share it.  Replicated rounds are depth one
-   ([Config.replicas] requires [tree_arity = 0]), so every primary but the
-   coordinator has its slot here; position 0's children start at 1. *)
-let shift_coord_acks cs ~old_site ~new_site =
-  Array.iter
-    (function
-      | Some c when not c.c_abandoned ->
-          let r = c.c_round in
-          let waited_on =
-            Array.exists (( = ) old_site) (Array.sub r.r_sites 0 c.c_nparts)
-          in
-          r.r_sites <-
-            Array.map (fun s -> if s = old_site then new_site else s) r.r_sites;
-          if waited_on then set_child_slot r ~first:1 ~site:new_site false
-      | _ -> ())
-    cs.coords
-
 (* Promotion: WAL-replay recovery of the chosen backup's own log, exactly
    the path a crashed primary takes — counters restart at zero, in-flight
    subtransactions die and are rejected, the store is rebuilt from the
@@ -396,7 +368,7 @@ let promote cs ~part ~old_site =
            b.b_insync && Node_state.alive (node cs b.b_site))
   in
   match cands with
-  | [] -> `No_backup
+  | [] -> None
   | first :: rest ->
       let len b = Wal.Log.length (Node_state.log (node cs b.b_site)) in
       let best =
@@ -428,7 +400,6 @@ let promote cs ~part ~old_site =
       cs.repl.site_epoch.(new_site) <- e;
       (* The cursors were the dead primary's view; start over from zero. *)
       Array.iter (fun b -> Wal.Ship.reset b.b_cursor) (backups cs part);
-      shift_coord_acks cs ~old_site ~new_site;
       note cs
         (Sim.Event.Promoted
            {
@@ -442,22 +413,23 @@ let promote cs ~part ~old_site =
       note_version_change cs;
       note_repl_change cs part;
       poke cs part;
-      `Promoted new_site
+      Some new_site
 
 (* Crash hook, run by [Cluster.crash] after the node is killed and marked
    down.  A crashed backup just leaves the read set; a crashed primary
    triggers promotion (or degrades the partition to "down until recovery"
-   when no backup can serve). *)
+   when no backup can serve).  Returns the promoted successor. *)
 let on_crash cs ~site =
   match backup_at cs site with
-  | Some b -> demote cs b ~why:"crashed"
-  | None ->
-      if is_primary_site cs site then begin
-        let part = part_of_site cs site in
-        match promote cs ~part ~old_site:site with
-        | `Promoted _ -> ()
-        | `No_backup -> note cs (Sim.Event.No_backup { part; site })
-      end
+  | Some b ->
+      demote cs b ~why:"crashed";
+      None
+  | None when is_primary_site cs site ->
+      let part = part_of_site cs site in
+      let successor = promote cs ~part ~old_site:site in
+      if successor = None then note cs (Sim.Event.No_backup { part; site });
+      successor
+  | None -> None
 
 (* Recovery hook for a site that is not (or no longer) its partition's
    primary.  A crashed backup rebuilds from its own log — every record it

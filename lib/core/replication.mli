@@ -86,9 +86,10 @@ val commit_fate :
     escape. *)
 
 val after_gc : _ Cluster_state.t -> int -> unit
-(** After Phase 3 appends the [Collect] record at a primary of a
-    replicated cluster: force it and ship it, so backup garbage versions
-    converge.  Unreplicated clusters leave the record unforced. *)
+(** After Phase 3 appends the [Collect] record at a primary whose
+    partition has a backup: force it and ship it, so backup garbage
+    versions converge.  A partition without backups leaves the record
+    unforced. *)
 
 (** {1 Read routing} *)
 
@@ -109,14 +110,15 @@ val recover_from_log :
     (counters at zero, index re-attached, replay's redo buffer kept) and
     return the recovered version numbers. *)
 
-val on_crash : _ Cluster_state.t -> site:int -> unit
+val on_crash : _ Cluster_state.t -> site:int -> int option
 (** Called by {!Cluster.crash} after the site is killed and marked down.
     Backup: demoted out of the read set.  Primary: the best backup (live,
     in-sync, longest log; ties to the lowest site id) is promoted by WAL
-    replay, the partition's topology and mid-flight advancement rounds
-    are rewritten to the new primary, and surviving backups resync from
-    it.  With no such backup the partition stays down until the site
-    recovers. *)
+    replay, the partition's topology is rewritten to the new primary,
+    surviving backups resync from it, and its site is returned (the
+    caller moves mid-flight advancement rounds over with
+    {!Advancement.on_promotion}).  With no such backup the partition
+    stays down until the site recovers. *)
 
 val recover_as_backup : _ Cluster_state.t -> site:int -> unit
 (** Called by {!Cluster.recover} for a site that is not its partition's

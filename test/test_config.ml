@@ -96,8 +96,16 @@ let test_replication_knobs () =
     (rejected { C.default with replicas = -1 });
   check_bool "replicas = 0 fine" false (rejected { C.default with replicas = 0 });
   check_bool "replicas = 2 fine" false (rejected { C.default with replicas = 2 });
-  check_bool "replicas with tree rounds rejected" true
+  check_bool "replicas with tree rounds fine" false
     (rejected { C.default with replicas = 1; tree_arity = 4 });
+  check_bool "replicas with the relay-ack-early twin fine" false
+    (rejected
+       {
+         C.default with
+         replicas = 1;
+         tree_arity = 2;
+         mutant = Some Relay_ack_early;
+       });
   check_bool "zero catch-up timeout rejected" true
     (rejected { C.default with replica_catchup_timeout = 0.0 });
   check_bool "negative catch-up timeout rejected" true
