@@ -39,8 +39,15 @@ let run_one ~seed ~nodes ~crashes ~partitions ~use_tree ~nemesis ~hot_theta
       rpc_batch_window = (if seed mod 6 = 1 then 0.5 else 0.0);
       (* --replicas: one backup per partition.  Crashes and link cuts
          below name sites 0 .. nodes-1, the partitions' initial primaries,
-         so a crash fails its partition over to the backup. *)
+         so a crash fails its partition over to the backup.  A quarter of
+         those seeds advance through relay trees: arity 2 is depth one on
+         three partitions and has an inner relay on four, arity 1 chains
+         every partition, so crashes and the nemesis fail inner relays
+         over mid-round. *)
       replicas = (if replicas then 1 else 0);
+      tree_arity =
+        (if not replicas then 0
+         else match seed mod 8 with 3 -> 2 | 7 -> 1 | _ -> 0);
     }
   in
   (* Fail fast on a nonsensical knob combination before any cluster
