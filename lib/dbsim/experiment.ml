@@ -1419,19 +1419,23 @@ let mode_name (c : Ava3.Config.t) =
    without partition-aware participant sets.  A per-message transmitter
    cost is what makes the flat O(N) broadcast expensive at the
    coordinator; without it a 1000-wide fan-out departs in zero simulated
-   time and the tree could only lose (it adds hops).  Rows run one at a
-   time so the events/sec column is single-domain wall clock. *)
-let hierarchy ?(sizes = [ 64; 256; 1024 ]) () =
+   time and the tree could only lose (it adds hops).  With [replicas] the
+   nodes are partitions, each with that many backups, and only the tree
+   modes run.  Rows run one at a time so the events/sec column is
+   single-domain wall clock. *)
+let hierarchy ?(sizes = [ 64; 256; 1024 ]) ?(replicas = 0) () =
   let run nodes (tree_arity, partition_aware) =
     let config =
       {
         Ava3.Config.default with
         tree_arity;
         partition_aware;
+        replicas;
         send_occupancy = 0.05;
       }
     in
-    ( Printf.sprintf "nodes=%d mode=%s" nodes (mode_name config),
+    ( Printf.sprintf "nodes=%d mode=%s%s" nodes (mode_name config)
+        (if replicas > 0 then Printf.sprintf " replicas=%d" replicas else ""),
       {
         (spec ~seed:83L ~nodes) with
         config;
@@ -1457,13 +1461,17 @@ let hierarchy ?(sizes = [ 64; 256; 1024 ]) () =
     in
     f2 (ratio s c)
   in
+  let modes =
+    (if replicas > 0 then [] else [ (0, false) ]) @ [ (8, false); (8, true) ]
+  in
   experiment ~sequential:true ~tag:"E12-hierarchy"
     ~title:
-      "E12: hierarchical advancement at scale (hot Zipf partitions, arrival \
-       storms; data on n/8 sites)"
-    (List.concat_map
-       (fun nodes -> each (run nodes) [ (0, false); (8, false); (8, true) ])
-       sizes)
+      (Printf.sprintf
+         "E12: hierarchical advancement at scale (%shot Zipf partitions, \
+          arrival storms; data on n/8 sites)"
+         (if replicas > 0 then Printf.sprintf "replicas=%d, " replicas
+          else ""))
+    (List.concat_map (fun nodes -> each (run nodes) modes) sizes)
     [
       col "nodes" (fun r -> Int r.spec.nodes);
       col "mode" (fun r -> Text (mode_name r.spec.config));
@@ -1840,7 +1848,7 @@ let suites =
     ("serializability", Serial_check.report);
     ("ablations", show [ ablations (); gc_cost (); tree_vs_flat () ]);
     ("scalability", show [ scalability () ]);
-    ("e12", show [ hierarchy () ]);
+    ("e12", show [ hierarchy (); hierarchy ~sizes:[ 1024 ] ~replicas:1 () ]);
     ("e12smoke", show [ hierarchy ~sizes:[ 256 ] () ]);
     ("faults", show [ faults () ]);
     ("batching", show [ batching () ]);

@@ -59,7 +59,7 @@ val tree_vs_flat : unit -> t
 val scalability : unit -> t
 val faults : unit -> t
 val batching : unit -> t
-val hierarchy : ?sizes:int list -> unit -> t
+val hierarchy : ?sizes:int list -> ?replicas:int -> unit -> t
 val replication : ?horizon:float -> unit -> t
 val analytical : ?horizon:float -> unit -> t
 val session_retry : ?horizon:float -> unit -> t
