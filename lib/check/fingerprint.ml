@@ -45,10 +45,9 @@ let engine h engine =
     h
     (Sim.Engine.pending_summary engine)
 
-let store f h st =
-  (* The snapshot is in key order, whatever the hash table's insertion
-     history, so schedules that reach the same logical state hash alike. *)
-  let items = Vstore.Store.snapshot st in
+(* A store snapshot is in key order, whatever the hash table's insertion
+   history, so schedules that reach the same logical state hash alike. *)
+let snapshot f h items =
   list
     (fun h (key, versions) ->
       let h = string h key in
@@ -58,6 +57,8 @@ let store f h st =
           option f h value)
         h versions)
     h items
+
+let store f h st = snapshot f h (Vstore.Store.snapshot st)
 
 (* Full cluster state: per-node liveness, version numbers, counter
    occupancy and store contents, plus the cluster-wide protocol counters

@@ -36,6 +36,11 @@ val store : (t -> 'v -> t) -> t -> 'v Vstore.Store.t -> t
 (** Store contents (keys, live versions, values, tombstones) in canonical
     key order, independent of insertion history. *)
 
+val snapshot :
+  (t -> 'v -> t) -> t -> (string * (int * 'v option) list) list -> t
+(** {!store} over a contents list in [Vstore.Store.snapshot] format, such
+    as an [Mcore.Mstore.snapshot]. *)
+
 val cluster : value:(t -> 'v -> t) -> 'v Ava3.Cluster.t -> t
 (** Full AVA3 cluster digest: per-node liveness, [u]/[q]/[g], active
     transaction counts and store contents, the cluster-wide protocol

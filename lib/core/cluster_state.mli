@@ -142,6 +142,19 @@ val home_site : _ t -> int -> int
 (** Resolve a partition id to its current primary site; ids past the
     partition range pass through unchanged. *)
 
+val resolve_plan :
+  _ t ->
+  who:string ->
+  node:('p -> int * 'p list) ->
+  rebuild:('p -> int -> 'p list -> 'p) ->
+  'p ->
+  'p
+(** A tree executor's plan with every node resolved once through
+    {!home_site}, so the whole tree follows a failover.  [node] gives a
+    plan node's partition and children, [rebuild] the node at its site
+    with its resolved children.  Raises [Invalid_argument] (prefixed
+    [who]) if two plan nodes resolve to one site. *)
+
 
 val backups : 'v t -> int -> 'v backup array
 

@@ -9,25 +9,16 @@ type plan = {
 
 let reads ?(selects = []) at keys children = { at; keys; selects; children }
 
-(* Each plan node resolves once to its partition's current site, so the
-   whole tree follows a failover; two plan nodes on one site are a
-   duplicate. *)
-let resolve cs plan =
-  let seen = Hashtbl.create 8 in
-  let rec go p =
-    let at = home_site cs p.at in
-    if Hashtbl.mem seen at then
-      invalid_arg "Tree_query.run: plan visits a node twice";
-    Hashtbl.replace seen at ();
-    { p with at; children = List.map go p.children }
-  in
-  go plan
-
 (* The tree driver over {!Query_core}: each subquery takes its node's
    counter for the duration of its subtree (enter/leave), the root's
    pinned counter is released by the core on completion. *)
 let run cs ~plan =
-  let plan = resolve cs plan in
+  let plan =
+    resolve_plan cs ~who:"Tree_query.run"
+      ~node:(fun p -> (p.at, p.children))
+      ~rebuild:(fun p at children -> { p with at; children })
+      plan
+  in
   let read_service = cs.config.Config.read_service_time in
   (* Execute the subquery at [p]; returns its composed results (own reads
      then children's, preorder).  [is_root] marks the pinned root counter,

@@ -24,25 +24,16 @@ type 'info txn_outcome = 'info Txn_core.outcome =
 
 type 'v outcome = 'v commit_info txn_outcome
 
-(* Each plan node resolves once to its partition's current site, as
-   {!Txn_core.sub} does, so the whole tree follows a failover; two plan
-   nodes on one site are a duplicate. *)
-let resolve cs plan =
-  let seen = Hashtbl.create 8 in
-  let rec go p =
-    let at = home_site cs p.at in
-    if Hashtbl.mem seen at then
-      invalid_arg "Tree_txn.run: plan visits a node twice";
-    Hashtbl.replace seen at ();
-    { p with at; children = List.map go p.children }
-  in
-  go plan
-
 (* The tree driver over {!Txn_core}: subtransactions fan out along plan
    edges and run concurrently; prepared versions travel bottom-up, the
    commit decision flows back down the same edges. *)
 let run cs ~plan =
-  let plan = resolve cs plan in
+  let plan =
+    resolve_plan cs ~who:"Tree_txn.run"
+      ~node:(fun p -> (p.at, p.children))
+      ~rebuild:(fun p at children -> { p with at; children })
+      plan
+  in
   let root = plan.at in
   match Txn_core.create cs ~root with
   | None -> Root_down { root }

@@ -9,14 +9,11 @@
    lib/mcore's Backend (single worker, no concurrency) and diffs the
    two observation streams.
 
-   The harness is the oracle link that lets the DES vouch for the
-   multicore backend's logic: anything the two disagree on is a bug in
-   one of them, found without ever reasoning about interleavings.  The
-   concurrency-only failure modes (which sequential conformance cannot
-   see, by design) are covered separately by [convict_racy_twin], which
-   runs genuinely parallel queries against a concurrent advancer on the
-   pin-skipping twin and demands that a query be caught reading a
-   collected version. *)
+   The backend is a second implementation of lib/core's protocol logic,
+   and this harness is what ties the two together: anything they
+   disagree on is a bug in one of them.  It cannot see races, by design;
+   the schedule explorer covers those by running the backend's atomic
+   steps interleaved (lib/check's Mcore_sim and the mcore scenarios). *)
 
 (* ---- Workloads --------------------------------------------------------- *)
 
@@ -276,56 +273,3 @@ let check ?(gc_renumber = true) ?(skip_pin_recheck = false) ~seed () =
   match diff ~des ~mcore:mc with
   | [] -> Ok (stats_of_run des)
   | problems -> Error problems
-
-(* ---- Convicting the pin-skipping twin --------------------------------- *)
-
-(* The twin is sequentially indistinguishable from the real backend (and
-   [check ~skip_pin_recheck:true] passing is itself part of the test:
-   sequential conformance must NOT convict it).  Under real parallelism
-   a whole advancement round fits in its window between reading q and
-   bumping its slot: Phase 2 finds the slot empty, Phase 3 collects the
-   version, and the query goes on to read it.  [Backend.run_query]'s
-   guard then finds g >= v at the root and raises once the query has
-   released its counts.
-
-   One domain loops [Backend.advance] while the others query one site.
-   The widened window dominates each query, so even on a single hardware
-   core a querier preempted inside it lets the advancer run rounds.  The
-   advancer stops when the queriers have all stopped or the deadline
-   passes, whichever comes first. *)
-let convict_racy_twin ?(domains = 4) ?(seconds = 10.0) ?(twin = true) () =
-  if domains < 2 then
-    invalid_arg "Conform.convict_racy_twin: need an advancer and a querier";
-  let b : int Backend.t = Backend.create ~sites:1 ~skip_pin_recheck:twin () in
-  Backend.load b ~site:0 [ ("x", 1) ];
-  let caught = Atomic.make None in
-  let stop = Atomic.make false in
-  let querying = Atomic.make (domains - 1) in
-  let deadline = Unix.gettimeofday () +. seconds in
-  let querier () =
-    let wk = Backend.worker b in
-    (try
-       while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
-         ignore (Backend.run_query wk ~root:0 ~reads:[ (0, "x") ]
-                 : int Backend.query_result)
-       done
-     with Invalid_argument msg ->
-       (* Caught in the act; no need for the others to keep going. *)
-       ignore (Atomic.compare_and_set caught None (Some msg) : bool);
-       Atomic.set stop true);
-    Atomic.decr querying
-  in
-  let advancer () =
-    let wk = Backend.worker b in
-    while Atomic.get querying > 0 && Unix.gettimeofday () < deadline do
-      ignore (Backend.advance wk ~coordinator:0 : [ `Busy | `Completed of int ])
-    done
-  in
-  let workers =
-    Domain.spawn advancer :: List.init (domains - 1) (fun _ -> Domain.spawn querier)
-  in
-  List.iter Domain.join workers;
-  let residue = Backend.check_quiescent b in
-  match Atomic.get caught with
-  | None -> residue
-  | Some msg -> ("a query raised: " ^ msg) :: residue

@@ -10,10 +10,7 @@
     the multicore port's protocol logic.
 
     Concurrency-only bugs are invisible to sequential conformance by
-    design; {!convict_racy_twin} covers that blind spot by running
-    genuinely parallel queries and advancement rounds against the
-    deliberately broken pin-skipping twin and demanding that a query be
-    caught reading a collected version. *)
+    design; the schedule explorer's mcore scenarios cover them. *)
 
 (** {1 Workloads} *)
 
@@ -55,17 +52,3 @@ val check :
     applies to the mcore side only — [check ~skip_pin_recheck:true]
     passing is part of the twin's specification (the bug is invisible
     to any sequential schedule). *)
-
-(** {1 The racy twin} *)
-
-val convict_racy_twin :
-  ?domains:int -> ?seconds:float -> ?twin:bool -> unit -> string list
-(** On a one-site backend with [skip_pin_recheck = twin] (default
-    [true]), one domain loops {!Backend.advance} while the other
-    [domains - 1] (default 3) run queries until the first guard
-    exception or until [seconds] (default 10) of wall time have passed;
-    the advancer stops when they have.  Returns the evidence: the
-    guard's exceptions raised by queries that read a collected version,
-    plus [Backend.check_quiescent] residue.  Against the twin an empty list
-    means it escaped conviction; against the real backend ([~twin:false])
-    anything else is a bug. *)

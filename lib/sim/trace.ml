@@ -21,8 +21,10 @@ let create ?(enabled = true) ?capacity () =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Trace.create: capacity must be positive"
   | _ -> ());
+  (* A disabled trace records nothing, so it needs no ring: the explorer
+     creates one engine per schedule. *)
   let ring =
-    match capacity with Some c -> Array.make c dummy | None -> [||]
+    match capacity with Some c when enabled -> Array.make c dummy | _ -> [||]
   in
   { enabled; capacity; rev_entries = []; ring; head = 0; count = 0 }
 

@@ -20,9 +20,10 @@ exception Version_bound_exceeded of { key : string; versions : version list }
 
 type 'v t
 
-val create : ?bound:int -> ?gc_renumber:bool -> unit -> 'v t
+val create : ?bound:int -> ?gc_renumber:bool -> ?size:int -> unit -> 'v t
 (** [bound], if given, is the maximum number of simultaneously live versions
-    of any single item (AVA3: 3).
+    of any single item (AVA3: 3).  [size] (default 1024) is the initial
+    size of the item table, which grows as needed.
 
     [gc_renumber] (default [true]) selects the garbage-collection rule for
     items with no incarnation at the new query version: the paper's
