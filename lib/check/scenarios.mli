@@ -56,6 +56,19 @@
       completeness — on every schedule the program finishes with all
       transactions committed and no query failed.
 
+    Multicore-backend scenarios ({!Mcore_sim}: {!Mcore.Backend} with
+    every atomic step of its 2 logical domains a choice point, on 2
+    sites; oracles: [run_query]'s collected-under-pin guard, every domain
+    finished, [Backend.check_quiescent], and commit exactly once for
+    updates):
+    - [mcore-query-vs-advance] (must clear) / [mcore-skip-pin-recheck-buggy]
+      (must convict) — two two-site queries against two advancement
+      rounds.  The buggy twin's query begin step never re-reads q, so
+      some schedule runs a whole round between its read and its bump and
+      the guard raises;
+    - [mcore-update-vs-advance] (must clear) — two updates, each reading
+      x and writing x and y, against two rounds.
+
     Toy scenarios (explorer self-validation on a deliberately broken
     store, {!Toy}):
     - [toy-torn] (must convict) / [toy-safe] (must clear) — a pin-ignoring
@@ -83,8 +96,8 @@ val must_clear : Scenario.t list
 type entry = { buggy : Scenario.t; clean : Scenario.t; budget : int }
 
 val registry : entry list
-(** One entry per {!Ava3.Config.mutant} constructor plus the two toy
-    pairs.  Adding a mutant means adding its entry here (see
+(** One entry per {!Ava3.Config.mutant} constructor, the multicore
+    backend's [skip_pin_recheck] and the two toy pairs.  Adding a mutant means adding its entry here (see
     CHECKING.md, "Mutants"). *)
 
 val all : Scenario.t list
