@@ -15,6 +15,7 @@ type 'v entry = { version : version; body : 'v body }
    [Tombstone] doubles as the filler body of unused slots ([n] is the
    number of live slots). *)
 type 'v item = {
+  key : string;
   mutable n : int; (* live slots, 0..3 *)
   mutable v0 : version;
   mutable b0 : 'v body;
@@ -23,6 +24,7 @@ type 'v item = {
   mutable v2 : version;
   mutable b2 : 'v body;
   mutable spill : 'v entry list; (* entries older than slot 2, descending *)
+  mutable mark : int; (* the store's [seq] when a list walk last took it *)
 }
 
 module String_set = Set.Make (String)
@@ -33,16 +35,27 @@ type 'v t = {
   items : (string, 'v item) Hashtbl.t;
   mutable key_order : String_set.t;
       (* ordered key index for range scans, kept in sync with [items] *)
-  (* Version index (the structure the paper defers to MPL92 for): which
-     items have an entry in each version.  Keeps garbage collection
-     proportional to the touched items instead of the whole store. *)
-  by_version : (int, (string, unit) Hashtbl.t) Hashtbl.t;
+  (* Version index (the structure the paper defers to MPL92 for): for each
+     version, the records that gained an entry there, newest first.  A
+     record is added when it gains an entry at a version it did not have;
+     nothing is removed when it loses one.  Every record with an entry at
+     [v] is on [v]'s list, next to stale ones (the entry has gone since, or
+     the record was discarded) and repeats (the entry went and came back):
+     a walk keeps the records that still have the entry and takes each once
+     by stamping its [mark] with a fresh [seq].  Stale handles cost memory
+     only, so the lists are rebuilt once [slack] falls below zero. *)
+  by_version : (int, 'v item list ref) Hashtbl.t;
+  mutable seq : int;
+  mutable slack : int; (* additions left before the lists are compacted *)
   mutable high_water : int;
   mutable gc_items_visited : int;
   (* Derived structures (lib/index) register here to observe mutations;
      [None] (the common case) costs one load-and-branch per write. *)
   mutable listener : (string -> unit) option;
 }
+
+(* Handles a store keeps beyond its live entries before it compacts. *)
+let min_slack = 64
 
 let create ?bound ?(gc_renumber = true) ?(size = 1024) () =
   (match bound with
@@ -54,6 +67,8 @@ let create ?bound ?(gc_renumber = true) ?(size = 1024) () =
     items = Hashtbl.create size;
     key_order = String_set.empty;
     by_version = Hashtbl.create 8;
+    seq = 0;
+    slack = min_slack;
     high_water = 0;
     gc_items_visited = 0;
     listener = None;
@@ -64,85 +79,69 @@ let set_listener t listener = t.listener <- listener
 let notify t key =
   match t.listener with None -> () | Some f -> f key
 
-let index_add t version key =
-  let set =
-    match Hashtbl.find_opt t.by_version version with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 64 in
-        Hashtbl.replace t.by_version version s;
-        s
-  in
-  Hashtbl.replace set key ()
+let index_add t version item =
+  t.slack <- t.slack - 1;
+  match Hashtbl.find t.by_version version with
+  | handles -> handles := item :: !handles
+  | exception Not_found -> Hashtbl.replace t.by_version version (ref [ item ])
 
-let index_remove t version key =
-  match Hashtbl.find_opt t.by_version version with
-  | None -> ()
-  | Some s ->
-      Hashtbl.remove s key;
-      if Hashtbl.length s = 0 then Hashtbl.remove t.by_version version
+let has_entry item v =
+  (item.n > 0 && item.v0 = v)
+  || (item.n > 1 && item.v1 = v)
+  || (item.n > 2 && item.v2 = v)
+  || List.exists (fun e -> e.version = v) item.spill
 
-(* Re-derive an item's index membership after its entries changed. *)
-let reindex t key ~before ~after =
-  List.iter
-    (fun v -> if not (List.mem v after) then index_remove t v key)
-    before;
-  List.iter
-    (fun v -> if not (List.mem v before) then index_add t v key)
-    after
+(* Start a list walk: [take] then accepts each record once. *)
+let new_walk t = t.seq <- t.seq + 1
+
+(* A handle from [v]'s list whose record still has an entry at [v] and has
+   not been taken yet in this walk. *)
+let take t v item =
+  has_entry item v && item.mark <> t.seq && (item.mark <- t.seq; true)
+
+(* The records of a version's list that have an entry there, each once. *)
+let walk t v handles =
+  new_walk t;
+  List.filter (take t v) handles
+
+(* Drop every stale and repeated handle, and every list left empty. *)
+let compact t =
+  let kept = ref 0 in
+  Hashtbl.filter_map_inplace
+    (fun v handles ->
+      match walk t v !handles with
+      | [] -> None
+      | live ->
+          kept := !kept + List.length live;
+          handles := live;
+          Some handles)
+    t.by_version;
+  t.slack <- !kept + min_slack
+
+(* Handles go stale only in [remove_version], [gc] and [prune_below], so
+   those end by checking the slack.  A compaction that keeps [k] handles
+   (each live then) allows [k + min_slack] additions before the next one,
+   which pays for its O(handles) walk; in between, the lists hold those
+   [k] and the additions since, so about twice the live entries. *)
+let maybe_compact t = if t.slack < 0 then compact t
 
 let find_item t key = Hashtbl.find_opt t.items key
 
-(* {2 Slot/list conversions — used by the cold paths (GC, snapshots)} *)
+(* {2 Slot/list conversions — used by the cold paths (snapshots, iteration,
+   bound errors)} *)
 
 let entries_desc item =
   let tail = if item.n > 2 then { version = item.v2; body = item.b2 } :: item.spill else item.spill in
   let tail = if item.n > 1 then { version = item.v1; body = item.b1 } :: tail else tail in
   if item.n > 0 then { version = item.v0; body = item.b0 } :: tail else tail
 
-(* Refill the slots from a descending entry list. *)
-let set_entries item desc =
-  item.n <- 0;
-  item.spill <- [];
-  item.b0 <- Tombstone;
-  item.b1 <- Tombstone;
-  item.b2 <- Tombstone;
-  match desc with
-  | [] -> ()
-  | e0 :: rest -> (
-      item.v0 <- e0.version;
-      item.b0 <- e0.body;
-      item.n <- 1;
-      match rest with
-      | [] -> ()
-      | e1 :: rest -> (
-          item.v1 <- e1.version;
-          item.b1 <- e1.body;
-          item.n <- 2;
-          match rest with
-          | [] -> ()
-          | e2 :: rest ->
-              item.v2 <- e2.version;
-              item.b2 <- e2.body;
-              item.n <- 3;
-              item.spill <- rest))
-
-let desc_compare a b = Int.compare b.version a.version
-
 let live_count item = item.n + List.length item.spill
 
-let versions_desc item = List.map (fun e -> e.version) (entries_desc item)
-
-let versions_of_item item = List.rev (versions_desc item)
+let versions_of_item item =
+  List.rev_map (fun e -> e.version) (entries_desc item)
 
 let exists_in t key v =
-  match find_item t key with
-  | None -> false
-  | Some item ->
-      (item.n > 0 && item.v0 = v)
-      || (item.n > 1 && item.v1 = v)
-      || (item.n > 2 && item.v2 = v)
-      || List.exists (fun e -> e.version = v) item.spill
+  match find_item t key with None -> false | Some item -> has_entry item v
 
 let max_version t key =
   match find_item t key with
@@ -182,29 +181,14 @@ let read_le t key v =
   | None -> None
   | Some item -> read_handle_le item v
 
-let rec spill_exact spill v =
-  match spill with
-  | [] -> None
-  | e :: rest ->
-      if e.version = v then value_of e.body
-      else if e.version < v then None
-      else spill_exact rest v
-
-let read_exact t key v =
-  match find_item t key with
-  | None -> None
-  | Some item ->
-      if item.n > 0 && item.v0 = v then value_of item.b0
-      else if item.n > 1 && item.v1 = v then value_of item.b1
-      else if item.n > 2 && item.v2 = v then value_of item.b2
-      else spill_exact item.spill v
-
-let note_size t key item =
+let note_size t item =
   let n = live_count item in
   if n > t.high_water then t.high_water <- n;
   match t.bound with
   | Some b when n > b ->
-      raise (Version_bound_exceeded { key; versions = versions_of_item item })
+      raise
+        (Version_bound_exceeded
+           { key = item.key; versions = versions_of_item item })
   | _ -> ()
 
 (* Insert a new entry at [version] (known absent), keeping slots and spill
@@ -266,7 +250,7 @@ let insert_new item version body =
   end
 
 (* Insert or replace the entry for [version]. *)
-let put_entry t key item version body =
+let put_entry t item version body =
   if item.n > 0 && item.v0 = version then item.b0 <- body
   else if item.n > 1 && item.v1 = version then item.b1 <- body
   else if item.n > 2 && item.v2 = version then item.b2 <- body
@@ -275,9 +259,11 @@ let put_entry t key item version body =
       List.map
         (fun e -> if e.version = version then { version; body } else e)
         item.spill
-  else insert_new item version body;
-  index_add t version key;
-  note_size t key item
+  else begin
+    insert_new item version body;
+    index_add t version item
+  end;
+  note_size t item
 
 let get_or_create_item t key =
   match find_item t key with
@@ -285,6 +271,7 @@ let get_or_create_item t key =
   | None ->
       let item =
         {
+          key;
           n = 0;
           v0 = 0;
           b0 = Tombstone;
@@ -293,31 +280,34 @@ let get_or_create_item t key =
           v2 = 0;
           b2 = Tombstone;
           spill = [];
+          mark = 0;
         }
       in
       Hashtbl.replace t.items key item;
       t.key_order <- String_set.add key t.key_order;
       item
 
-let remove_item t key =
-  Hashtbl.remove t.items key;
-  t.key_order <- String_set.remove key t.key_order
+(* Only empty items and lone tombstones are removed, so the record holds
+   no value: emptying it makes every handle to it stale. *)
+let remove_item t item =
+  Hashtbl.remove t.items item.key;
+  t.key_order <- String_set.remove item.key t.key_order;
+  item.n <- 0
 
 (* [note_size] inside [put_entry] may raise [Version_bound_exceeded] after
    the entry is already in place, so on the listener path the notification
    must still fire — otherwise a derived index would silently diverge from
    the store it mirrors. *)
-let put_entry_notified t key item version body =
+let put_entry_notified t item version body =
   match t.listener with
-  | None -> put_entry t key item version body
+  | None -> put_entry t item version body
   | Some f ->
       Fun.protect
-        ~finally:(fun () -> f key)
-        (fun () -> put_entry t key item version body)
+        ~finally:(fun () -> f item.key)
+        (fun () -> put_entry t item version body)
 
 let write t key v value =
-  let item = get_or_create_item t key in
-  put_entry_notified t key item v (Value value)
+  put_entry_notified t (get_or_create_item t key) v (Value value)
 
 let find_body item v =
   if item.n > 0 && item.v0 = v then Some item.b0
@@ -328,25 +318,18 @@ let find_body item v =
     | Some e -> Some e.body
     | None -> None
 
+let read_exact t key v =
+  match Option.bind (find_item t key) (fun item -> find_body item v) with
+  | Some body -> value_of body
+  | None -> None
+
 let copy_forward t key ~src ~dst =
   match find_item t key with
   | None -> raise Not_found
   | Some item -> (
       match find_body item src with
       | None -> raise Not_found
-      | Some body -> put_entry_notified t key item dst body)
-
-let drop_item_if_empty t key item = if item.n = 0 then remove_item t key
-
-(* An item whose only remaining entry is a tombstone can be removed outright
-   (paper: once all earlier versions are gone, the deleted item itself may
-   be removed). *)
-let drop_lone_tombstone t key item =
-  match (item.n, item.spill, item.b0) with
-  | 1, [], Tombstone ->
-      index_remove t item.v0 key;
-      remove_item t key
-  | _ -> drop_item_if_empty t key item
+      | Some body -> put_entry_notified t item dst body)
 
 (* The tombstone is retained even when it is the item's only entry: an
    uncommitted transaction may still hold an undo image or need to copy the
@@ -354,56 +337,43 @@ let drop_lone_tombstone t key item =
    when their earlier versions are garbage-collected, which is what {!gc}
    does. *)
 let delete t key v =
-  let item = get_or_create_item t key in
-  put_entry_notified t key item v Tombstone
+  put_entry_notified t (get_or_create_item t key) v Tombstone
+
+(* Slot 2 was vacated: refill it from the spill, or shrink by one. *)
+let refill_slot2 item =
+  match item.spill with
+  | e :: rest ->
+      item.v2 <- e.version;
+      item.b2 <- e.body;
+      item.spill <- rest
+  | [] ->
+      item.b2 <- Tombstone;
+      item.n <- item.n - 1
 
 let remove_version t key v =
   match find_item t key with
   | None -> ()
   | Some item ->
-      (if item.n > 0 && item.v0 = v then begin
-         (* Shift newer slots up over the removed one. *)
-         item.v0 <- item.v1;
-         item.b0 <- item.b1;
-         item.v1 <- item.v2;
-         item.b1 <- item.b2;
-         match item.spill with
-         | e :: rest ->
-             item.v2 <- e.version;
-             item.b2 <- e.body;
-             item.spill <- rest
-         | [] ->
-             item.b2 <- Tombstone;
-             item.n <- item.n - 1
-       end
-       else if item.n > 1 && item.v1 = v then begin
-         item.v1 <- item.v2;
-         item.b1 <- item.b2;
-         match item.spill with
-         | e :: rest ->
-             item.v2 <- e.version;
-             item.b2 <- e.body;
-             item.spill <- rest
-         | [] ->
-             item.b2 <- Tombstone;
-             item.n <- item.n - 1
-       end
-       else if item.n > 2 && item.v2 = v then begin
-         match item.spill with
-         | e :: rest ->
-             item.v2 <- e.version;
-             item.b2 <- e.body;
-             item.spill <- rest
-         | [] ->
-             item.b2 <- Tombstone;
-             item.n <- item.n - 1
-       end
-       else item.spill <- List.filter (fun e -> e.version <> v) item.spill);
-      index_remove t v key;
-      drop_item_if_empty t key item;
-      notify t key
+      (* Shift the newer slots up over the removed one. *)
+      if item.n > 0 && item.v0 = v then begin
+        item.v0 <- item.v1;
+        item.b0 <- item.b1;
+        item.v1 <- item.v2;
+        item.b1 <- item.b2;
+        refill_slot2 item
+      end
+      else if item.n > 1 && item.v1 = v then begin
+        item.v1 <- item.v2;
+        item.b1 <- item.b2;
+        refill_slot2 item
+      end
+      else if item.n > 2 && item.v2 = v then refill_slot2 item
+      else item.spill <- List.filter (fun e -> e.version <> v) item.spill;
+      if item.n = 0 then remove_item t item;
+      notify t key;
+      maybe_compact t
 
-(* {2 Change detection — decided from the slots before any list is built} *)
+(* {2 Garbage collection — decided and done on the slots} *)
 
 let rec spill_count_le spill v acc =
   match spill with
@@ -417,27 +387,47 @@ let count_le item v =
   + (if item.n > 2 && item.v2 <= v then 1 else 0)
   + spill_count_le item.spill v 0
 
-(* Items that [drop_lone_tombstone] removes even when the rewrite keeps
-   their entries as they are. *)
+(* An item with no entry, or whose only entry is a tombstone, is removed
+   (paper: once all earlier versions are gone, the deleted item itself may
+   be removed) — even when the edit keeps its entries as they are. *)
 let removable item =
   match (item.n, item.spill, item.b0) with
   | 0, _, _ | 1, [], Tombstone -> true
   | _ -> false
 
-(* Rewrite the item's entries with [f] (a list function on descending
-   entries), then re-derive its version-index membership, remove it if it
-   is now empty or a lone tombstone, and notify the listener.  Callers only
-   come here when the live entries change. *)
-let rewrite t key item f =
-  let entries = entries_desc item in
-  let before = List.map (fun e -> e.version) entries in
-  (match f entries with Some desc -> set_entries item desc | None -> ());
-  reindex t key ~before ~after:(versions_desc item);
-  drop_lone_tombstone t key item;
-  notify t key
+(* The one per-item edit of {!gc} and {!prune_below}: keep the item's
+   [keep] newest entries — a suffix truncation of the descending slots and
+   spill — and, with [renumber], move the oldest kept one to that version
+   (the caller knows it stays the oldest).  The item is then removed if
+   removable, and the listener told.  Callers only come here when the live
+   entries change or the item is removable. *)
+let edit t item keep ?renumber () =
+  if keep <= 3 then begin
+    item.spill <- [];
+    if keep < 3 then item.b2 <- Tombstone;
+    if keep < 2 then item.b1 <- Tombstone;
+    if keep < 1 then item.b0 <- Tombstone;
+    item.n <- min keep item.n
+  end
+  else item.spill <- List.filteri (fun i _ -> i < keep - 3) item.spill;
+  Option.iter
+    (fun v ->
+      (match keep - 1 with
+      | 0 -> item.v0 <- v
+      | 1 -> item.v1 <- v
+      | 2 -> item.v2 <- v
+      | p ->
+          item.spill <-
+            List.mapi
+              (fun i e -> if i = p - 3 then { e with version = v } else e)
+              item.spill);
+      index_add t v item)
+    renumber;
+  if removable item then remove_item t item;
+  notify t item.key
 
 let gc t ~collect ~query =
-  let process key item =
+  let process item =
     t.gc_items_visited <- t.gc_items_visited + 1;
     (* A reader at [query] resolves to the newest entry at or below it; the
        entries at or below [collect] are garbage iff such an entry exists
@@ -450,83 +440,69 @@ let gc t ~collect ~query =
        keeps the newest one, so it changes the item only when there are
        two or more. *)
     let below = count_le item collect in
+    let above = live_count item - below in
     let protected = count_le item query > below in
     let keeps = if protected || t.gc_renumber then 0 else 1 in
     if below > keeps || removable item then
-      rewrite t key item (fun entries ->
-          if protected then
-            Some (List.filter (fun e -> e.version > collect) entries)
-          else
-            match List.find_opt (fun e -> e.version <= collect) entries with
-            | None -> None
-            | Some e when t.gc_renumber ->
-                (* Paper rule: no incarnation at [query] — renumber the
-                   newest entry at or below [collect] so readers of [query]
-                   still find the item. *)
-                Some
-                  (List.sort desc_compare
-                     ({ e with version = query }
-                     :: List.filter (fun x -> x.version > collect) entries))
-            | Some newest ->
-                (* In-place rule: keep the newest entry <= collect (still
-                   the one readers of [query] resolve to) and drop any
-                   older ones. *)
-                Some
-                  (List.filter
-                     (fun x -> x.version > collect || x.version = newest.version)
-                     entries))
+      if protected || below = 0 then edit t item above ()
+      else if t.gc_renumber then
+        (* Paper rule: no incarnation at [query] — renumber the newest
+           entry at or below [collect] so readers of [query] still find
+           the item.  Nothing lies in (collect, query], so it stays the
+           oldest kept entry. *)
+        edit t item (above + 1) ~renumber:query ()
+      else
+        (* In-place rule: keep the newest entry <= collect (still the one
+           readers of [query] resolve to) and drop any older ones. *)
+        edit t item (above + 1) ()
   in
   (* The version index bounds the scan.  Under the paper's renumbering rule
      every item with an entry at or below [collect] is a candidate (each
-     untouched item gets renumbered every round).  Under the in-place rule,
-     steady state guarantees at most one entry below [collect] per item, so
-     only items actually written in [collect] or [query] need work: those
-     two sets are looked up directly instead of folding over every
-     version. *)
-  let candidate_versions =
-    if t.gc_renumber then
-      Hashtbl.fold
-        (fun v _ acc -> if v <= collect then v :: acc else acc)
-        t.by_version []
-    else if query = collect then [ collect ]
-    else [ collect; query ]
+     untouched item gets renumbered every round), and none keeps such an
+     entry, so those lists are taken out of the index as they are walked.
+     Under the in-place rule, steady state guarantees at most one entry
+     below [collect] per item, so only items actually written in [collect]
+     or [query] need work: those two lists are looked up directly, and
+     stay, since their survivors keep their entries there. *)
+  let lists =
+    if t.gc_renumber then begin
+      let taken = ref [] in
+      Hashtbl.filter_map_inplace
+        (fun v handles ->
+          if v <= collect then begin
+            taken := (v, !handles) :: !taken;
+            None
+          end
+          else Some handles)
+        t.by_version;
+      !taken
+    end
+    else
+      List.filter_map
+        (fun v ->
+          Option.map (fun handles -> (v, !handles))
+            (Hashtbl.find_opt t.by_version v))
+        (if query = collect then [ collect ] else [ collect; query ])
   in
-  let keys = Hashtbl.create 64 in
+  new_walk t;
   List.iter
-    (fun v ->
-      match Hashtbl.find_opt t.by_version v with
-      | None -> ()
-      | Some set -> Hashtbl.iter (fun k () -> Hashtbl.replace keys k ()) set)
-    candidate_versions;
-  Hashtbl.iter
-    (fun k () ->
-      match find_item t k with None -> () | Some item -> process k item)
-    keys
+    (fun (v, handles) ->
+      List.iter (fun item -> if take t v item then process item) handles)
+    lists;
+  maybe_compact t
 
 (* Keeping the newest entry at or below [keep] and everything newer changes
    the item only when two or more entries lie at or below [keep]; the first
-   pass only reads, so the items it picks can then be rewritten freely. *)
+   pass only reads, so the items it picks can then be edited freely. *)
 let prune_below t ~keep =
-  let keys =
-    Hashtbl.fold
-      (fun k item acc ->
-        if count_le item keep > 1 || removable item then k :: acc else acc)
-      t.items []
-  in
-  List.iter
-    (fun key ->
-      match find_item t key with
-      | None -> ()
-      | Some item ->
-          rewrite t key item (fun entries ->
-              match List.find_opt (fun e -> e.version <= keep) entries with
-              | None -> None
-              | Some newest_visible ->
-                  Some
-                    (List.filter
-                       (fun e -> e.version >= newest_visible.version)
-                       entries)))
-    keys
+  Hashtbl.fold
+    (fun _ item acc ->
+      if count_le item keep > 1 || removable item then item :: acc else acc)
+    t.items []
+  |> List.iter (fun item ->
+         let below = count_le item keep in
+         edit t item (live_count item - below + min below 1) ());
+  maybe_compact t
 
 let snapshot t =
   String_set.fold
@@ -612,7 +588,7 @@ let gc_items_visited t = t.gc_items_visited
 let items_in_version t v =
   match Hashtbl.find_opt t.by_version v with
   | None -> 0
-  | Some s -> Hashtbl.length s
+  | Some handles -> List.length (walk t v !handles)
 
 let version_histogram t =
   let tbl = Hashtbl.create 8 in

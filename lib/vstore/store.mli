@@ -31,7 +31,15 @@ val create : ?bound:int -> ?gc_renumber:bool -> ?size:int -> unit -> 'v t
     {e every} live item each round — while [false] keeps the old entry in
     place (readers resolve to it anyway), letting the version index bound
     GC work by the items actually written.  Both rules are read-equivalent;
-    experiment E8b measures the difference. *)
+    experiment E8b measures the difference.
+
+    The version index keeps, for each version, the handles of the items
+    that gained an entry there.  Writes only append to it; a handle whose
+    entry has gone since (or whose item was removed) goes stale and is
+    skipped when {!gc} or {!items_in_version} reads the list, and the lists
+    are compacted once the handles appended since the last compaction
+    outnumber the live ones it kept, so their size stays proportional to
+    the live entries. *)
 
 (** {1 Index queries} *)
 
@@ -145,9 +153,10 @@ val gc : _ t -> collect:version -> query:version -> unit
     (version in [(collect, query]]), drop every entry with version
     [<= collect]; otherwise renumber its newest entry [<= collect] to
     [query] (and drop older ones).  Items left with only a tombstone and no
-    earlier version are removed.  Whether an item changes is decided from
-    its slots before any entry list is built; the listener fires for each
-    item whose live entries changed, not for every item visited. *)
+    earlier version are removed.  Each item is changed in place, by
+    dropping its oldest entries and at most one renumbering; the listener
+    fires for each item whose live entries changed, not for every item
+    visited. *)
 
 val prune_below : _ t -> keep:version -> unit
 (** MVCC-style garbage collection: for every item, keep the newest entry
@@ -174,14 +183,17 @@ val high_water_versions : _ t -> int
     that verifies "at most three versions" (paper §6.2 property 2a). *)
 
 val gc_items_visited : _ t -> int
-(** Cumulative count of items {!gc} has checked, changed or not.  Garbage
-    collection uses the store's version index, so this is proportional to
-    the items that actually had entries in collected versions, not to the
-    store size. *)
+(** Cumulative count of items {!gc} has checked, changed or not: each call
+    counts the items that, when it starts, have an entry at a version it
+    collects from — at or below [collect] under the renumbering rule, at
+    [collect] or [query] under the in-place rule — each once, however many
+    handles the version index holds for it.  This is proportional to the
+    items that actually had entries in those versions, not to the store
+    size. *)
 
 val items_in_version : _ t -> version -> int
-(** Number of items with an entry at exactly this version (from the version
-    index). *)
+(** Number of items with an entry at exactly this version, counted from the
+    version's handle list (stale and repeated handles skipped). *)
 
 val version_histogram : _ t -> (int * int) list
 (** [(k, n)] pairs: [n] items currently have [k] live versions. *)

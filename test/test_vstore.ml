@@ -394,15 +394,18 @@ let prop_gc_preserves_query_snapshot =
 (* The version index stays consistent with the items under arbitrary
    write/delete/gc interleavings: items_in_version v counts exactly the
    items with an entry at v. *)
-let prop_version_index_consistent =
+let prop_version_index_consistent gc_renumber =
   let op_gen =
     QCheck.Gen.(
       list_size (int_bound 150)
         (pair key_gen (oneof [ return `W; return `D; return `R ])))
   in
-  QCheck.Test.make ~name:"version index matches item entries" ~count:100
-    (QCheck.make op_gen) (fun ops ->
-      let s : int Store.t = Store.create () in
+  QCheck.Test.make
+    ~name:
+      ("version index matches item entries"
+      ^ if gc_renumber then "" else " (in place)")
+    ~count:100 ~long_factor:10 (QCheck.make op_gen) (fun ops ->
+      let s : int Store.t = Store.create ~gc_renumber () in
       let version = ref 0 in
       List.iteri
         (fun i (k, op) ->
@@ -426,6 +429,114 @@ let prop_version_index_consistent =
         if Store.items_in_version s v <> !actual then ok := false
       done;
       !ok)
+
+(* gc visits exactly the items its rule names: those with an entry at or
+   below [collect] (renumbering), or at [collect] or [query] (in place),
+   counted from the items themselves just before the call.  The histories
+   leave the version index stale and repeated handles to skip: entries
+   removed by remove_version and written again, items removed as lone
+   tombstones and their keys written again, entries dropped by earlier
+   rounds. *)
+let prop_gc_visits_candidates gc_renumber =
+  let op_gen =
+    QCheck.Gen.(
+      list_size (int_bound 200)
+        (triple key_gen (int_bound 2)
+           (frequency
+              [
+                (5, return `W); (2, return `D); (2, return `R); (2, return `A);
+              ])))
+  in
+  QCheck.Test.make
+    ~name:
+      ("gc visits exactly its candidates"
+      ^ if gc_renumber then "" else " (in place)")
+    ~count:100 ~long_factor:10 (QCheck.make op_gen) (fun ops ->
+      let s : int Store.t = Store.create ~gc_renumber () in
+      let u = ref 1 and q = ref 0 and g = ref (-1) in
+      List.for_all
+        (fun (k, skip, op) ->
+          match op with
+          | `W ->
+              Store.write s k !u skip;
+              true
+          | `D ->
+              Store.delete s k !u;
+              true
+          | `R ->
+              Store.remove_version s k (!u - skip);
+              true
+          | `A ->
+              u := !u + 1 + skip;
+              q := !u - 1;
+              !q - 1 <= !g
+              ||
+              (incr g;
+               let collect = !g and query = !q in
+               let candidates = ref 0 in
+               Store.iter
+                 (fun _ entries ->
+                   if
+                     List.exists
+                       (fun (v, _) ->
+                         if gc_renumber then v <= collect
+                         else v = collect || v = query)
+                       entries
+                   then incr candidates)
+                 s;
+               let visited = Store.gc_items_visited s in
+               Store.gc s ~collect ~query;
+               Store.gc_items_visited s - visited = !candidates))
+        ops)
+
+(* The version index must not grow with the history: a long run over a
+   few keys keeps the store's footprint under a fixed bound, whichever
+   collector runs — gc under either rule, or prune_below in the MVCC
+   baseline's shape, where every write makes a new version.  Each round
+   also removes an entry and deletes a key, leaving handles stale. *)
+let test_index_memory_bounded () =
+  let keys = Array.init 32 (Printf.sprintf "k%02d") in
+  let words_bound = 8_192 in
+  List.iter
+    (fun collector ->
+      let s : int Store.t =
+        Store.create ~gc_renumber:(collector = `Gc_renumber) ()
+      in
+      let peak = ref 0 in
+      let next = ref 0 in
+      for round = 1 to 20_000 do
+        let key i = keys.((round * (2 * i + 1)) land 31) in
+        (match collector with
+        | `Prune ->
+            for i = 0 to 2 do
+              incr next;
+              Store.write s (key i) !next round
+            done;
+            incr next;
+            Store.delete s (key 3) !next;
+            (* key 1 was written at [!next - 2]. *)
+            Store.remove_version s (key 1) (!next - 2);
+            Store.prune_below s ~keep:(!next - 4)
+        | `Gc_renumber | `Gc_in_place ->
+            (* Round [round]: updates at [round + 1], queries at
+               [round], [round - 1] collected. *)
+            for i = 0 to 2 do
+              Store.write s (key i) (round + 1) round
+            done;
+            Store.delete s (key 3) (round + 1);
+            Store.remove_version s (key 1) (round + 1);
+            Store.gc s ~collect:(round - 1) ~query:round);
+        if round mod 1000 = 0 then
+          peak := max !peak (Obj.reachable_words (Obj.repr s))
+      done;
+      if !peak > words_bound then
+        Alcotest.failf "%s: the store reached %d words (bound %d)"
+          (match collector with
+          | `Gc_renumber -> "gc, renumbering"
+          | `Gc_in_place -> "gc, in place"
+          | `Prune -> "prune_below")
+          !peak words_bound)
+    [ `Gc_renumber; `Gc_in_place; `Prune ]
 
 (* The in-place GC rule is read-equivalent to the paper's renumbering rule:
    after any protocol-shaped history (writes at the current update version,
@@ -674,13 +785,18 @@ let () =
             test_gc_preserves_newer;
           Alcotest.test_case "skipped query keeps newest" `Quick
             test_gc_skipped_query_keeps_newest;
+          Alcotest.test_case "version index stays bounded" `Quick
+            test_index_memory_bounded;
         ] );
       ( "properties",
         qc
           [
             prop_gc_keeps_two_versions;
             prop_gc_preserves_query_snapshot;
-            prop_version_index_consistent;
+            prop_version_index_consistent true;
+            prop_version_index_consistent false;
+            prop_gc_visits_candidates true;
+            prop_gc_visits_candidates false;
             prop_gc_rules_read_equivalent;
             prop_store_matches_reference;
             prop_collectors_match_models;
