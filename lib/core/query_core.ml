@@ -160,14 +160,7 @@ let select t ~plan nd ~lo ~hi =
   | `Full_scan ->
       let visited = Vstore.Store.scan_all (Node_state.store nd) t.version in
       Sim.Engine.sleep (read_service *. float_of_int (List.length visited));
-      let rows =
-        List.filter
-          (fun (_, value) ->
-            let a = Vindex.Index.extract ix value in
-            lo <= a && a <= hi)
-          visited
-      in
-      (rows, None)
+      (Vindex.Index.of_scan ix ~lo ~hi visited, None)
   | `Both_check ->
       (* The [Index_skip_visibility] mutant bends the probe only; the
          reference scan keeps the pin. *)

@@ -82,7 +82,8 @@ val select :
   (string * 'v) list * (string * 'v) list option
 (** One attribute-range select on the node at the query's pin, by the
     access path [plan] ({!Query_exec.select_plan}) — the one index read
-    of both the flat and the tree executor.  Returns the rows, ascending
-    by key, and under [`Both_check] the full-scan reference for the
-    caller to compare.  Under the [Index_skip_visibility] mutant
-    the index probe runs at [max_int], serving each key's newest entry. *)
+    of both the flat and the tree executor.  Returns the rows in index
+    order ({!Vindex.Index.probe}), and under [`Both_check] the full-scan
+    reference for the caller to compare.  Under the [Index_skip_visibility]
+    mutant the index probe runs at [max_int], serving each key's newest
+    entry. *)

@@ -70,7 +70,8 @@ val run_select :
 (** Predicate range query: each element [(node, lo, hi)] selects the rows
     of that partition whose {e extracted attribute} lies in [\[lo, hi\]],
     as of the query's pinned version; results arrive as
-    (node, key, Some value), ascending by key per range.  Requires the
+    (node, key, Some value), in index order per range — ascending by
+    (attribute, key), see {!Vindex.Index.probe}.  Requires the
     cluster to carry a secondary index ([Cluster.create ~index]). *)
 
 type 'v join_row = int * string * 'v

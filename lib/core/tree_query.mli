@@ -17,7 +17,8 @@ type plan = {
   selects : (string * string) list;
       (** attribute ranges to probe at [at] through the node's secondary
           index (requires [~index] at [Cluster.create]); results follow
-          the point reads, ascending by key per range *)
+          the point reads, in index order per range
+          ({!Vindex.Index.probe}) *)
   children : plan list;
 }
 

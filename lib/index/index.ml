@@ -101,54 +101,40 @@ let detach t = Store.set_listener t.base None
 let base t = t.base
 let extract t value = t.extract value
 
-(* One bucket's rows visible at [version], descending by key.  A row is
-   kept only in the bucket of its visible value's attribute: that value is
-   a live entry, so it has a posting there, and every key in range comes
-   out of exactly one bucket.  [counted] adds the postings visited to
-   {!stats}. *)
-let bucket_rows t ~counted attr keys version =
-  Smap.fold
-    (fun pkey h acc ->
-      if counted then t.candidates <- t.candidates + 1;
-      match Store.read_handle_le h version with
-      | Some v when String.equal (t.extract v) attr -> (pkey, v) :: acc
-      | _ -> acc)
-    keys []
-
-(* Merge runs that are each descending by key and pairwise disjoint,
-   pairwise in rounds: O(rows × log runs). *)
-let rec merge_desc = function
-  | [] -> []
-  | [ run ] -> run
-  | runs -> merge_desc (merge_pairs runs)
-
-and merge_pairs = function
-  | a :: b :: rest ->
-      List.merge (fun (x, _) (y, _) -> String.compare y x) a b
-      :: merge_pairs rest
-  | runs -> runs
-
+(* Every row visible at [version] whose attribute is in [\[lo, hi\]], in
+   index order: one pass over the buckets in range, reversed once.  A row
+   is kept only in the bucket of its visible value's attribute: that value
+   is a live entry, so it has a posting there, and every key in range
+   comes out of exactly one bucket.  [counted] adds the postings visited
+   to {!stats}. *)
 let rows_in t ~counted ~lo ~hi version =
-  let rec gather acc seq =
-    match seq () with
-    | Seq.Cons ((attr, keys), rest) when attr <= hi -> (
-        match bucket_rows t ~counted attr keys version with
-        | [] -> gather acc rest
-        | run -> gather (run :: acc) rest)
+  let keep attr pkey h acc =
+    if counted then t.candidates <- t.candidates + 1;
+    match Store.read_handle_le h version with
+    | Some v when String.equal (t.extract v) attr -> (pkey, v) :: acc
     | _ -> acc
   in
-  List.rev (merge_desc (gather [] (Smap.to_seq_from lo t.postings)))
+  let rec gather acc seq =
+    match seq () with
+    | Seq.Cons ((attr, keys), rest) when attr <= hi ->
+        gather (Smap.fold (keep attr) keys acc) rest
+    | _ -> acc
+  in
+  List.rev (gather [] (Smap.to_seq_from lo t.postings))
 
 let probe t ~lo ~hi version =
   t.probes <- t.probes + 1;
   rows_in t ~counted:true ~lo ~hi version
 
+(* Ascending by key in, index order out: the stable sort by attribute
+   keeps key order within each attribute. *)
+let of_scan t ~lo ~hi rows =
+  let attr (_, v) = t.extract v in
+  List.filter (fun row -> lo <= attr row && attr row <= hi) rows
+  |> List.stable_sort (fun a b -> String.compare (attr a) (attr b))
+
 let full_scan t ~lo ~hi version =
-  List.filter
-    (fun (_, v) ->
-      let a = t.extract v in
-      lo <= a && a <= hi)
-    (Store.scan_all t.base version)
+  of_scan t ~lo ~hi (Store.scan_all t.base version)
 
 let check t ~version =
   let violations = ref [] in
@@ -162,9 +148,11 @@ let check t ~version =
   let base_keys = ref [] in
   Store.iter (fun key _ -> base_keys := key :: !base_keys) t.base;
   let seen = Hashtbl.create 64 in
+  let visible = ref 0 in
   List.iter
     (fun pkey ->
       Hashtbl.replace seen pkey ();
+      if Store.read_le t.base pkey version <> None then incr visible;
       let expect = attrs_of t (Store.handle t.base pkey) in
       let got =
         Option.value (Hashtbl.find_opt t.live pkey) ~default:Sset.empty
@@ -209,18 +197,30 @@ let check t ~version =
               pkey)
         attrs)
     t.live;
-  (* Observational: a probe over the full attribute space at [version] must
-     equal the full ordered scan — the contract every query plan relies
-     on. *)
-  let indexed =
-    match (Smap.min_binding_opt t.postings, Smap.max_binding_opt t.postings) with
-    | Some (lo, _), Some (hi, _) -> rows_in t ~counted:false ~lo ~hi version
-    | _ -> []
+  (* Observational: a full-space probe at [version] must equal the full
+     scan in index order — the contract every query plan relies on —
+     checked without sorting a copy of the store: rows strictly ascending
+     by (attribute, key), each the key's [read_le], are distinct rows of
+     the scan, and as many as it has ([visible]) are all of them. *)
+  let hi = Option.fold ~none:"" ~some:fst (Smap.max_binding_opt t.postings) in
+  let indexed = rows_in t ~counted:false ~lo:"" ~hi version in
+  let rows, _ =
+    List.fold_left
+      (fun (rows, prev) (pkey, v) ->
+        let at = (t.extract v, pkey) in
+        if rows > 0 && compare prev at >= 0 then
+          fail "index: probe at v=%d lists key %S out of index order" version
+            pkey;
+        if Store.read_le t.base pkey version <> Some v then
+          fail "index: probe at v=%d serves key %S a value it does not read"
+            version pkey;
+        (rows + 1, at))
+      (0, ("", ""))
+      indexed
   in
-  let full = Store.scan_all t.base version in
-  if indexed <> full then
-    fail "index: probe at v=%d returns %d rows, full scan %d" version
-      (List.length indexed) (List.length full);
+  if rows <> !visible then
+    fail "index: probe at v=%d returns %d rows, full scan %d" version rows
+      !visible;
   List.rev !violations
 
 let stats t : stats =

@@ -9,8 +9,9 @@
     ({!Vstore.Store.read_handle_le}), so index reads obey exactly the
     three-slot visibility discipline of the base store and re-look up no
     key.  A row is kept only in the bucket of its visible value's
-    attribute; the per-bucket runs are already in key order and are
-    merged, so no candidate set is built or sorted.  Maintenance rides the
+    attribute, and a probe returns its rows in {e index order} — ascending
+    by (attribute, key), the order of one pass over the buckets in range —
+    so no candidate set is built, sorted or merged.  Maintenance rides the
     store's mutation listener ({!Vstore.Store.set_listener}); every
     mutation path (update execution, moveToFuture, GC, prune, WAL replay,
     replication apply, checkpoint restore) already funnels through the
@@ -20,7 +21,8 @@
 
     Visibility contract: [probe t ~lo ~hi v] is byte-identical to
     [Store.scan_all base v] filtered to values whose extracted attribute
-    lies in [\[lo, hi\]] — the full-scan plan ({!full_scan}). *)
+    lies in [\[lo, hi\]] and stably sorted by attribute — the full-scan
+    plan ({!full_scan}). *)
 
 type 'v t
 
@@ -37,22 +39,26 @@ val extract : 'v t -> 'v -> string
 
 val probe : 'v t -> lo:string -> hi:string -> int -> (string * 'v) list
 (** [probe t ~lo ~hi v]: every (key, value) visible at version [v] whose
-    extracted attribute is in [\[lo, hi\]], ascending by key.  Probing
-    at [max_int] serves each key's newest entry, which is how the
-    [Index_skip_visibility] mutant of the protocol config skips the
-    pinned-version visibility check. *)
+    extracted attribute is in [\[lo, hi\]], in index order: ascending by
+    (attribute, key).  Probing at [max_int] serves each key's newest
+    entry, which is how the [Index_skip_visibility] mutant of the protocol
+    config skips the pinned-version visibility check. *)
 
 val full_scan : 'v t -> lo:string -> hi:string -> int -> (string * 'v) list
-(** The reference plan: [Store.scan_all] at the version, filtered by the
-    attribute range.  O(items); {!probe} must match it byte-for-byte. *)
+(** The reference plan: {!of_scan} of [Store.scan_all] at the version.
+    O(items); {!probe} must match it byte-for-byte. *)
+
+val of_scan :
+  'v t -> lo:string -> hi:string -> (string * 'v) list -> (string * 'v) list
+(** Key-ordered scan rows in [\[lo, hi\]], stably sorted by attribute. *)
 
 val check : 'v t -> version:int -> string list
 (** Consistency audit, one message per violation (empty = consistent):
     the per-key attribute cache matches a recomputation from the base
     store, postings and cache agree in both directions, every posting's
     handle is physically the key's current record ([Store.handle base
-    key]), and a full-space probe at [version] equals the full ordered
-    scan. *)
+    key]), and a full-space probe at [version] equals the full scan in
+    index order, checked without sorting a copy of the store. *)
 
 type stats = { updates : int; probes : int; candidates : int }
 

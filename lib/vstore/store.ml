@@ -585,11 +585,6 @@ let max_live_versions_now t =
 let high_water_versions t = t.high_water
 let gc_items_visited t = t.gc_items_visited
 
-let items_in_version t v =
-  match Hashtbl.find_opt t.by_version v with
-  | None -> 0
-  | Some handles -> List.length (walk t v !handles)
-
 let version_histogram t =
   let tbl = Hashtbl.create 8 in
   Hashtbl.iter

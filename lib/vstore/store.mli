@@ -36,10 +36,9 @@ val create : ?bound:int -> ?gc_renumber:bool -> ?size:int -> unit -> 'v t
     The version index keeps, for each version, the handles of the items
     that gained an entry there.  Writes only append to it; a handle whose
     entry has gone since (or whose item was removed) goes stale and is
-    skipped when {!gc} or {!items_in_version} reads the list, and the lists
-    are compacted once the handles appended since the last compaction
-    outnumber the live ones it kept, so their size stays proportional to
-    the live entries. *)
+    skipped when {!gc} reads the list, and the lists are compacted once
+    the handles appended since the last compaction outnumber the live ones
+    it kept, so their size stays proportional to the live entries. *)
 
 (** {1 Index queries} *)
 
@@ -71,7 +70,8 @@ val range : 'v t -> lo:string -> hi:string -> version -> (string * 'v) list
 
 val scan_all : 'v t -> version -> (string * 'v) list
 (** Full ordered scan: every key with its value as of [version], ascending.
-    O(items) by construction — the reference plan a secondary-index probe
+    O(items) by construction — filtered to an attribute range and put in
+    index order, the reference plan a secondary-index probe
     ({!Index.probe}) must match byte-for-byte at the same version. *)
 
 (** {2 Item handles}
@@ -190,10 +190,6 @@ val gc_items_visited : _ t -> int
     handles the version index holds for it.  This is proportional to the
     items that actually had entries in those versions, not to the store
     size. *)
-
-val items_in_version : _ t -> version -> int
-(** Number of items with an entry at exactly this version, counted from the
-    version's handle list (stale and repeated handles skipped). *)
 
 val version_histogram : _ t -> (int * int) list
 (** [(k, n)] pairs: [n] items currently have [k] live versions. *)

@@ -73,14 +73,15 @@ let test_listener_paths () =
     (Index.probe ix ~lo:"a005" ~hi:"a005" 1 = []
     && Index.probe ix ~lo:"a007" ~hi:"a007" 1 = [ ("x", 7) ]);
   Store.copy_forward st "y" ~src:0 ~dst:2;
+  (* Probes return index order: y's attribute a006 before x's a007. *)
   check_bool "copy_forward resurfaces y at v2" true
-    (Index.probe ix ~lo ~hi 2 = [ ("x", 7); ("y", 6) ]);
+    (Index.probe ix ~lo ~hi 2 = [ ("y", 6); ("x", 7) ]);
   no_msgs "consistent v0" (Index.check ix ~version:0);
   no_msgs "consistent v2" (Index.check ix ~version:2);
   Store.prune_below st ~keep:1;
   no_msgs "consistent after prune" (Index.check ix ~version:2);
   check_bool "post-prune probe intact" true
-    (Index.probe ix ~lo ~hi 2 = [ ("x", 7); ("y", 6) ]);
+    (Index.probe ix ~lo ~hi 2 = [ ("y", 6); ("x", 7) ]);
   let s = Index.stats ix in
   check_bool "listener fired for every mutation" true (s.Index.updates >= 5);
   (* In-place overwrite moves the key between attribute buckets. *)
@@ -260,6 +261,60 @@ let test_join_agreement () =
   check_bool "empty probe side" true (hashed ~build ~probe:[] = []);
   check_bool "nested_loop agrees on empty sides" true
     (nested ~build:[] ~probe = [] && nested ~build ~probe:[] = [])
+
+(* Over random protocol-shaped histories (writes, deletes and entry
+   removals at the current update version, one collection per round under
+   either GC rule) and random attribute ranges and versions, a probe is in
+   index order — strictly ascending by (attribute, key) — serves each key
+   its [read_le], and re-sorted by key is exactly the key-ordered scan
+   filtered to the range: no row moves in or out.  The audit agrees. *)
+let prop_probe_index_order =
+  let open QCheck.Gen in
+  let key_gen = map (Printf.sprintf "k%02d") (int_bound 24) in
+  let op_gen =
+    frequency
+      [
+        (6, map2 (fun k v -> `Write (k, v)) key_gen (int_bound 40));
+        (2, map (fun k -> `Delete k) key_gen);
+        (1, map (fun k -> `Remove k) key_gen);
+        (1, return `Advance);
+      ]
+  in
+  let range_gen =
+    map2
+      (fun a b -> (extract (min a b), extract (max a b)))
+      (int_bound 45) (int_bound 45)
+  in
+  let gen =
+    quad bool (list_size (int_bound 150) op_gen) range_gen (int_bound 16)
+  in
+  QCheck.Test.make ~name:"probe is the range's scan in index order"
+    ~count:200 ~long_factor:10 (QCheck.make gen)
+    (fun (gc_renumber, ops, (lo, hi), at) ->
+      let st : int Store.t = Store.create ~gc_renumber () in
+      let ix = Index.attach st ~extract in
+      let u = ref 1 in
+      List.iter
+        (function
+          | `Write (k, v) -> Store.write st k !u v
+          | `Delete k -> Store.delete st k !u
+          | `Remove k -> Store.remove_version st k !u
+          | `Advance ->
+              Store.gc st ~collect:(!u - 1) ~query:!u;
+              incr u)
+        ops;
+      let probed = Index.probe ix ~lo ~hi at in
+      let rec ascending = function
+        | (k, v) :: ((k', v') :: _ as rest) ->
+            compare (extract v, k) (extract v', k') < 0 && ascending rest
+        | _ -> true
+      in
+      let in_range (_, v) = lo <= extract v && extract v <= hi in
+      ascending probed
+      && List.for_all (fun (k, v) -> Store.read_le st k at = Some v) probed
+      && List.sort (fun (a, _) (b, _) -> String.compare a b) probed
+         = List.filter in_range (Store.scan_all st at)
+      && Index.check ix ~version:at = [])
 
 (* {1 Cluster-level behaviour} *)
 
@@ -547,6 +602,7 @@ let () =
           Alcotest.test_case "probe edges" `Quick test_probe_edges;
           Alcotest.test_case "join agreement" `Quick test_join_agreement;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_probe_index_order ]);
       ( "cluster",
         [
           Alcotest.test_case "select plans agree" `Quick

@@ -391,9 +391,34 @@ let prop_gc_preserves_query_snapshot =
       let after = List.map (fun k -> (k, Store.read_le s k 1)) keys in
       before = after)
 
+(* The items [Store.gc s ~collect ~query] must visit, counted from the
+   items themselves: those with an entry at or below [collect] under the
+   renumbering rule, at [collect] or [query] under the in-place rule. *)
+let gc_candidates s ~gc_renumber ~collect ~query =
+  let n = ref 0 in
+  Store.iter
+    (fun _ entries ->
+      if
+        List.exists
+          (fun (v, _) ->
+            if gc_renumber then v <= collect else v = collect || v = query)
+          entries
+      then incr n)
+    s;
+  !n
+
+(* Collect, and say whether gc visited exactly its candidates. *)
+let gc_visits_candidates s ~gc_renumber ~collect ~query =
+  let candidates = gc_candidates s ~gc_renumber ~collect ~query in
+  let visited = Store.gc_items_visited s in
+  Store.gc s ~collect ~query;
+  Store.gc_items_visited s - visited = candidates
+
 (* The version index stays consistent with the items under arbitrary
-   write/delete/gc interleavings: items_in_version v counts exactly the
-   items with an entry at v. *)
+   write/delete/remove_version interleavings.  Its reader is gc, so each
+   collection — one every 17 operations and a last one at the end — must
+   visit exactly the items with an entry at the versions it collects
+   from, recounted from the ground truth. *)
 let prop_version_index_consistent gc_renumber =
   let op_gen =
     QCheck.Gen.(
@@ -406,37 +431,31 @@ let prop_version_index_consistent gc_renumber =
       ^ if gc_renumber then "" else " (in place)")
     ~count:100 ~long_factor:10 (QCheck.make op_gen) (fun ops ->
       let s : int Store.t = Store.create ~gc_renumber () in
-      let version = ref 0 in
+      let version = ref 0 and ok = ref true in
+      let collect () =
+        if
+          not
+            (gc_visits_candidates s ~gc_renumber ~collect:!version
+               ~query:(!version + 1))
+        then ok := false;
+        incr version
+      in
       List.iteri
         (fun i (k, op) ->
           (match op with
           | `W -> Store.write s k !version i
           | `D -> Store.delete s k !version
           | `R -> Store.remove_version s k !version);
-          if i mod 17 = 16 then begin
-            Store.gc s ~collect:!version ~query:(!version + 1);
-            incr version
-          end)
+          if i mod 17 = 16 then collect ())
         ops;
-      (* Recount from the ground truth. *)
-      let ok = ref true in
-      for v = 0 to !version + 1 do
-        let actual = ref 0 in
-        Store.iter
-          (fun _ entries ->
-            if List.exists (fun (ev, _) -> ev = v) entries then incr actual)
-          s;
-        if Store.items_in_version s v <> !actual then ok := false
-      done;
+      collect ();
       !ok)
 
-(* gc visits exactly the items its rule names: those with an entry at or
-   below [collect] (renumbering), or at [collect] or [query] (in place),
-   counted from the items themselves just before the call.  The histories
-   leave the version index stale and repeated handles to skip: entries
-   removed by remove_version and written again, items removed as lone
-   tombstones and their keys written again, entries dropped by earlier
-   rounds. *)
+(* gc visits exactly the items its rule names ({!gc_candidates}), counted
+   just before the call.  The histories leave the version index stale and
+   repeated handles to skip: entries removed by remove_version and written
+   again, items removed as lone tombstones and their keys written again,
+   entries dropped by earlier rounds. *)
 let prop_gc_visits_candidates gc_renumber =
   let op_gen =
     QCheck.Gen.(
@@ -472,21 +491,7 @@ let prop_gc_visits_candidates gc_renumber =
               !q - 1 <= !g
               ||
               (incr g;
-               let collect = !g and query = !q in
-               let candidates = ref 0 in
-               Store.iter
-                 (fun _ entries ->
-                   if
-                     List.exists
-                       (fun (v, _) ->
-                         if gc_renumber then v <= collect
-                         else v = collect || v = query)
-                       entries
-                   then incr candidates)
-                 s;
-               let visited = Store.gc_items_visited s in
-               Store.gc s ~collect ~query;
-               Store.gc_items_visited s - visited = !candidates))
+               gc_visits_candidates s ~gc_renumber ~collect:!g ~query:!q))
         ops)
 
 (* The version index must not grow with the history: a long run over a
